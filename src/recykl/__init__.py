@@ -22,7 +22,6 @@ from .errors import (
     RegimeInapplicable,
 )
 from .linalg import (
-    DenseBasis,
     DenseLowerTriangular,
     InstrumentationSink,
     SparseSpdMatrix,
@@ -72,7 +71,6 @@ from .truncation import (
 )
 from .weights import (
     WeightHistory,
-    WeightScheme,
     idw_weight,
     weights_ideal,
     weights_previous,

@@ -8,8 +8,9 @@ Subcommands:
 - ``weight-study``  weight-scheme comparison after a warmup stretch
 - ``verify-bounds`` randomized verification of the supporting inequalities
 
-Exit codes: 0 on success, 2 when any solve failed to converge, 3 on
-configuration errors.
+Exit codes: 0 on success, 2 when any solve failed to converge or a
+numerical failure (breakdown, non-convergence) escaped, 3 on configuration
+errors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .analysis import (
     make_distance_instance,
     make_weights_instance,
 )
-from .errors import RecyklError
+from .errors import Breakdown, NotConverged, RecyklError
 from .problems import (
     gen_diffusion_sequence,
     gen_output_matrix,
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except (Breakdown, NotConverged) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except RecyklError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

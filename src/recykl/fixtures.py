@@ -49,6 +49,24 @@ def _fixture_cases():
                         storage_cap=30, max_dim=20),
             precond="jacobi",
         ),
+        # a stage-1 block narrower than Y, so stage 2 runs on later systems
+        "split_pod": dict(
+            generator=dict(grid=(10, 10), p=6, delta=0.05, seed=5, tol=1e-8),
+            config=dict(strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0,
+                        storage_cap=30, max_dim=20, stage1_dim=5),
+            precond="jacobi",
+        ),
+        "split_pod_it": dict(
+            generator=dict(grid=(10, 10), p=6, delta=0.05, seed=5, tol=1e-8),
+            config=dict(strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0,
+                        storage_cap=30, max_dim=20, stage1_dim=5, full_orth=True),
+            precond="jacobi",
+        ),
+        "deflation": dict(
+            generator=dict(grid=(10, 10), p=6, delta=0.05, seed=5, tol=1e-8),
+            config=dict(strategy="deflate", deflate_dim=20, storage_cap=30),
+            precond="jacobi",
+        ),
     }
 
 

@@ -12,15 +12,13 @@ sum of range(Y) and the generated Krylov directions.
 Two direction updates are available.  ``mode="cg"`` keeps the classical
 two-term recurrence.  ``mode="fom"`` re-orthogonalizes each new direction
 against all previous ones, which guarantees a full-rank direction block in
-finite precision; by default the coefficients are the explicit projections
--(p_i'Az)/gamma_i, with the cheaper ratio formula (r'z)/(r_i'z_i) available
-via ``paper_fom_beta=True`` (the two coincide in exact arithmetic but only
-the explicit form enforces A-orthogonality numerically).
+finite precision; its coefficients are the explicit projections
+-(p_i'Az)/gamma_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,9 +86,6 @@ def _as_operator(op, sink):
         return op
     if isinstance(op, SparseSpdMatrix):
         return MatrixOperator(op, sink)
-    arr = np.asarray(op, dtype=np.float64)
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return MatrixOperator(SparseSpdMatrix.from_dense(arr), sink)
     raise DimensionMismatch("unsupported operator type")
 
 
@@ -188,7 +183,6 @@ def augmented_pcg(
     tol: float = 0.0,
     *,
     mode: str = "cg",
-    paper_fom_beta: bool = False,
     relative: bool = False,
     max_iter: int | None = None,
     sink: InstrumentationSink | None = None,
@@ -295,7 +289,6 @@ def augmented_pcg(
     dirs: list[np.ndarray] = []
     gammas: list[float] = []
     a_dirs: list[np.ndarray] = []  # cached A p_i, used by explicit FOM orthogonalization
-    rz_hist: list[float] = []
 
     for k in range(max_iter):
         Ap = operator.apply(p)
@@ -308,7 +301,6 @@ def augmented_pcg(
         alphas.append(alpha)
         dirs.append(p)
         gammas.append(gamma)
-        rz_hist.append(rz)
         if mode == "fom":
             a_dirs.append(Ap)
         history.append(float(np.linalg.norm(r)))
@@ -326,15 +318,11 @@ def augmented_pcg(
                 p -= Y @ mu
         elif mode == "fom":
             p = z - Y @ mu if Y is not None else z.copy()
-            if paper_fom_beta:
+            # two modified-Gram-Schmidt sweeps keep the direction block
+            # A-orthogonal even for badly conditioned operators
+            for _ in range(2):
                 for i in range(len(dirs)):
-                    p = p + (rz_next / rz_hist[i]) * dirs[i]
-            else:
-                # two modified-Gram-Schmidt sweeps keep the direction block
-                # A-orthogonal even for badly conditioned operators
-                for _ in range(2):
-                    for i in range(len(dirs)):
-                        p = p - (float(a_dirs[i] @ p) / gammas[i]) * dirs[i]
+                    p = p - (float(a_dirs[i] @ p) / gammas[i]) * dirs[i]
         else:
             raise ValueError(f"unknown mode {mode!r}")
         rz = rz_next

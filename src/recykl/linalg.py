@@ -9,8 +9,6 @@ most a few hundred rows.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -174,64 +172,18 @@ def assemble_gram(A: SparseSpdMatrix, B: np.ndarray, sink: InstrumentationSink |
     return B.T @ AB, AB
 
 
-@dataclass
-class DenseBasis:
-    """Dense block of length-n column vectors with optional Gram metadata.
-
-    ``gram_diag`` records the diagonal of the (A-weighted) Gram matrix the
-    columns were normalized against, when such a normalization exists.
-    """
-
-    columns: np.ndarray
-    gram_diag: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.columns = np.atleast_2d(np.asarray(self.columns, dtype=np.float64))
-        if self.gram_diag is not None:
-            self.gram_diag = np.asarray(self.gram_diag, dtype=np.float64)
-            if self.gram_diag.shape != (self.columns.shape[1],):
-                raise DimensionMismatch("gram_diag length must equal column count")
-
-    @property
-    def n(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.columns.shape[1]
-
-    @classmethod
-    def empty(cls, n: int) -> "DenseBasis":
-        return cls(np.zeros((n, 0)))
-
-
-def as_columns(basis) -> np.ndarray:
-    """Accept a DenseBasis or a 2-D array and return the column block."""
-    if basis is None:
-        raise DimensionMismatch("expected a basis, got None")
-    if isinstance(basis, DenseBasis):
-        return basis.columns
-    return np.atleast_2d(np.asarray(basis, dtype=np.float64))
-
-
 class DenseLowerTriangular:
-    """Packed lower-triangular Cholesky factor L with G = L L'."""
+    """Lower-triangular Cholesky factor L with G = L L'."""
 
-    def __init__(self, entries_packed: np.ndarray, m: int):
-        self.m = int(m)
-        self.entries = np.asarray(entries_packed, dtype=np.float64)
-        if self.entries.shape != (self.m * (self.m + 1) // 2,):
-            raise DimensionMismatch("packed entry count must be m(m+1)/2")
-        self._full = np.zeros((self.m, self.m))
-        idx = np.tril_indices(self.m)
-        self._full[idx] = self.entries
+    def __init__(self, L: np.ndarray):
+        # C order pins which LAPACK call solve_triangular makes, and with it
+        # the rounding of every reduced solve
+        self._full = np.ascontiguousarray(L, dtype=np.float64)
+        self.m = self._full.shape[0]
+        if self._full.shape != (self.m, self.m):
+            raise DimensionMismatch("triangular factor must be square")
         if self.m and np.any(np.diag(self._full) <= 0.0):
             raise NotPositiveDefinite("lower-triangular factor must have positive diagonal")
-
-    @classmethod
-    def from_full(cls, L: np.ndarray) -> "DenseLowerTriangular":
-        L = np.asarray(L, dtype=np.float64)
-        return cls(L[np.tril_indices(L.shape[0])], L.shape[0])
 
     def full(self) -> np.ndarray:
         return self._full.copy()
@@ -256,7 +208,7 @@ def dense_cholesky(G: np.ndarray) -> DenseLowerTriangular:
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionMismatch("dense_cholesky: matrix must be square")
     if G.shape[0] == 0:
-        return DenseLowerTriangular(np.zeros(0), 0)
+        return DenseLowerTriangular(np.zeros((0, 0)))
     L, info = scipy.linalg.lapack.dpotrf(G, lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(
@@ -264,7 +216,7 @@ def dense_cholesky(G: np.ndarray) -> DenseLowerTriangular:
         )
     if info < 0:
         raise DimensionMismatch(f"dpotrf: illegal argument {-info}")
-    return DenseLowerTriangular.from_full(L)
+    return DenseLowerTriangular(L)
 
 
 def symmetric_evd(G: np.ndarray):
@@ -324,8 +276,8 @@ def principal_angle_distance(U, V) -> float:
     the singular values of the residual (I - P_V) Q_U, which stays accurate
     for nearly coincident subspaces.
     """
-    Qu = _orthonormal_basis(as_columns(U), "first")
-    Qv = _orthonormal_basis(as_columns(V), "second")
+    Qu = _orthonormal_basis(np.atleast_2d(np.asarray(U, dtype=np.float64)), "first")
+    Qv = _orthonormal_basis(np.atleast_2d(np.asarray(V, dtype=np.float64)), "second")
     if Qu.shape[0] != Qv.shape[0]:
         raise DimensionMismatch("principal_angle_distance: ambient dimensions differ")
     if Qu.shape[1] == 0:

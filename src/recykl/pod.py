@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBasis, RankTruncatedWarning
-from .linalg import DenseBasis, SparseSpdMatrix, symmetric_evd, thin_svd
+from .linalg import SparseSpdMatrix, symmetric_evd, thin_svd
 
 _RANK_RTOL = 1e-12  # on sigma^2, relative to the largest
 
@@ -45,14 +45,10 @@ class PodMetric:
 
 @dataclass
 class PodBasisResult:
-    basis: DenseBasis
+    columns: np.ndarray  # Theta-orthonormal basis, n x y
     singular_values: np.ndarray  # full spectrum, descending, length = snapshot count
     y: int
-    snapshot_coef: np.ndarray | None = None  # basis = S @ snapshot_coef
-
-    @property
-    def columns(self) -> np.ndarray:
-        return self.basis.columns
+    snapshot_coef: np.ndarray | None = None  # columns = S @ snapshot_coef
 
 
 def energy_truncation_dim(sigma_sq, eps: float) -> int:
@@ -90,7 +86,7 @@ def _finalize(S, gamma, sigma, V, eps):
     y = energy_truncation_dim(sigma_sq, eps)
     coef = (V[:, :y] / sigma[:y]) * gamma[:, None]
     return PodBasisResult(
-        basis=DenseBasis(S @ coef, gram_diag=np.ones(y)),
+        columns=S @ coef,
         singular_values=np.maximum(sigma, 0.0),
         y=y,
         snapshot_coef=coef,

@@ -110,7 +110,3 @@ def build(kind: str, A: SparseSpdMatrix, omega: float = 1.0) -> Preconditioner:
         return SsorPreconditioner(A, omega)
     raise RecyklError(f"unknown preconditioner kind {kind!r}")
 
-
-def apply(M: Preconditioner, r, sink: InstrumentationSink | None = None) -> np.ndarray:
-    """Apply M^{-1} to r, counting one preconditioner application."""
-    return M.apply(np.asarray(r, dtype=np.float64), sink)

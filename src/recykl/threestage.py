@@ -9,10 +9,16 @@ across the sequence:
    implicit reduced operator p -> Y'(A(Yp)) (the reduced matrix is never
    formed), augmented with W so the stage-1 factor keeps doing the
    projections;
-3. full-space augmented PCG to the forcing tolerance, orthogonalizing new
-   directions either against [W, stage-2 directions] with the cached block
-   factor, or (``full_orth``) against the entire Y, each projection solved
-   by a nested augmented-CG run whose factor grows block by block.
+3. one full-space augmented PCG run to the forcing tolerance.  Each stage
+   that ran contributes a block (reduced coordinates, full-space columns,
+   cached A-products, start coefficients, Gram factor); the run starts from
+   the stacked blocks and keeps new directions A-orthogonal either to them,
+   backsolving the block-diagonal factor, or (``full_orth``) to the entire
+   Y, each projection a nested augmented-CG run seeded with the same blocks
+   whose factor grows block by block.
+
+Stages 1 and 2 run only over a non-empty basis; without one (the first
+system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
 
 After the solve, new search directions are appended to Y normalized to unit
 A-norm; once the block exceeds the storage cap it is compressed by the
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,7 +153,9 @@ class InnerIterativeProjection:
     The nested runs are augmented with every block already understood in
     reduced coordinates: the stage-1 selection, the stage-2 directions, and
     the direction blocks of earlier projections, whose Gram factor is block
-    diagonal and grows by one sqrt-diagonal block per call.
+    diagonal and grows by one sqrt-diagonal block per call.  ``basis``
+    stacks those blocks, ``cross`` holds Y'AY times them, and ``factor``
+    factors their Gram matrix; each call extends all three.
     """
 
     def __init__(
@@ -156,75 +165,66 @@ class InnerIterativeProjection:
         sink: InstrumentationSink | None,
         tol: float,
         mode: str,
-        max_iter: int | None = None,
+        basis: np.ndarray,
+        cross: np.ndarray,
+        factor: BlockDiagFactor,
     ):
         self.A = A
         self.Y = Y
         self.sink = sink
         self.tol = tol
         self.mode = mode
-        self.max_iter = max_iter if max_iter is not None else 3 * Y.shape[1] + 10
+        self.max_iter = 3 * Y.shape[1] + 10
         self.op = ReducedSpdOperator(A, Y, sink=sink, record_products=True)
-        self.factor = BlockDiagFactor()
-        self._basis_blocks: list[np.ndarray] = []
-        self._cross_blocks: list[np.ndarray] = []
-        self.inner_iterations = 0
+        self.basis = basis
+        self.cross = cross
+        self.factor = factor
 
-    def add_block(self, basis_block: np.ndarray, cross_block: np.ndarray, factor_block) -> None:
-        if basis_block.shape[1] == 0:
-            return
-        self._basis_blocks.append(basis_block)
-        self._cross_blocks.append(cross_block)
-        kind, payload = factor_block
-        if kind == "chol":
-            self.factor.append_cholesky(payload)
-        else:
-            self.factor.append_sqrt_diag(payload)
-
-    def _stacked(self):
-        y = self.Y.shape[1]
-        if not self._basis_blocks:
-            return np.zeros((y, 0)), np.zeros((y, 0))
-        return np.hstack(self._basis_blocks), np.hstack(self._cross_blocks)
+    def add_block(self, basis_block: np.ndarray, cross_block: np.ndarray,
+                  sqrt_diag: np.ndarray) -> None:
+        self.basis = np.hstack([self.basis, basis_block])
+        self.cross = np.hstack([self.cross, cross_block])
+        self.factor.append_sqrt_diag(sqrt_diag)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         bhat = self.Y.T @ spmv(self.A, z, self.sink)
-        B, cross = self._stacked()
         tol = max(self.tol, 1e-13 * float(np.linalg.norm(bhat)))
-        if B.shape[1]:
-            ybase = self.factor.solve_spd(B.T @ bhat)
-            r0 = bhat - cross @ ybase
-            handle = DirectReducedProjection(cross, self.factor)
-        else:
-            ybase, r0, handle = None, bhat.copy(), None
+        ybase = self.factor.solve_spd(self.basis.T @ bhat)
         mark = len(self.op.reduced_products)
         try:
             res = augmented_pcg(
                 self.op,
                 bhat,
                 ybase,
-                B if B.shape[1] else None,
-                handle,
+                self.basis,
+                DirectReducedProjection(self.cross, self.factor),
                 None,
                 tol,
                 mode=self.mode,
                 max_iter=self.max_iter,
-                r0=r0,
+                r0=bhat - self.cross @ ybase,
             )
         except NotConverged as exc:
             res = exc.partial
-        self.inner_iterations += res.k
         if res.k > 0:
             new_cross = np.column_stack(self.op.reduced_products[mark : mark + res.k])
-            self.add_block(res.V, new_cross, ("sqrtdiag", np.sqrt(res.gamma)))
+            self.add_block(res.V, new_cross, np.sqrt(res.gamma))
         return res.x
 
 
-def _plain_stage3(A, rhs, eps, cfg, M, sink, monitor):
-    return augmented_pcg(
-        A, rhs, tol=eps, precond=M, mode=cfg.mode, sink=sink,
-        max_iter=cfg.max_iter, monitor=monitor,
-    )
+class _Block(NamedTuple):
+    """One stage's share of the stage-3 augmenting block."""
+
+    coords: np.ndarray  # the columns in coordinates of Y
+    cols: np.ndarray  # the same columns in full space
+    products: np.ndarray  # A @ cols
+    start: np.ndarray  # Galerkin start coefficients over cols
+
+
+def _stack(arrays: list[np.ndarray], rows: int) -> np.ndarray:
+    # C order whatever the blocks' order: the layout decides how BLAS rounds
+    # products with the stacked basis, and the frozen fixtures pin that rounding
+    return np.ascontiguousarray(np.hstack(arrays)) if arrays else np.zeros((rows, 0))
 
 
 def solve_system(
@@ -242,11 +242,12 @@ def solve_system(
 ) -> tuple[np.ndarray, SolveReport, RecycleState]:
     """Solve one system of the sequence and fold its directions into state.
 
-    Returns the solution, a report of per-stage costs, and the updated
-    state.  ``chalf`` supplies the output matrix for output-metric
-    truncation strategies.  When stage 3 runs out of iterations a
-    NotConverged report is produced (never an exception); the partial
-    solution still updates the state so the sequence can continue.
+    Returns the solution, a report of per-stage costs, and ``state``, which
+    is updated in place (see :func:`update_basis`).  ``chalf`` supplies the
+    output matrix for output-metric truncation strategies.  When stage 3
+    runs out of iterations a NotConverged report is produced (never an
+    exception); the partial solution still updates the state so the
+    sequence can continue.
     """
     if sink is None:
         sink = InstrumentationSink()
@@ -278,34 +279,29 @@ def solve_system(
     eps, eps_hat, eps_inner = tolerances.resolved()
     record("start", 0, xbar if xbar is not None else np.zeros(A.n))
 
-    y = state.basis_dim
-    Y = state.Y
-    stage3_res: AugmentedPcgResult
-
     def add_center(x):
         return x if xbar is None else xbar + x
 
-    if y == 0 or not cfg.recycle:
-        monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
-        try:
-            stage3_res = _plain_stage3(A, r0, eps, cfg, M, sink, monitor)
-        except NotConverged as exc:
-            stage3_res = exc.partial
-            report.converged = False
-        stage3_basis = np.zeros((A.n, 0))
-        stage3_start = np.zeros(0)
-        yhat_comb = np.zeros(0)
-        stage1_gram = None
-        idx: list[int] = []
-    else:
-        idx = list(state.stage1_idx)
-        W = Y[:, idx]
-        w = len(idx)
-
+    # without recycling the basis counts as empty: stages 1 and 2 are
+    # skipped and stage 3 is plain PCG
+    Y = state.Y if cfg.recycle else state.Y[:, :0]
+    y = Y.shape[1]
+    idx = list(state.stage1_idx) if y else []
+    yhat_comb = np.zeros(y)
+    stage1_gram = None
+    blocks: list[_Block] = []
+    factor = BlockDiagFactor()  # Gram factor of the blocks, one diagonal block each
+    if y:
         # stage 1: direct solve over W, factor cached for every later stage
+        W = Y[:, idx]
         stage1 = direct_reduced_solve(A, r0, W, sink)
         what, rhat, AW = stage1.what, stage1.rhat, stage1.aw
-        stage1_gram = rhat.full() @ rhat.full().T if w == y else None
+        What = np.eye(y)[:, idx]
+        blocks.append(_Block(What, W, AW, what))
+        factor.append_cholesky(rhat)
+        yhat_comb[idx] = what
+        if len(idx) == y:
+            stage1_gram = rhat.full() @ rhat.full().T
         record("stage1", 0, add_center(W @ what))
 
         if cfg.diagnostics:
@@ -315,12 +311,10 @@ def solve_system(
 
         # stage 2: iterate over all of Y through the implicit reduced
         # operator, augmented with the stage-1 selection block
-        if y > w:
-            What = np.eye(y)[:, idx]
+        if y > len(idx):
             cross_w = Y.T @ AW
             reduced_op = ReducedSpdOperator(A, Y, sink=sink, record_products=True)
             bhat = Y.T @ r0
-            r0_hat = bhat - cross_w @ what
             try:
                 stage2_res = augmented_pcg(
                     reduced_op,
@@ -332,89 +326,63 @@ def solve_system(
                     eps_hat,
                     mode=cfg.mode,
                     max_iter=3 * y + 10,
-                    r0=r0_hat,
+                    r0=bhat - cross_w @ what,
                 )
             except NotConverged as exc:
                 stage2_res = exc.partial
                 report.stage2_converged = False
             yhat_comb = stage2_res.x
-            vhat2 = stage2_res.vhat
-            Phat = stage2_res.V
-            gamma_hat = stage2_res.gamma
-            AVhat = (
-                np.column_stack(reduced_op.full_products[: stage2_res.k])
-                if stage2_res.k
-                else np.zeros((A.n, 0))
-            )
             report.stage2_iters = stage2_res.k
             report.stage2_residual_history = stage2_res.residual_history
-        else:
-            yhat_comb = np.zeros(y)
-            yhat_comb[idx] = what
-            vhat2 = np.zeros(0)
-            Phat = np.zeros((y, 0))
-            gamma_hat = np.zeros(0)
-            AVhat = np.zeros((A.n, 0))
+            if stage2_res.k:
+                Phat = stage2_res.V
+                AVhat = np.column_stack(reduced_op.full_products[: stage2_res.k])
+                blocks.append(_Block(Phat, Y @ Phat, AVhat, stage2_res.vhat))
+                factor.append_sqrt_diag(np.sqrt(stage2_res.gamma))
         record("stage2", 0, add_center(Y @ yhat_comb))
 
-        monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
-        if not cfg.truncation.full_orth:
-            # stage 3 over [W, stage-2 directions]; Gram factor is block
-            # diagonal with blocks cached from stages 1 and 2
-            Vhat_full = Y @ Phat if Phat.shape[1] else np.zeros((A.n, 0))
-            stage3_basis = np.hstack([W, Vhat_full])
-            cross3 = np.hstack([AW, AVhat])
-            factor3 = BlockDiagFactor()
-            factor3.append_cholesky(rhat)
-            if gamma_hat.size:
-                factor3.append_sqrt_diag(np.sqrt(gamma_hat))
-            stage3_start = np.concatenate([what, vhat2])
-            r0_3 = r0 - cross3 @ stage3_start
-            try:
-                stage3_res = augmented_pcg(
-                    A,
-                    r0,
-                    stage3_start,
-                    stage3_basis,
-                    DirectReducedProjection(cross3, factor3),
-                    M,
-                    eps,
-                    mode=cfg.mode,
-                    sink=sink,
-                    max_iter=cfg.max_iter,
-                    r0=r0_3,
-                    monitor=monitor,
-                )
-            except NotConverged as exc:
-                stage3_res = exc.partial
-                report.converged = False
-        else:
-            # stage 3 orthogonalizing against all of Y via nested solves
-            projector = InnerIterativeProjection(A, Y, sink, eps_inner, cfg.mode)
-            projector.add_block(np.eye(y)[:, idx], Y.T @ AW, ("chol", rhat))
-            if Phat.shape[1]:
-                projector.add_block(Phat, Y.T @ AVhat, ("sqrtdiag", np.sqrt(gamma_hat)))
-            stage3_basis = Y
-            stage3_start = yhat_comb
-            r0_3 = r0 - AW @ what - (AVhat @ vhat2 if vhat2.size else 0.0)
-            try:
-                stage3_res = augmented_pcg(
-                    A,
-                    r0,
-                    yhat_comb,
-                    Y,
-                    projector,
-                    M,
-                    eps,
-                    mode=cfg.mode,
-                    sink=sink,
-                    max_iter=cfg.max_iter,
-                    r0=r0_3,
-                    monitor=monitor,
-                )
-            except NotConverged as exc:
-                stage3_res = exc.partial
-                report.converged = False
+    # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
+    # New directions stay A-orthogonal to the stacked blocks, each
+    # projection backsolving the cached block factor, or with ``full_orth``
+    # to all of Y, each projection a nested solve seeded with the blocks.
+    if cfg.truncation.full_orth:
+        stage3_basis, stage3_start = Y, yhat_comb
+        handle = InnerIterativeProjection(
+            A, Y, sink, eps_inner, cfg.mode,
+            _stack([blk.coords for blk in blocks], y),
+            _stack([Y.T @ blk.products for blk in blocks], y),
+            factor,
+        )
+        # subtracted block by block: a stacked product would round differently
+        # from the full_orth results the fixtures pin
+        r_entry = r0
+        for blk in blocks:
+            r_entry = r_entry - blk.products @ blk.start
+    else:
+        stage3_basis = _stack([blk.cols for blk in blocks], A.n)
+        stage3_start = np.concatenate([blk.start for blk in blocks]) if blocks else np.zeros(0)
+        products = _stack([blk.products for blk in blocks], A.n)
+        handle = DirectReducedProjection(products, factor)
+        r_entry = r0 - products @ stage3_start
+    monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
+    try:
+        stage3_res = augmented_pcg(
+            A,
+            r0,
+            stage3_start,
+            stage3_basis,
+            handle,
+            M,
+            eps,
+            mode=cfg.mode,
+            sink=sink,
+            max_iter=cfg.max_iter,
+            r0=r_entry,
+            monitor=monitor,
+        )
+    except NotConverged as exc:
+        stage3_res = exc.partial
+        report.converged = False
 
     x = add_center(stage3_res.x)
     report.stage1_dim = len(idx)
@@ -423,7 +391,7 @@ def solve_system(
     report.residual_history = stage3_res.residual_history
     report.checkpoints = checkpoints
 
-    new_state, truncated = update_basis(
+    state, truncated = update_basis(
         state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
         stage1_gram=stage1_gram,
     )
@@ -444,12 +412,12 @@ def solve_system(
                 stage1_idx=list(idx),
                 stage3_basis=stage3_basis.copy(),
                 stage3_start=stage3_start.copy(),
-                Y_exit=new_state.Y.copy(),
-                last_trunc_index=new_state.last_trunc_index,
+                Y_exit=state.Y.copy(),
+                last_trunc_index=state.last_trunc_index,
                 truncated=truncated,
             )
         )
-    return x, report, new_state
+    return x, report, state
 
 
 def update_basis(
@@ -465,12 +433,14 @@ def update_basis(
 ) -> tuple[RecycleState, bool]:
     """Fold the new directions into the recycled basis, truncating at the cap.
 
-    New directions enter normalized to unit A-norm (columns divided by
-    sqrt(p'Ap)); with threshold 1 they all join the stage-1 block, otherwise
-    only those whose share of the direction Gram trace exceeds the
-    threshold.  When the grown block exceeds the storage cap the configured
-    compression runs with the metric of the just-solved matrix, the weight
-    history re-expressed or reset, and the stage-1 prefix re-derived.
+    ``state`` is updated in place; it is returned together with a flag that
+    tells whether truncation fired.  New directions enter normalized to unit
+    A-norm (columns divided by sqrt(p'Ap)); with threshold 1 they all join
+    the stage-1 block, otherwise only those whose share of the direction
+    Gram trace exceeds the threshold.  When the grown block exceeds the
+    storage cap the configured compression runs with the metric of the
+    just-solved matrix, the weight history is reset, and the stage-1 prefix
+    is re-derived.
     """
     j = state.systems_seen + 1
     if not cfg.recycle:
@@ -532,10 +502,7 @@ def update_basis(
             gram=gram,
             sink=sink,
         )
-        if tcfg.keep_history and out.gram_zz is not None:
-            state.history.reexpress(out.truncation_map, out.gram_zz)
-        else:
-            state.history.reset()
+        state.history.reset()
         state.Y = out.Y_new
         state.stage1_idx = list(range(out.stage1_width))
         state.last_trunc_index = j

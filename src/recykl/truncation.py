@@ -11,8 +11,7 @@ directions) exceeds the storage cap, one of several strategies shrinks it:
 - a passthrough that keeps the whole block.
 
 Every outcome carries the retained basis, the stage-1 prefix width, and the
-map expressing new columns in old-block coordinates so that weight history
-can optionally survive the truncation.
+map expressing new columns in old-block coordinates.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, RecyklError
+from .errors import DimensionMismatch, RecyklError
 from .linalg import (
-    DenseLowerTriangular,
     InstrumentationSink,
     SparseSpdMatrix,
     assemble_gram,
@@ -60,7 +58,6 @@ class TruncationConfig:
     deflate_dim: int | None = None
     max_dim: int | None = None
     stage1_dim: int | None = None
-    keep_history: bool = False
 
     def __post_init__(self):
         if self.strategy not in ALL_STRATEGIES:
@@ -98,7 +95,6 @@ class TruncationOutcome:
     stage1_width: int
     truncation_map: np.ndarray  # Y_new = Z @ truncation_map
     spectrum: np.ndarray | None = None
-    gram_zz: np.ndarray | None = None  # Z'Theta Z in the truncation metric
     enforced: bool = False  # True once the basis is A-orthonormal
 
 
@@ -135,7 +131,6 @@ def pod_compress(
         res = pod_evd_from_gram(gram, Z, weights, cfg.nu_y)
     else:
         res = pod_svd(Z, weights, metric.operand, cfg.nu_y)
-        gram = None
     y = _cap(res.y, cfg.max_dim, res.y)
     sigma_sq = res.singular_values**2
     w = _cap(energy_truncation_dim(sigma_sq, cfg.nu_w), cfg.stage1_dim, y)
@@ -144,7 +139,6 @@ def pod_compress(
         stage1_width=w,
         truncation_map=res.snapshot_coef[:, :y],
         spectrum=res.singular_values,
-        gram_zz=gram,
         enforced=metric.kind == "explicit",
     )
 
@@ -183,7 +177,6 @@ def deflation_compress(
         stage1_width=w,
         truncation_map=trunc_map,
         spectrum=mu,
-        gram_zz=gram_az,
         enforced=True,
     )
 
@@ -251,7 +244,6 @@ def compress(
             stage1_width=out.stage1_width,
             truncation_map=L.solve_lower(out.truncation_map.T).T,
             spectrum=out.spectrum,
-            gram_zz=out.gram_zz,
             enforced=True,
         )
     return out

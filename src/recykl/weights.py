@@ -20,8 +20,6 @@ on the right is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NoHistory
@@ -32,22 +30,6 @@ from .linalg import InstrumentationSink, SparseSpdMatrix
 def idw_weight(r: int) -> float:
     """Inverse-distance weight for the solution r systems back (r >= 1)."""
     return 1.0 / 2.0 ** (r - 1)
-
-
-@dataclass
-class WeightScheme:
-    """Selected weighting: ``ideal``, ``prev``, or ``rbf``.
-
-    ``window`` overrides the RBF reach; by default the window spans the
-    systems since the most recent truncation (the full history length).
-    """
-
-    kind: str
-    window: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("ideal", "prev", "rbf"):
-            raise ValueError(f"unknown weight scheme {self.kind!r}")
 
 
 class WeightHistory:
@@ -77,17 +59,6 @@ class WeightHistory:
         out = np.zeros(self.width())
         out[: e.shape[0]] = e
         return out
-
-    def reexpress(self, trunc_map: np.ndarray, gram: np.ndarray) -> None:
-        """Rewrite entries in post-truncation coordinates.
-
-        ``trunc_map`` expresses the new basis columns in old-block
-        coordinates (new = Z @ trunc_map) and ``gram`` is Z'Theta Z for the
-        truncation metric; the rewritten entry is the Theta-orthogonal
-        projection coefficient trunc_map' gram eta of the old expansion.
-        """
-        proj = np.asarray(trunc_map).T @ np.asarray(gram)
-        self._entries = [proj @ self.padded(i) for i in range(len(self._entries))]
 
 
 def weights_ideal(
@@ -126,24 +97,3 @@ def weights_rbf(history: WeightHistory, omega: int) -> np.ndarray:
     for i in range(1, omega + 1):
         out += idw_weight(i) * history.padded(last - (i - 1))
     return out
-
-
-def evaluate_scheme(
-    scheme: WeightScheme,
-    history: WeightHistory,
-    *,
-    Z=None,
-    A: SparseSpdMatrix | None = None,
-    b=None,
-    xguess=None,
-    sink: InstrumentationSink | None = None,
-) -> np.ndarray:
-    """Produce the weight vector for a scheme given the run state."""
-    if scheme.kind == "prev":
-        return weights_previous(history)
-    if scheme.kind == "rbf":
-        window = scheme.window if scheme.window is not None else len(history)
-        return weights_rbf(history, window)
-    if Z is None or A is None or b is None:
-        raise NoHistory("ideal weights need the current system")
-    return weights_ideal(Z, A, b, xguess, sink)

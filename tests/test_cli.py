@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from recykl import bench
 from recykl.cli import main
+from recykl.errors import Breakdown
 
 
 @pytest.fixture()
@@ -81,6 +83,15 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing --manifest
         assert exc.value.code == 3
+
+    def test_breakdown_exit_2(self, sequence_dir, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise Breakdown("direction curvature -1.0e+00 at iteration 3")
+
+        monkeypatch.setattr(bench, "run_methods", broken)
+        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--out-dir", str(tmp_path / "res")])
+        assert code == 2
 
 
 class TestOutputError:

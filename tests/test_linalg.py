@@ -9,7 +9,6 @@ from recykl.errors import (
     RankDeficient,
 )
 from recykl.linalg import (
-    DenseBasis,
     InstrumentationSink,
     SparseSpdMatrix,
     assemble_gram,
@@ -249,13 +248,3 @@ class TestAssembleGram:
         assert sink.matvecs == 4
         assert np.allclose(G, B.T @ A.to_dense() @ B)
         assert np.allclose(AB, A.to_dense() @ B)
-
-
-class TestDenseBasis:
-    def test_gram_diag_checked(self):
-        with pytest.raises(DimensionMismatch):
-            DenseBasis(np.ones((4, 2)), gram_diag=np.ones(3))
-
-    def test_empty(self):
-        b = DenseBasis.empty(7)
-        assert b.n == 7 and b.m == 0

@@ -43,14 +43,23 @@ class TestStageTolerances:
 
 
 class TestFirstSystem:
-    def test_equals_plain_pcg(self):
+    # an empty recycled basis (first system, or no recycling) is plain PCG
+    @pytest.mark.parametrize("precond", [None, "jacobi"], ids=["none", "jacobi"])
+    @pytest.mark.parametrize("recycle", [True, False], ids=["recycle", "no-recycle"])
+    def test_equals_plain_pcg(self, recycle, precond):
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=20, tol=1e-9)
-        cfg = solver_cfg()
-        _, reports, _ = run_sequence(seq, cfg)
-        ref = pcg(seq[0].A, seq[0].b, tol=1e-9, mode="fom")
+        cfg = solver_cfg(recycle=recycle)
+        factory = (lambda A: pc.build(precond, A)) if precond else None
+        xs, reports, _ = run_sequence(seq, cfg, precond_factory=factory)
+        sink = InstrumentationSink()
+        M = factory(seq[0].A) if factory else None
+        ref = pcg(seq[0].A, seq[0].b, precond=M, tol=1e-9, mode=cfg.mode, sink=sink)
         assert reports[0].stage1_dim == 0
         assert reports[0].stage2_iters == 0
         assert reports[0].stage3_iters == ref.k
+        assert np.array_equal(xs[0], ref.x)
+        assert reports[0].matvecs == sink.matvecs
+        assert reports[0].precond_applies == sink.precond_applies
 
     def test_single_system_summary(self):
         seq = gen_diffusion_sequence((6, 6), p=1, delta=0.0, seed=21, tol=1e-8)

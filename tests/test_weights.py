@@ -5,7 +5,6 @@ from helpers import make_spd, make_spd_dense, random_basis
 from recykl.errors import NoHistory, NotPositiveDefinite
 from recykl.weights import (
     WeightHistory,
-    WeightScheme,
     idw_weight,
     weights_ideal,
     weights_previous,
@@ -96,23 +95,6 @@ class TestHistorySchemes:
         h.push([0.0, 2.0, 0.0])
         assert np.allclose(weights_rbf(h, 2), [0.5, 2.0, 0.0])
 
-    def test_reexpression_matches_dense_projection(self):
-        # rewrite history in the coordinates of a truncated orthonormal basis
-        rng = np.random.default_rng(82)
-        theta = make_spd_dense(15, seed=83)
-        Z = random_basis(15, 6, seed=84)
-        eta = rng.standard_normal(6)
-        from recykl.pod import pod_evd
-
-        res = pod_evd(Z, np.ones(6), theta, eps=0.9)
-        trunc_map = np.linalg.lstsq(Z, res.columns, rcond=None)[0]
-        h = WeightHistory()
-        h.push(eta)
-        h.reexpress(trunc_map, Z.T @ theta @ Z)
-        # oracle: theta-orthogonal projection coefficients of Z @ eta
-        expected = res.columns.T @ theta @ (Z @ eta)
-        assert np.allclose(h.padded(0), expected, atol=1e-9)
-
 
 class TestWeightGapBound:
     @pytest.mark.parametrize("seed", range(10))
@@ -156,9 +138,3 @@ class TestWeightGapBound:
         eta_prev = np.linalg.solve(Z.T @ Ad @ Z, Z.T @ (Ad @ (xbar_prev + d) - Ad @ xbar_prev))
         eta_ideal = np.linalg.solve(Z.T @ Ad @ Z, Z.T @ (Ad @ (xbar_cur + d) - Ad @ xbar_cur))
         assert np.linalg.norm(eta_ideal - eta_prev) <= 1e-8 * max(1.0, np.linalg.norm(eta_ideal))
-
-
-class TestWeightScheme:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            WeightScheme("harmonic")
