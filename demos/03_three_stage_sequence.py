@@ -13,29 +13,30 @@ import warnings
 import numpy as np
 
 from recykl import SolverConfig, TruncationConfig, gen_diffusion_sequence, run_sequence
-from recykl import preconditioners as pc
 
 warnings.filterwarnings("ignore")  # rank-limited energy criteria are expected here
 
 seq = gen_diffusion_sequence((50, 50), p=20, delta=0.05, seed=1, tol=1e-6, load_scale=1e-4)
-ssor = lambda A: pc.build("ssor", A, omega=1.7)
+ssor = "ssor:1.7"
 
 methods = {
-    "plain pcg": SolverConfig(truncation=TruncationConfig(strategy="none"), recycle=False),
-    "no truncation": SolverConfig(truncation=TruncationConfig(strategy="none", nu_w=1.0)),
+    "plain pcg": SolverConfig(truncation=TruncationConfig(strategy="none"),
+                              precond=ssor, recycle=False),
+    "no truncation": SolverConfig(truncation=TruncationConfig(strategy="none", nu_w=1.0),
+                                  precond=ssor),
     "pod (cap 50)": SolverConfig(truncation=TruncationConfig(
-        strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0, storage_cap=50, max_dim=40)),
+        strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0, storage_cap=50, max_dim=40), precond=ssor),
     "pod inner-orth": SolverConfig(truncation=TruncationConfig(
         strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0, storage_cap=50, max_dim=40,
-        stage1_dim=5, full_orth=True)),
+        stage1_dim=5, full_orth=True), precond=ssor),
     "deflation (cap 50)": SolverConfig(truncation=TruncationConfig(
-        strategy="deflate", deflate_dim=40, storage_cap=50)),
+        strategy="deflate", deflate_dim=40, storage_cap=50), precond=ssor),
 }
 
 print(f"sequence: {seq.p} systems, n = {seq.n}, coefficient drift {seq.metadata['delta']}")
 print(f"{'method':>20} | total stage-3 | total matvecs | per-system stage-3")
 for name, cfg in methods.items():
-    _, reports, _ = run_sequence(seq, cfg, precond_factory=ssor)
+    _, reports, _ = run_sequence(seq, cfg)
     iters = [r.stage3_iters for r in reports]
     matvecs = sum(r.matvecs for r in reports)
     print(f"{name:>20} | {sum(iters):13d} | {matvecs:13d} | {iters}")

@@ -56,7 +56,6 @@ from .threestage import (
     RecycleState,
     SolveReport,
     SolverConfig,
-    StageTolerances,
     run_sequence,
     solve_system,
     summarize_reports,

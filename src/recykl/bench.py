@@ -1,9 +1,10 @@
 """Benchmark protocol: method rosters, runners, and report writers.
 
-A method is a named solver configuration (truncation shape, tolerances,
-preconditioner).  Methods run over a shared immutable sequence, optionally
-in a thread pool, and their per-system reports land in CSV/JSON files: one
-row per (method, system) with the three cost metrics, per-iteration
+A method is a name and a :class:`SolverConfig` (truncation shape, mode,
+preconditioner, stage-tolerance factors).  Methods run over a shared
+immutable sequence, optionally in a thread pool, and their per-system
+reports land in CSV/JSON files: one row per (method, system) with the three
+cost metrics (``wall_ms`` includes the preconditioner build), per-iteration
 residual histories, and per-method averages.
 """
 
@@ -14,12 +15,11 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
 
-from . import preconditioners
 from .errors import RecyklError
 from .pod import pod_evd
 from .problems import SystemSequence
@@ -27,7 +27,6 @@ from .threestage import (
     RecycleState,
     SolveReport,
     SolverConfig,
-    StageTolerances,
     run_sequence,
     solve_system,
     summarize_reports,
@@ -44,27 +43,10 @@ class MethodSpec:
 
     name: str
     config: SolverConfig
-    precond: str = "identity"
-    eps_hat_factor: float = 1e-4
-    eps_inner_factor: float = 1e-2
-
-    def tolerance_schedule(self):
-        def schedule(j, tol):
-            return StageTolerances(
-                eps=tol,
-                eps_hat=self.eps_hat_factor * tol,
-                eps_inner=self.eps_inner_factor * tol,
-            )
-
-        return schedule
-
-    def precond_factory(self):
-        if self.precond in (None, "identity"):
-            return None
-        return lambda A: preconditioners.build(self.precond, A)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MethodSpec":
+        """One methods-file entry; its ``precond`` and ``tolerances`` go into the config."""
         try:
             name = raw["name"]
         except KeyError as exc:
@@ -74,22 +56,18 @@ class MethodSpec:
             tr_raw.update(parse_strategy(tr_raw.pop("strategy")))
         if tr_raw.get("storage_cap") in ("inf", None):
             tr_raw["storage_cap"] = math.inf
+        tols = raw.get("tolerances", {})
         cfg = SolverConfig(
             truncation=TruncationConfig(**tr_raw),
             mode=raw.get("mode", "fom"),
-            recycle=raw.get("recycle", True),
-            diagnostics=raw.get("diagnostics", False),
-            max_iter=raw.get("max_iter"),
-            rbf_window=raw.get("rbf_window"),
-        )
-        tols = raw.get("tolerances", {})
-        return cls(
-            name=name,
-            config=cfg,
             precond=raw.get("precond", "identity"),
             eps_hat_factor=tols.get("eps_hat_factor", 1e-4),
             eps_inner_factor=tols.get("eps_inner_factor", 1e-2),
+            recycle=raw.get("recycle", True),
+            diagnostics=raw.get("diagnostics", False),
+            max_iter=raw.get("max_iter"),
         )
+        return cls(name=name, config=cfg)
 
 
 def default_methods(
@@ -109,9 +87,9 @@ def default_methods(
         return MethodSpec(
             name=name,
             config=SolverConfig(
-                truncation=TruncationConfig(**tr), mode=mode, recycle=recycle
+                truncation=TruncationConfig(**tr), mode=mode, precond=precond,
+                recycle=recycle,
             ),
-            precond=precond,
         )
 
     pod_kw = dict(nu_y=1.0, nu_w=1.0, storage_cap=storage_cap, max_dim=retained)
@@ -150,7 +128,6 @@ class MethodRun:
     method: MethodSpec
     reports: list[SolveReport]
     solutions: list[np.ndarray] | None = None
-    traces: list | None = None
 
     @property
     def summary(self) -> dict:
@@ -163,11 +140,14 @@ def run_methods(
     *,
     threads: int = 1,
     keep_solutions: bool = False,
-    keep_trace: bool = False,
     track_iterates: bool = False,
     tol_override: float | None = None,
 ) -> list[MethodRun]:
-    """Run every method over the shared sequence, optionally in parallel."""
+    """Run every method over the shared sequence, optionally in parallel.
+
+    ``track_iterates`` records output checkpoints (C @ x), which needs the
+    sequence's output matrix; ``keep_solutions`` keeps the solution vectors.
+    """
 
     seq_used = seq
     if tol_override is not None:
@@ -183,20 +163,16 @@ def run_methods(
         )
 
     def one(method: MethodSpec) -> MethodRun:
-        sols, reports, traces = run_sequence(
+        sols, reports, _ = run_sequence(
             seq_used,
             method.config,
-            tolerance_schedule=method.tolerance_schedule(),
-            precond_factory=method.precond_factory(),
             stop_on_failure=False,
-            keep_trace=keep_trace,
             track_iterates=track_iterates,
         )
         return MethodRun(
             method=method,
             reports=reports,
-            solutions=sols if (keep_solutions or track_iterates) else None,
-            traces=traces,
+            solutions=sols if keep_solutions else None,
         )
 
     if threads <= 1 or len(methods) <= 1:
@@ -268,9 +244,10 @@ def output_error_run(
 ) -> list[dict]:
     """Average cost for the output-norm error to first fall below each tau.
 
-    The output error ||C (x* - x)||_2 is evaluated at every checkpoint the
+    The output error ||C x* - C x||_2 is evaluated at every checkpoint the
     staged solver passes (start, after stage 1, after stage 2, and each
-    stage-3 iterate); per tau the first checkpoint meeting it is charged.
+    stage-3 iterate), from the output C x the checkpoint holds; per tau the
+    first checkpoint meeting it is charged.
     Averages below one preconditioner application mean the threshold was
     typically met before stage 3.
     """
@@ -282,10 +259,8 @@ def output_error_run(
     for run in runs:
         per_tau = {tau: {"matvecs": [], "precond": [], "wall": [], "met": 0} for tau in taus}
         for r, xstar in zip(run.reports, xstars):
-            errs = [
-                (cp, float(np.linalg.norm(seq.C @ (xstar - cp.x))))
-                for cp in (r.checkpoints or [])
-            ]
+            target = seq.C @ xstar
+            errs = [(cp, float(np.linalg.norm(target - cp.output))) for cp in r.checkpoints]
             for tau in taus:
                 hit = next((cp for cp, e in errs if e < tau), None)
                 if hit is not None:
@@ -331,17 +306,12 @@ def weight_study(
     """
     if seq.p < warmup + 1:
         raise RecyklError("weight study needs at least warmup+1 systems")
-    accumulate_cfg = SolverConfig(
-        truncation=TruncationConfig(strategy="none", nu_w=1.0), mode=mode
+    cfg = SolverConfig(
+        truncation=TruncationConfig(strategy="none", nu_w=1.0), mode=mode, precond=precond
     )
-    pf = None if precond == "identity" else (lambda A: preconditioners.build(precond, A))
     state = RecycleState.empty(seq.n)
     for spec in seq.systems[:warmup]:
-        _, report, state = solve_system(
-            spec.A, spec.b, spec.xbar, state,
-            StageTolerances(spec.tol), accumulate_cfg,
-            M=pf(spec.A) if pf else None,
-        )
+        _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
         if not report.converged:
             raise RecyklError(f"warmup system {report.j} did not converge")
     Z = state.Y
@@ -363,7 +333,6 @@ def weight_study(
             raise RecyklError(f"unknown scheme {scheme!r}")
 
     rows = []
-    solve_cfg = SolverConfig(truncation=TruncationConfig(strategy="none", nu_w=1.0), mode=mode)
     for scheme, gamma in weight_vectors.items():
         pod = pod_evd(Z, gamma, A_last, eps=1.0)
         for k in dims:
@@ -371,11 +340,7 @@ def weight_study(
             basis = pod.columns[:, :k_eff]
             trial = RecycleState(n=seq.n, Y=basis, stage1_idx=list(range(k_eff)),
                                  systems_seen=warmup)
-            _, report, _ = solve_system(
-                target.A, target.b, target.xbar, trial,
-                StageTolerances(target.tol), solve_cfg,
-                M=pf(target.A) if pf else None,
-            )
+            _, report = solve_system(target.A, target.b, target.xbar, trial, target.tol, cfg)
             rows.append({
                 "scheme": scheme,
                 "dim": k_eff,

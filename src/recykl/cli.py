@@ -116,7 +116,7 @@ def _load_or_default_methods(args) -> list[bench.MethodSpec]:
         methods = bench.load_methods_file(args.methods)
         if precond is not None:  # command-line choice overrides the file
             for m in methods:
-                m.precond = precond
+                m.config.precond = precond
         return methods
     include_output = getattr(args, "command", "") == "output-error"
     return bench.default_methods(

@@ -14,7 +14,6 @@ import os
 
 import numpy as np
 
-from . import preconditioners
 from .problems import gen_diffusion_sequence
 from .threestage import SolverConfig, run_sequence
 from .truncation import TruncationConfig
@@ -72,11 +71,8 @@ def _fixture_cases():
 
 def run_fixture_case(case: dict):
     seq = gen_diffusion_sequence(**case["generator"])
-    cfg = SolverConfig(truncation=TruncationConfig(**case["config"]))
-    pf = None
-    if case["precond"] != "identity":
-        pf = lambda A: preconditioners.build(case["precond"], A)
-    _, reports, _ = run_sequence(seq, cfg, precond_factory=pf)
+    cfg = SolverConfig(truncation=TruncationConfig(**case["config"]), precond=case["precond"])
+    _, reports, _ = run_sequence(seq, cfg)
     return {
         "stage3_iters": [r.stage3_iters for r in reports],
         "stage2_iters": [r.stage2_iters for r in reports],
@@ -98,16 +94,17 @@ def write_calibration_record(out_dir) -> str:
         ACCEPTANCE_SEQUENCE["delta"], seed=ACCEPTANCE_SEQUENCE["seed"],
         tol=1e-6, load_scale=ACCEPTANCE_SEQUENCE["load_scale"],
     )
-    pf = lambda A: preconditioners.build("ssor", A, omega=ACCEPTANCE_OMEGA)
 
-    def total(cfg):
-        _, reports, _ = run_sequence(seq, cfg, precond_factory=pf)
+    def total(truncation, recycle=True):
+        cfg = SolverConfig(truncation=truncation, precond=f"ssor:{ACCEPTANCE_OMEGA}",
+                           recycle=recycle)
+        _, reports, _ = run_sequence(seq, cfg)
         return [r.stage3_iters for r in reports]
 
-    pcg = total(SolverConfig(truncation=TruncationConfig(strategy="none"), recycle=False))
-    notrunc = total(SolverConfig(truncation=TruncationConfig(strategy="none", nu_w=1.0)))
-    pod = total(SolverConfig(truncation=TruncationConfig(
-        strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0, storage_cap=50, max_dim=40)))
+    pcg = total(TruncationConfig(strategy="none"), recycle=False)
+    notrunc = total(TruncationConfig(strategy="none", nu_w=1.0))
+    pod = total(TruncationConfig(
+        strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0, storage_cap=50, max_dim=40))
     payload = {
         "sequence": {**ACCEPTANCE_SEQUENCE, "tol": 1e-6},
         "ssor_omega": ACCEPTANCE_OMEGA,

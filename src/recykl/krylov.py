@@ -183,7 +183,6 @@ def augmented_pcg(
     tol: float = 0.0,
     *,
     mode: str = "cg",
-    relative: bool = False,
     max_iter: int | None = None,
     sink: InstrumentationSink | None = None,
     r0: np.ndarray | None = None,
@@ -211,13 +210,13 @@ def augmented_pcg(
         Applied as z = M^{-1} r; None means unpreconditioned (and charges no
         preconditioner applications).
     tol : float
-        Exit threshold on ||r||_2, absolute unless ``relative`` is set, in
-        which case the threshold is tol * ||b||_2.
+        Absolute exit threshold on ||r||_2.
     r0 : array, optional
         Entry residual b - A (Y yhat0) when the caller can compute it from
         cached products; skips one operator application.
     monitor : callable, optional
-        Called as monitor(k, x_k) at entry (k=0) and after every iteration.
+        Called as monitor(k, x_k) at entry (k=0) and after every iteration;
+        x_k is the solver's own array, rebound (never mutated) afterwards.
 
     Raises
     ------
@@ -258,10 +257,9 @@ def augmented_pcg(
     else:
         r = b.copy()
 
-    threshold = tol * np.linalg.norm(b) if relative else tol
     history = [float(np.linalg.norm(r))]
     if monitor is not None:
-        monitor(0, x.copy())
+        monitor(0, x)
 
     def result(k, alphas, dirs, gammas, converged):
         V = np.column_stack(dirs) if dirs else np.zeros((n, 0))
@@ -275,7 +273,7 @@ def augmented_pcg(
             converged=converged,
         )
 
-    if history[0] <= threshold:
+    if history[0] <= tol:
         return result(0, [], [], [], True)
 
     if max_iter is None:
@@ -305,8 +303,8 @@ def augmented_pcg(
             a_dirs.append(Ap)
         history.append(float(np.linalg.norm(r)))
         if monitor is not None:
-            monitor(k + 1, x.copy())
-        if history[-1] <= threshold:
+            monitor(k + 1, x)
+        if history[-1] <= tol:
             return result(k + 1, alphas, dirs, gammas, True)
 
         z = precond.apply(r, sink) if precond is not None else r.copy()
@@ -328,7 +326,7 @@ def augmented_pcg(
         rz = rz_next
 
     raise NotConverged(
-        f"no convergence to {threshold:.3e} within {max_iter} iterations",
+        f"no convergence to {tol:.3e} within {max_iter} iterations",
         partial=result(max_iter, alphas, dirs, gammas, False),
     )
 
@@ -342,7 +340,6 @@ def pcg(
     max_iter: int | None = None,
     *,
     mode: str = "cg",
-    relative: bool = False,
     sink: InstrumentationSink | None = None,
     monitor=None,
 ) -> AugmentedPcgResult:
@@ -363,7 +360,7 @@ def pcg(
     try:
         res = augmented_pcg(
             operator, rhs, precond=precond, tol=tol, max_iter=max_iter, mode=mode,
-            relative=relative, sink=sink, monitor=monitor,
+            sink=sink, monitor=monitor,
         )
     except NotConverged as exc:
         if shift is not None and exc.partial is not None:

@@ -1,4 +1,4 @@
-"""SPD preconditioners: identity, Jacobi, and SSOR.
+"""SPD preconditioners: Jacobi and SSOR.
 
 SSOR plays the role of a preconditioner that is expensive relative to a
 matvec (two triangular sweeps); Jacobi is the cheap alternative.  Application
@@ -8,7 +8,8 @@ solves M z = r for the fixed SPD operator
 
 with A = L + D + L' split into strictly lower, diagonal, and upper parts.
 PCG is invariant to positive scaling of M, so no scalar normalization is
-applied.
+applied.  No preconditioner at all (the ``identity`` kind of a solver
+configuration) is ``precond=None`` to the Krylov solvers, never an object.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .linalg import InstrumentationSink, SparseSpdMatrix
 class Preconditioner:
     """Ready-to-apply SPD operator M with z = apply(r) solving M z = r."""
 
-    kind = "abstract"
-
     def __init__(self, n: int):
         self.n = n
 
@@ -40,16 +39,7 @@ class Preconditioner:
         raise NotImplementedError
 
 
-class IdentityPreconditioner(Preconditioner):
-    kind = "identity"
-
-    def _solve(self, r):
-        return r.copy()
-
-
 class JacobiPreconditioner(Preconditioner):
-    kind = "jacobi"
-
     def __init__(self, A: SparseSpdMatrix):
         super().__init__(A.n)
         diag = A.diagonal()
@@ -62,16 +52,13 @@ class JacobiPreconditioner(Preconditioner):
 
 
 class SsorPreconditioner(Preconditioner):
-    kind = "ssor"
-
-    def __init__(self, A: SparseSpdMatrix, omega: float = 1.0):
+    def __init__(self, A: SparseSpdMatrix, omega: float):
         super().__init__(A.n)
         if not 0.0 < omega < 2.0:
             raise RecyklError(f"SSOR relaxation must lie in (0, 2), got {omega}")
         diag = A.diagonal()
         if np.any(diag <= 0.0):
             raise NotPositiveDefinite("SSOR preconditioner needs positive diagonal")
-        self.omega = float(omega)
         csr = A.to_scipy()
         lower = scipy.sparse.tril(csr, k=-1) + scipy.sparse.diags(diag / omega)
         # SuperLU with natural ordering factors the triangular matrix in place
@@ -90,23 +77,18 @@ class SsorPreconditioner(Preconditioner):
         return self._upper_solve.solve(u)
 
 
-_KINDS = {"identity": IdentityPreconditioner, "jacobi": JacobiPreconditioner, "ssor": SsorPreconditioner}
-
-
-def build(kind: str, A: SparseSpdMatrix, omega: float = 1.0) -> Preconditioner:
+def build(kind: str, A: SparseSpdMatrix) -> Preconditioner:
     """Construct a preconditioner for A.
 
-    ``kind`` is one of ``identity``, ``jacobi``, or ``ssor`` (the latter also
-    accepts the ``ssor:<omega>`` spelling used by the command line).
+    ``kind`` is ``jacobi``, ``ssor`` (relaxation 1), or ``ssor:<omega>``.
     """
-    if kind.startswith("ssor:"):
-        kind, _, val = kind.partition(":")
-        omega = float(val)
-    if kind == "identity":
-        return IdentityPreconditioner(A.n)
     if kind == "jacobi":
         return JacobiPreconditioner(A)
-    if kind == "ssor":
+    name, sep, val = kind.partition(":")
+    if name == "ssor":
+        try:
+            omega = float(val) if sep else 1.0
+        except ValueError:
+            raise RecyklError(f"SSOR relaxation must be a number, got {val!r}") from None
         return SsorPreconditioner(A, omega)
     raise RecyklError(f"unknown preconditioner kind {kind!r}")
-

@@ -23,6 +23,11 @@ system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
 After the solve, new search directions are appended to Y normalized to unit
 A-norm; once the block exceeds the storage cap it is compressed by the
 configured truncation strategy and the stage-1 prefix is re-derived.
+
+A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
+preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
+builds the preconditioner of each matrix itself, inside its clock, and
+updates the :class:`RecycleState` it is given in place.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotConverged
+from . import preconditioners
+from .errors import NotConverged, RecyklError
 from .krylov import (
     AugmentedPcgResult,
     BlockDiagFactor,
@@ -43,40 +49,28 @@ from .krylov import (
     direct_reduced_solve,
 )
 from .linalg import InstrumentationSink, SparseSpdMatrix, assemble_gram, spmv, symmetric_evd
-from .preconditioners import Preconditioner
 from .truncation import TruncationConfig, compress
 from .weights import WeightHistory, weights_previous, weights_rbf
 
 
 @dataclass
-class StageTolerances:
-    """Forcing value plus the stage-2 and inner-solve tolerances.
-
-    Unset stage tolerances follow the defaults eps_hat = 1e-4 * eps and
-    eps_inner = 1e-2 * eps.
-    """
-
-    eps: float
-    eps_hat: float | None = None
-    eps_inner: float | None = None
-
-    def resolved(self) -> tuple[float, float, float]:
-        eps = float(self.eps)
-        eps_hat = 1e-4 * eps if self.eps_hat is None else float(self.eps_hat)
-        eps_inner = 1e-2 * eps if self.eps_inner is None else float(self.eps_inner)
-        return eps, eps_hat, eps_inner
-
-
-@dataclass
 class SolverConfig:
-    """Method configuration: truncation shape, recurrence mode, extras."""
+    """A method: truncation shape, recurrence mode, preconditioner, tolerances.
+
+    ``precond`` is ``identity`` (no preconditioner), ``jacobi``, ``ssor`` or
+    ``ssor:<omega>``.  For a system with forcing tolerance eps, stage 2
+    iterates to eps_hat = eps_hat_factor * eps and each nested projection of
+    ``full_orth`` to eps_inner = eps_inner_factor * eps.
+    """
 
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     mode: str = "fom"
+    precond: str = "identity"
+    eps_hat_factor: float = 1e-4
+    eps_inner_factor: float = 1e-2
     recycle: bool = True
     diagnostics: bool = False
     max_iter: int | None = None
-    rbf_window: int | None = None
 
 
 @dataclass
@@ -105,8 +99,8 @@ class Checkpoint:
     iteration: int
     matvecs: int
     precond_applies: int
-    wall_time: float
-    x: np.ndarray
+    wall_time: float  # since the solve started
+    output: np.ndarray  # C @ x of the iterate, formed after the solve
 
 
 @dataclass
@@ -232,43 +226,42 @@ def solve_system(
     b: np.ndarray,
     xbar: np.ndarray | None,
     state: RecycleState,
-    tolerances: StageTolerances,
+    eps: float,
     cfg: SolverConfig,
-    M: Preconditioner | None = None,
     sink: InstrumentationSink | None = None,
     chalf: np.ndarray | None = None,
     track_iterates: bool = False,
     trace_out: list | None = None,
-) -> tuple[np.ndarray, SolveReport, RecycleState]:
-    """Solve one system of the sequence and fold its directions into state.
+) -> tuple[np.ndarray, SolveReport]:
+    """Solve one system to the forcing tolerance ``eps``; update ``state``.
 
-    Returns the solution, a report of per-stage costs, and ``state``, which
-    is updated in place (see :func:`update_basis`).  ``chalf`` supplies the
-    output matrix for output-metric truncation strategies.  When stage 3
-    runs out of iterations a NotConverged report is produced (never an
-    exception); the partial solution still updates the state so the
-    sequence can continue.
+    Returns the solution and a report of per-stage costs; ``state`` is
+    updated in place (see :func:`update_basis`).  The preconditioner named
+    by ``cfg.precond`` is built for ``A`` inside the clock, so
+    ``report.wall_time`` includes it.  ``chalf`` is the output matrix C: the
+    output-metric truncation strategies need it, and ``track_iterates``
+    records C @ x at every checkpoint.  When stage 3 runs out of iterations
+    a NotConverged report is produced (never an exception); the partial
+    solution still updates the state so the sequence can continue.
     """
+    if track_iterates and chalf is None:
+        raise RecyklError("tracking iterates needs the output matrix")
     if sink is None:
         sink = InstrumentationSink()
     t0 = time.perf_counter()
+    M = None if cfg.precond == "identity" else preconditioners.build(cfg.precond, A)
     j = state.systems_seen + 1
     report = SolveReport(j=j, basis_dim=state.basis_dim)
-    checkpoints: list[Checkpoint] = [] if track_iterates else None
+    # checkpoint fields plus the iterate itself: the solvers rebind their
+    # iterates and never mutate them, so a reference suffices until the
+    # outputs C @ x are formed, all at once after the clock stops
+    marks: list[tuple] | None = [] if track_iterates else None
 
     def record(stage, iteration, x):
-        if checkpoints is not None:
+        if marks is not None:
             snap = sink.snapshot()
-            checkpoints.append(
-                Checkpoint(
-                    stage=stage,
-                    iteration=iteration,
-                    matvecs=snap["matvecs"],
-                    precond_applies=snap["precond_applies"],
-                    wall_time=time.perf_counter() - t0,
-                    x=np.asarray(x, dtype=np.float64).copy(),
-                )
-            )
+            marks.append((stage, iteration, snap["matvecs"], snap["precond_applies"],
+                          time.perf_counter() - t0, x))
 
     b = np.asarray(b, dtype=np.float64)
     if xbar is not None:
@@ -276,7 +269,9 @@ def solve_system(
         if not np.any(xbar):
             xbar = None
     r0 = b - spmv(A, xbar, sink) if xbar is not None else b.copy()
-    eps, eps_hat, eps_inner = tolerances.resolved()
+    eps = float(eps)
+    eps_hat = cfg.eps_hat_factor * eps
+    eps_inner = cfg.eps_inner_factor * eps
     record("start", 0, xbar if xbar is not None else np.zeros(A.n))
 
     def add_center(x):
@@ -389,9 +384,8 @@ def solve_system(
     report.stage3_iters = stage3_res.k
     report.final_residual = stage3_res.final_residual
     report.residual_history = stage3_res.residual_history
-    report.checkpoints = checkpoints
 
-    state, truncated = update_basis(
+    truncated = update_basis(
         state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
         stage1_gram=stage1_gram,
     )
@@ -400,6 +394,8 @@ def solve_system(
     report.matvecs = snap["matvecs"]
     report.precond_applies = snap["precond_applies"]
     report.wall_time = time.perf_counter() - t0
+    if marks is not None:
+        report.checkpoints = [Checkpoint(*fields, output=chalf @ x) for *fields, x in marks]
     if trace_out is not None:
         trace_out.append(
             SystemTrace(
@@ -417,7 +413,7 @@ def solve_system(
                 truncated=truncated,
             )
         )
-    return x, report, state
+    return x, report
 
 
 def update_basis(
@@ -430,22 +426,21 @@ def update_basis(
     chalf: np.ndarray | None = None,
     sink: InstrumentationSink | None = None,
     stage1_gram: np.ndarray | None = None,
-) -> tuple[RecycleState, bool]:
+) -> bool:
     """Fold the new directions into the recycled basis, truncating at the cap.
 
-    ``state`` is updated in place; it is returned together with a flag that
-    tells whether truncation fired.  New directions enter normalized to unit
-    A-norm (columns divided by sqrt(p'Ap)); with threshold 1 they all join
-    the stage-1 block, otherwise only those whose share of the direction
-    Gram trace exceeds the threshold.  When the grown block exceeds the
-    storage cap the configured compression runs with the metric of the
-    just-solved matrix, the weight history is reset, and the stage-1 prefix
-    is re-derived.
+    ``state`` is updated in place; the return value tells whether truncation
+    fired.  New directions enter normalized to unit A-norm (columns divided
+    by sqrt(p'Ap)); with threshold 1 they all join the stage-1 block,
+    otherwise only those whose share of the direction Gram trace exceeds
+    the threshold.  When the grown block exceeds the storage cap the
+    configured compression runs with the metric of the just-solved matrix,
+    the weight history is reset, and the stage-1 prefix is re-derived.
     """
     j = state.systems_seen + 1
     if not cfg.recycle:
         state.systems_seen = j
-        return state, False
+        return False
     tcfg = cfg.truncation
     k = stage3_res.k
     if k > 0:
@@ -474,8 +469,7 @@ def update_basis(
             if tcfg.weight_kind == "prev":
                 weights = weights_previous(state.history)
             else:
-                window = cfg.rbf_window if cfg.rbf_window is not None else len(state.history)
-                weights = weights_rbf(state.history, window)
+                weights = weights_rbf(state.history, len(state.history))
         gram = None
         reuse_blocks = (
             not tcfg.uses_output_metric
@@ -511,14 +505,12 @@ def update_basis(
         state.Y = Y_grown
         state.stage1_idx = stage1_idx
     state.systems_seen = j
-    return state, truncated
+    return truncated
 
 
 def run_sequence(
     seq,
     cfg: SolverConfig,
-    tolerance_schedule=None,
-    precond_factory=None,
     *,
     stop_on_failure: bool = True,
     keep_trace: bool = False,
@@ -526,33 +518,22 @@ def run_sequence(
 ):
     """Drive the staged solver across a system sequence.
 
-    ``tolerance_schedule`` maps (j, system tol) to StageTolerances;
-    ``precond_factory`` maps a matrix to a Preconditioner (None means
-    unpreconditioned).  Returns (solutions, reports, traces).
+    Each system is solved to its own forcing tolerance with the method
+    ``cfg``.  Returns (solutions, reports, traces).
     """
     state = RecycleState.empty(seq.n)
-    chalf = seq.C
     reports: list[SolveReport] = []
     solutions: list[np.ndarray] = []
     traces: list[SystemTrace] | None = [] if keep_trace else None
-    for j, spec in enumerate(seq, start=1):
-        tols = (
-            tolerance_schedule(j, spec.tol)
-            if tolerance_schedule is not None
-            else StageTolerances(eps=spec.tol)
-        )
-        M = precond_factory(spec.A) if precond_factory is not None else None
-        sink = InstrumentationSink()
-        x, report, state = solve_system(
+    for spec in seq:
+        x, report = solve_system(
             spec.A,
             spec.b,
             spec.xbar,
             state,
-            tols,
+            spec.tol,
             cfg,
-            M=M,
-            sink=sink,
-            chalf=chalf,
+            chalf=seq.C,
             track_iterates=track_iterates,
             trace_out=traces,
         )

@@ -62,14 +62,13 @@ def acceptance_sequence(tol: float):
     )
 
 
-def ssor_factory(A):
-    return pc.build("ssor", A, omega=ACCEPTANCE_OMEGA)
+SSOR = f"ssor:{ACCEPTANCE_OMEGA}"
 
 
 def pod_config(**kw):
     base = dict(strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0, storage_cap=50, max_dim=40)
     base.update(kw)
-    return SolverConfig(truncation=TruncationConfig(**base))
+    return SolverConfig(truncation=TruncationConfig(**base), precond=SSOR)
 
 
 def test_ac1_projection_optimality():
@@ -193,9 +192,7 @@ def test_ac3_deflation_correctness():
 def test_ac4_threestage_consistency():
     seq = acceptance_sequence(tol=1e-8)
     cfg = pod_config(stage1_dim=5)
-    xs, reports, traces = run_sequence(
-        seq, cfg, precond_factory=ssor_factory, keep_trace=True
-    )
+    xs, reports, traces = run_sequence(seq, cfg, keep_trace=True)
     assert all(r.converged for r in reports)
     worst_rel, worst_gap = 0.0, 0
     for t, x, rep in zip(traces[1:], xs[1:], reports[1:]):
@@ -206,7 +203,7 @@ def test_ac4_threestage_consistency():
         mono = augmented_pcg(
             t.A, t.b, yhat0, B,
             DirectReducedProjection(Ad @ B, dense_cholesky(0.5 * (gram + gram.T))),
-            ssor_factory(t.A), t.eps, mode="fom",
+            pc.build(SSOR, t.A), t.eps, mode="fom",
         )
         xstar = sla.spsolve(Ad.tocsc(), t.b)
         gap = x - mono.x
@@ -225,9 +222,7 @@ def test_ac5_conditioning_bound():
     seq = acceptance_sequence(tol=1e-8)
     cfg = pod_config()
     cfg.diagnostics = True
-    _, reports, traces = run_sequence(
-        seq, cfg, precond_factory=ssor_factory, keep_trace=True
-    )
+    _, reports, traces = run_sequence(seq, cfg, keep_trace=True)
     checks = check_conditioning_bound(traces)
     bound_ok = bool(checks) and all(c.satisfied for c in checks)
     kappa_ok = all(
@@ -238,8 +233,7 @@ def test_ac5_conditioning_bound():
         ACCEPTANCE_SEQUENCE["grid"], 6, 0.0, seed=ACCEPTANCE_SEQUENCE["seed"],
         tol=1e-8, load_scale=ACCEPTANCE_SEQUENCE["load_scale"],
     )
-    _, _, traces0 = run_sequence(seq0, pod_config(), precond_factory=ssor_factory,
-                                 keep_trace=True)
+    _, _, traces0 = run_sequence(seq0, pod_config(), keep_trace=True)
     checks0 = check_conditioning_bound(traces0)
     invariant_lhs = max((c.lhs for c in checks0), default=0.0)
     report(
@@ -290,24 +284,22 @@ def test_ac7_recycling_benefit():
     seq = acceptance_sequence(tol=1e-6)
 
     def run_with(cfg):
-        _, reports, traces = run_sequence(
-            seq, cfg, precond_factory=ssor_factory, keep_trace=True
-        )
+        _, reports, traces = run_sequence(seq, cfg, keep_trace=True)
         assert all(r.converged for r in reports)
         iters = [r.stage3_iters for r in reports]
         max_dim = max(t.Y_exit.shape[1] for t in traces)
         return iters, max_dim
 
     pcg_iters, _ = run_with(SolverConfig(truncation=TruncationConfig(strategy="none"),
-                                         recycle=False))
+                                         precond=SSOR, recycle=False))
     notrunc_iters, _ = run_with(
-        SolverConfig(truncation=TruncationConfig(strategy="none", nu_w=1.0))
+        SolverConfig(truncation=TruncationConfig(strategy="none", nu_w=1.0), precond=SSOR)
     )
     pod_iters, pod_dim = run_with(pod_config())
     podit_iters, podit_dim = run_with(pod_config(stage1_dim=5, full_orth=True))
     deflate_iters, deflate_dim = run_with(
         SolverConfig(truncation=TruncationConfig(strategy="deflate", deflate_dim=40,
-                                                 storage_cap=50))
+                                                 storage_cap=50), precond=SSOR)
     )
 
     recycling = {

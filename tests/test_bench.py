@@ -37,9 +37,13 @@ class TestMethodSpec:
         spec = MethodSpec.from_dict(raw)
         assert spec.config.truncation.full_orth
         assert spec.config.mode == "cg"
-        tols = spec.tolerance_schedule()(1, 1e-6)
-        assert tols.eps_hat == pytest.approx(1e-11)
-        assert tols.eps_inner == pytest.approx(1e-9)
+        assert spec.config.precond == "ssor:1.5"
+        assert spec.config.eps_hat_factor == 1e-5
+        assert spec.config.eps_inner_factor == 1e-3
+        # keys left out of the file keep the solver defaults
+        plain = MethodSpec.from_dict({"name": "plain"}).config
+        assert plain.precond == "identity"
+        assert (plain.eps_hat_factor, plain.eps_inner_factor) == (1e-4, 1e-2)
 
     def test_deflate_strategy_string(self):
         spec = MethodSpec.from_dict({"name": "df", "truncation": {"strategy": "deflate:7"}})

@@ -167,6 +167,12 @@ class TestPrecondOverride:
 
 
 class TestExitCodes:
+    def test_malformed_ssor_spec_exit_3(self, tmp_path, sequence_dir, capsys):
+        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--precond", "ssor:abc", "--out-dir", str(tmp_path / "res")])
+        assert code == 3
+        assert "SSOR relaxation" in capsys.readouterr().err
+
     def test_not_converged_exit_2(self, tmp_path, sequence_dir):
         spec_path = tmp_path / "methods.json"
         spec_path.write_text(json.dumps([{"name": "starved", "recycle": False,

@@ -3,13 +3,13 @@ import pytest
 
 from helpers import make_spd
 from recykl import preconditioners as pc
+from recykl.errors import RecyklError
 from recykl.krylov import MatrixOperator, DirectReducedProjection, augmented_pcg, pcg
 from recykl.linalg import InstrumentationSink
 from recykl.problems import gen_diffusion_sequence, gen_output_matrix
 from recykl.threestage import (
     RecycleState,
     SolverConfig,
-    StageTolerances,
     run_sequence,
     solve_system,
     summarize_reports,
@@ -30,29 +30,36 @@ def solver_cfg(**kw):
     return SolverConfig(truncation=TruncationConfig(**tr), **kw)
 
 
-class TestStageTolerances:
-    def test_defaults(self):
-        eps, eps_hat, eps_inner = StageTolerances(eps=1e-6).resolved()
-        assert eps == 1e-6
-        assert eps_hat == pytest.approx(1e-10)
-        assert eps_inner == pytest.approx(1e-8)
+class TestSolverConfig:
+    def test_default_method(self):
+        cfg = SolverConfig()
+        assert cfg.precond == "identity"
+        assert (cfg.eps_hat_factor, cfg.eps_inner_factor) == (1e-4, 1e-2)
 
-    def test_overrides(self):
-        eps, eps_hat, eps_inner = StageTolerances(1e-4, 1e-9, 1e-5).resolved()
-        assert (eps, eps_hat, eps_inner) == (1e-4, 1e-9, 1e-5)
+    def test_stage2_factor_sets_stage2_tolerance(self):
+        # stage 2 stops at eps_hat_factor * tol: a looser factor ends it sooner
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        iters = {}
+        for factor in (1e-4, 1.0):
+            cfg = solver_cfg(storage_cap=30, max_dim=20, stage1_dim=5, eps_hat_factor=factor)
+            _, reports, _ = run_sequence(seq, cfg)
+            for r in reports[1:]:
+                assert r.stage2_converged and r.stage2_iters > 0
+                assert r.stage2_residual_history[-1] <= factor * 1e-8
+            iters[factor] = sum(r.stage2_iters for r in reports)
+        assert iters[1.0] < iters[1e-4]
 
 
 class TestFirstSystem:
     # an empty recycled basis (first system, or no recycling) is plain PCG
-    @pytest.mark.parametrize("precond", [None, "jacobi"], ids=["none", "jacobi"])
+    @pytest.mark.parametrize("precond", ["identity", "jacobi"], ids=["none", "jacobi"])
     @pytest.mark.parametrize("recycle", [True, False], ids=["recycle", "no-recycle"])
     def test_equals_plain_pcg(self, recycle, precond):
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=20, tol=1e-9)
-        cfg = solver_cfg(recycle=recycle)
-        factory = (lambda A: pc.build(precond, A)) if precond else None
-        xs, reports, _ = run_sequence(seq, cfg, precond_factory=factory)
+        cfg = solver_cfg(recycle=recycle, precond=precond)
+        xs, reports, _ = run_sequence(seq, cfg)
         sink = InstrumentationSink()
-        M = factory(seq[0].A) if factory else None
+        M = pc.build(precond, seq[0].A) if precond != "identity" else None
         ref = pcg(seq[0].A, seq[0].b, precond=M, tol=1e-9, mode=cfg.mode, sink=sink)
         assert reports[0].stage1_dim == 0
         assert reports[0].stage2_iters == 0
@@ -97,9 +104,7 @@ class TestResidualsAndCounters:
 
     def test_stage3_equals_precond_applies(self):
         seq = gen_diffusion_sequence((9, 9), p=4, delta=0.05, seed=25, tol=1e-8)
-        _, reports, _ = run_sequence(
-            seq, solver_cfg(), precond_factory=lambda A: pc.build("jacobi", A)
-        )
+        _, reports, _ = run_sequence(seq, solver_cfg(precond="jacobi"))
         for r in reports:
             assert r.precond_applies == r.stage3_iters
 
@@ -109,9 +114,7 @@ class TestResidualsAndCounters:
         state = RecycleState.empty(seq.n)
         for j, spec in enumerate(seq, start=1):
             sink = InstrumentationSink()
-            _, report, state = solve_system(
-                spec.A, spec.b, spec.xbar, state, StageTolerances(spec.tol), cfg, sink=sink
-            )
+            _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg, sink=sink)
             if j == 1:
                 assert sink.gram_assemblies == 0  # plain PCG, nothing reduced
             else:
@@ -221,9 +224,8 @@ class TestMonolithicAgreement:
         # agree with one augmented-PCG run over the same subspace started
         # from the dense Galerkin solution
         seq = gen_diffusion_sequence((10, 10), p=5, delta=0.05, seed=37, tol=1e-9)
-        cfg = solver_cfg(full_orth=full_orth, stage1_dim=4, nu_w=1.0)
-        pf = lambda A: pc.build("jacobi", A)
-        xs, reports, traces = run_sequence(seq, cfg, precond_factory=pf, keep_trace=True)
+        cfg = solver_cfg(full_orth=full_orth, stage1_dim=4, nu_w=1.0, precond="jacobi")
+        xs, reports, traces = run_sequence(seq, cfg, keep_trace=True)
         for t, x, rep in zip(traces[1:], xs[1:], reports[1:]):
             Ad = t.A.to_dense()
             B = t.stage3_basis
@@ -232,7 +234,7 @@ class TestMonolithicAgreement:
             mono = augmented_pcg(
                 t.A, rhs, yhat0, B,
                 DirectReducedProjection.assemble(MatrixOperator(t.A), B),
-                pf(t.A), t.eps, mode=cfg.mode,
+                pc.build("jacobi", t.A), t.eps, mode=cfg.mode,
             )
             x_mono = (t.xbar if t.xbar is not None else 0.0) + mono.x
             xstar = np.linalg.solve(Ad, t.b)
@@ -245,18 +247,12 @@ class TestMonolithicAgreement:
 class TestFullOrthVariant:
     def test_phi1_directions_orthogonal_to_whole_basis(self):
         seq = gen_diffusion_sequence((9, 9), p=4, delta=0.03, seed=38, tol=1e-9)
-        cfg = solver_cfg(full_orth=True, stage1_dim=3, nu_w=1.0)
         # tighten the inner tolerance towards exact projections
-        schedule = lambda j, tol: StageTolerances(tol, eps_inner=1e-12 * tol)
+        cfg = solver_cfg(full_orth=True, stage1_dim=3, nu_w=1.0, eps_inner_factor=1e-12)
         state = RecycleState.empty(seq.n)
-        from recykl.threestage import SystemTrace
-
         traces = []
         for spec in seq:
-            _, _, state = solve_system(
-                spec.A, spec.b, spec.xbar, state, schedule(0, spec.tol), cfg,
-                trace_out=traces,
-            )
+            solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg, trace_out=traces)
         t = traces[-1]
         # directions generated in the last stage 3 are the trailing block of
         # the exit basis (no truncation fired here)
@@ -295,10 +291,17 @@ class TestDiagnostics:
 
     def test_checkpoints_track_iterates(self):
         seq = gen_diffusion_sequence((7, 7), p=2, delta=0.02, seed=42, tol=1e-8)
-        _, reports, _ = run_sequence(seq, solver_cfg(), track_iterates=True)
+        seq.C = gen_output_matrix(4, seq.n, seed=43)
+        xs, reports, _ = run_sequence(seq, solver_cfg(), track_iterates=True)
         cps = reports[1].checkpoints
         stages = [c.stage for c in cps]
         assert stages[0] == "start" and "stage1" in stages and "stage2" in stages
-        final = cps[-1]
-        resid = np.linalg.norm(seq[1].b - seq[1].A.to_dense() @ final.x)
-        assert resid <= 1e-8
+        assert np.array_equal(cps[-1].output, seq.C @ xs[1])
+        assert all(c.output.shape == (4,) for c in cps)
+        times = [c.wall_time for c in cps]
+        assert times == sorted(times) and times[-1] <= reports[1].wall_time
+
+    def test_track_iterates_needs_output_matrix(self):
+        seq = gen_diffusion_sequence((5, 5), p=1, delta=0.0, seed=42, tol=1e-8)
+        with pytest.raises(RecyklError):
+            run_sequence(seq, solver_cfg(), track_iterates=True)
