@@ -13,7 +13,13 @@ Two direction updates are available.  ``mode="cg"`` keeps the classical
 two-term recurrence.  ``mode="fom"`` re-orthogonalizes each new direction
 against all previous ones, which guarantees a full-rank direction block in
 finite precision; its coefficients are the explicit projections
--(p_i'Az)/gamma_i.
+-(p_i'Az)/gamma_i.  The projection is block classical Gram-Schmidt applied
+twice (CGS2): two sweeps suffice to reach orthogonality at the level of
+round-off (Giraud, Langou & Rozloznik, "The loss of orthogonality in the
+Gram-Schmidt orthogonalization process", Comput. Math. Appl. 50, 2005), and
+each sweep is two matrix-vector products over the stored block.  The
+directions of a run live in one preallocated, Fortran-ordered store, so that
+block is a contiguous prefix BLAS reads without copying.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from .linalg import (
 )
 
 _BREAKDOWN_RTOL = 1e-14
+
+# columns a direction store starts with before it doubles
+_STORE_INITIAL_COLS = 64
 
 
 class LinearOperator:
@@ -151,6 +160,57 @@ class DirectReducedProjection:
         return self.factor.solve_spd(self.cross.T @ z)
 
 
+class _DirectionStore:
+    """The directions of one augmented-PCG run, in preallocated blocks.
+
+    Column i of ``V`` is direction p_i, with step length ``alpha[i]`` and
+    curvature ``gamma[i]`` = p_i'Ap_i; ``AV`` (kept only for ``mode="fom"``)
+    holds A p_i.  The blocks are Fortran-ordered, so the live prefix
+    ``V[:, :k]`` is one contiguous block.  Capacity starts at
+    min(64, max_iter) columns and doubles, capped at max_iter, when full.
+    """
+
+    def __init__(self, n: int, max_iter: int, products: bool):
+        cap = min(_STORE_INITIAL_COLS, max_iter)
+        self.k = 0
+        self.max_iter = max_iter
+        self.V = np.empty((n, cap), order="F")
+        self.AV = np.empty((n, cap), order="F") if products else None
+        self.alpha = np.empty(cap)
+        self.gamma = np.empty(cap)
+
+    def append(self, p: np.ndarray, Ap: np.ndarray, gamma: float, alpha: float) -> None:
+        k = self.k
+        if k == self.V.shape[1]:
+            cap = min(2 * k, self.max_iter)
+            self.V = _grown(self.V, k, cap)
+            if self.AV is not None:
+                self.AV = _grown(self.AV, k, cap)
+            self.alpha = _grown(self.alpha, k, cap)
+            self.gamma = _grown(self.gamma, k, cap)
+        self.V[:, k] = p
+        if self.AV is not None:
+            self.AV[:, k] = Ap
+        self.alpha[k] = alpha
+        self.gamma[k] = gamma
+        self.k = k + 1
+
+    def a_orthogonalize(self, p: np.ndarray) -> np.ndarray:
+        """p minus its A-projection onto every stored direction, by CGS2."""
+        k = self.k
+        V, AV, gamma = self.V[:, :k], self.AV[:, :k], self.gamma[:k]
+        for _ in range(2):
+            p = p - V @ ((p @ AV) / gamma)
+        return p
+
+
+def _grown(block: np.ndarray, k: int, cap: int) -> np.ndarray:
+    """A copy of ``block`` with room for ``cap`` columns (entries, if 1-D)."""
+    out = np.empty(block.shape[:-1] + (cap,), order="F")
+    out[..., :k] = block[..., :k]
+    return out
+
+
 @dataclass
 class AugmentedPcgResult:
     """Outputs of one augmented-PCG run.
@@ -230,6 +290,8 @@ def augmented_pcg(
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != n:
         raise DimensionMismatch("augmented_pcg: rhs length mismatch")
+    if mode not in ("cg", "fom"):
+        raise ValueError(f"unknown mode {mode!r}")
 
     Y = None
     if aug_basis is not None:
@@ -261,32 +323,31 @@ def augmented_pcg(
     if monitor is not None:
         monitor(0, x)
 
-    def result(k, alphas, dirs, gammas, converged):
-        V = np.column_stack(dirs) if dirs else np.zeros((n, 0))
+    if max_iter is None:
+        max_iter = n
+    store = _DirectionStore(n, max_iter, products=mode == "fom")
+
+    def result(converged):
+        k = store.k
         return AugmentedPcgResult(
             k=k,
-            vhat=np.asarray(alphas, dtype=np.float64),
-            V=V,
-            gamma=np.asarray(gammas, dtype=np.float64),
+            vhat=store.alpha[:k],
+            # a C-ordered copy: the callers' products with a Fortran-ordered
+            # V round differently (cg-mode solutions moved by up to 5e-10
+            # relative), and the copy lets the store's spare columns go
+            V=np.ascontiguousarray(store.V[:, :k]),
+            gamma=store.gamma[:k],
             residual_history=np.asarray(history),
             x=x,
             converged=converged,
         )
 
     if history[0] <= tol:
-        return result(0, [], [], [], True)
-
-    if max_iter is None:
-        max_iter = n
+        return result(True)
 
     z = precond.apply(r, sink) if precond is not None else r.copy()
     p = z - Y @ reduced_solver(z) if Y is not None else z.copy()
     rz = float(r @ z)
-
-    alphas: list[float] = []
-    dirs: list[np.ndarray] = []
-    gammas: list[float] = []
-    a_dirs: list[np.ndarray] = []  # cached A p_i, used by explicit FOM orthogonalization
 
     for k in range(max_iter):
         Ap = operator.apply(p)
@@ -296,16 +357,12 @@ def augmented_pcg(
         alpha = rz / gamma
         x = x + alpha * p
         r = r - alpha * Ap
-        alphas.append(alpha)
-        dirs.append(p)
-        gammas.append(gamma)
-        if mode == "fom":
-            a_dirs.append(Ap)
+        store.append(p, Ap, gamma, alpha)
         history.append(float(np.linalg.norm(r)))
         if monitor is not None:
             monitor(k + 1, x)
         if history[-1] <= tol:
-            return result(k + 1, alphas, dirs, gammas, True)
+            return result(True)
 
         z = precond.apply(r, sink) if precond is not None else r.copy()
         rz_next = float(r @ z)
@@ -314,20 +371,16 @@ def augmented_pcg(
             p = z + (rz_next / rz) * p
             if Y is not None:
                 p -= Y @ mu
-        elif mode == "fom":
-            p = z - Y @ mu if Y is not None else z.copy()
-            # two modified-Gram-Schmidt sweeps keep the direction block
-            # A-orthogonal even for badly conditioned operators
-            for _ in range(2):
-                for i in range(len(dirs)):
-                    p = p - (float(a_dirs[i] @ p) / gammas[i]) * dirs[i]
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            # block classical Gram-Schmidt, applied twice ("twice is
+            # enough", Giraud et al. 2005), keeps the direction block
+            # A-orthogonal even for badly conditioned operators
+            p = store.a_orthogonalize(z - Y @ mu if Y is not None else z)
         rz = rz_next
 
     raise NotConverged(
         f"no convergence to {tol:.3e} within {max_iter} iterations",
-        partial=result(max_iter, alphas, dirs, gammas, False),
+        partial=result(False),
     )
 
 

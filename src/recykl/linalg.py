@@ -189,10 +189,30 @@ class DenseLowerTriangular:
         return self._full.copy()
 
     def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self._full, rhs, lower=True)
+        """Solve L x = rhs (vector or matrix right-hand side)."""
+        return self._trtrs(rhs, trans=1)
 
     def solve_upper(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self._full, rhs, lower=True, trans="T")
+        """Solve L' x = rhs (vector or matrix right-hand side)."""
+        return self._trtrs(rhs, trans=0)
+
+    def _trtrs(self, rhs, trans: int) -> np.ndarray:
+        # The C-ordered L is the Fortran-ordered upper factor L', so this is
+        # the LAPACK call scipy.linalg.solve_triangular makes, without its
+        # per-call overhead.  Non-finite input raises its ValueError.
+        rhs = np.asarray_chkfinite(rhs, dtype=np.float64)
+        if rhs.shape[0] != self.m:
+            raise DimensionMismatch(f"triangular solve: factor is {self.m}x{self.m}, "
+                                    f"rhs has {rhs.shape[0]} rows")
+        if rhs.size == 0:  # dtrtrs rejects an empty system
+            return np.empty_like(rhs)
+        x, info = scipy.linalg.lapack.dtrtrs(self._full.T, rhs, lower=0, trans=trans)
+        if info > 0:
+            raise NotPositiveDefinite(f"triangular factor has a zero pivot at {info - 1}",
+                                      pivot=int(info - 1))
+        if info < 0:
+            raise DimensionMismatch(f"dtrtrs: illegal argument {-info}")
+        return x
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (L L') x = rhs by one forward and one back substitution."""

@@ -1,0 +1,62 @@
+"""Kernel micro-benchmarks (pytest-benchmark).
+
+Run from the repository root with one BLAS thread, so that small GEMVs do
+not stall on thread hand-off:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest tests/bench_kernels.py
+
+The file name does not match ``test_*.py``, so the test suite does not
+collect it.  Covered kernels: the sparse matvec on a 100x100 diffusion
+matrix, one ``mode="fom"`` re-orthogonalization step against k stored
+directions at n = 3600 (block CGS2, with the two-sweep modified Gram-Schmidt
+loop it replaced alongside for comparison), and a dense SPD solve through a
+50x50 Cholesky factor.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import make_spd_dense, mgs2_a_orthogonalize
+from recykl.krylov import _DirectionStore
+from recykl.linalg import dense_cholesky, spmv
+from recykl.problems import gen_diffusion_sequence
+
+
+@pytest.fixture(scope="module")
+def diffusion_100():
+    return gen_diffusion_sequence((100, 100), 2, 0.05, seed=1).systems[0].A
+
+
+def test_spmv_100x100(benchmark, diffusion_100):
+    x = np.random.default_rng(1).standard_normal(diffusion_100.n)
+    benchmark(spmv, diffusion_100, x)
+
+
+def _filled_store(n, k, seed):
+    # random directions with their products under a diagonal SPD operator;
+    # the step's cost depends only on n and k, not on A-orthogonality
+    rng = np.random.default_rng(seed)
+    diag = 1.0 + rng.random(n)
+    store = _DirectionStore(n, k, products=True)
+    for _ in range(k):
+        p = rng.standard_normal(n)
+        store.append(p, diag * p, float(p @ (diag * p)), 1.0)
+    return store, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("k", [50, 300])
+def test_reorth_cgs2(benchmark, k):
+    store, p = _filled_store(3600, k, seed=k)
+    benchmark(store.a_orthogonalize, p)
+
+
+@pytest.mark.parametrize("k", [50, 300])
+def test_reorth_mgs_loop(benchmark, k):
+    store, p = _filled_store(3600, k, seed=k)
+    benchmark(mgs2_a_orthogonalize, p, store.V[:, :k], store.AV[:, :k], store.gamma[:k])
+
+
+def test_solve_spd_50(benchmark):
+    L = dense_cholesky(make_spd_dense(50, seed=2, cond=1e3))
+    rhs = np.random.default_rng(3).standard_normal(50)
+    benchmark(L.solve_spd, rhs)

@@ -30,3 +30,16 @@ def make_sparse_spd(n, seed, density=0.05):
 def random_basis(n, m, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, m))
+
+
+def mgs2_a_orthogonalize(p, V, AV, gamma):
+    """Reference re-orthogonalization: two modified Gram-Schmidt sweeps.
+
+    Projects the A-components along the columns of V out of p one column at
+    a time, p <- p - (AV_i'p / gamma_i) V_i, the loop that block CGS2 in
+    the solver replaces.
+    """
+    for _ in range(2):
+        for i in range(V.shape[1]):
+            p = p - (float(AV[:, i] @ p) / gamma[i]) * V[:, i]
+    return p

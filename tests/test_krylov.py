@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from helpers import make_spd, make_spd_dense, make_sparse_spd, random_basis
+from helpers import (
+    make_spd,
+    make_spd_dense,
+    make_sparse_spd,
+    mgs2_a_orthogonalize,
+    random_basis,
+)
 from recykl import preconditioners as pc
 from recykl.errors import Breakdown, DimensionMismatch, NotConverged
 from recykl.krylov import (
+    _STORE_INITIAL_COLS,
     BlockDiagFactor,
     DirectReducedProjection,
     MatrixOperator,
     ReducedSpdOperator,
+    _DirectionStore,
     augmented_pcg,
     direct_reduced_solve,
     pcg,
 )
 from recykl.linalg import InstrumentationSink, SparseSpdMatrix, dense_cholesky
+from recykl.problems import gen_diffusion_sequence
 
 
 def a_orth_projection(Adense, B, rhs):
@@ -142,6 +152,11 @@ class TestAugmentedPcgBasics:
         with pytest.raises(DimensionMismatch):
             augmented_pcg(A, np.ones(4), None, np.ones((4, 1)))
 
+    def test_unknown_mode_rejected(self):
+        # checked up front, even when the start already meets the tolerance
+        with pytest.raises(ValueError, match="unknown mode"):
+            augmented_pcg(SparseSpdMatrix.identity(3), np.zeros(3), mode="gmres")
+
     def test_dense_operator_rejected(self):
         # operators are SparseSpdMatrix or LinearOperator; dense arrays go
         # through SparseSpdMatrix.from_dense, which checks symmetry
@@ -165,6 +180,73 @@ class TestFomMode:
         x_cg = augmented_pcg(A, b, tol=1e-11 * np.linalg.norm(b), max_iter=150).x
         x_fom = augmented_pcg(A, b, tol=1e-11 * np.linalg.norm(b), mode="fom", max_iter=150).x
         assert np.allclose(x_cg, x_fom, atol=1e-9)
+
+
+def laplacian_2d(m):
+    """Five-point Laplacian on an m x m grid with Dirichlet boundary."""
+    T = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    eye = scipy.sparse.identity(m)
+    return SparseSpdMatrix.from_scipy(scipy.sparse.kron(T, eye) + scipy.sparse.kron(eye, T))
+
+
+class TestDirectionStore:
+    @pytest.mark.parametrize("mode", ["fom", "cg"])
+    def test_growth_past_initial_capacity(self, mode):
+        A = laplacian_2d(30)
+        b = np.random.default_rng(35).standard_normal(A.n)
+        res = augmented_pcg(A, b, tol=1e-10 * np.linalg.norm(b), mode=mode)
+        assert res.k > _STORE_INITIAL_COLS
+        assert res.V.shape == (A.n, res.k)
+        assert res.gamma.shape == res.vhat.shape == (res.k,)
+        assert np.allclose(res.x, res.V @ res.vhat, rtol=0.0,
+                           atol=1e-12 * np.linalg.norm(res.x))
+        G = res.V.T @ A.to_dense() @ res.V
+        assert np.allclose(res.gamma, np.diag(G), rtol=1e-12, atol=0.0)
+        if mode == "fom":
+            off = G - np.diag(np.diag(G))
+            assert np.max(np.abs(off)) <= 1e-8 * np.max(np.diag(G))
+
+    @pytest.mark.parametrize("mode", ["fom", "cg"])
+    def test_budget_caps_the_store(self, mode):
+        A = laplacian_2d(30)
+        b = np.random.default_rng(36).standard_normal(A.n)
+        with pytest.raises(NotConverged) as info:
+            augmented_pcg(A, b, tol=0.0, mode=mode, max_iter=_STORE_INITIAL_COLS + 5)
+        res = info.value.partial
+        assert res.k == _STORE_INITIAL_COLS + 5
+        assert res.V.shape == (A.n, res.k)
+        assert np.allclose(res.x, res.V @ res.vhat, rtol=0.0,
+                           atol=1e-12 * np.linalg.norm(res.x))
+
+    @pytest.mark.parametrize("k", [1, 50, 300])
+    def test_cgs2_matches_mgs_reference(self, k):
+        A = laplacian_2d(30)
+        rng = np.random.default_rng(37)
+        with pytest.raises(NotConverged) as info:
+            augmented_pcg(A, rng.standard_normal(A.n), tol=0.0, mode="fom", max_iter=k)
+        res = info.value.partial
+        store = _DirectionStore(A.n, k, products=True)
+        for i in range(k):
+            store.append(res.V[:, i], A.to_scipy() @ res.V[:, i], res.gamma[i], res.vhat[i])
+        p = rng.standard_normal(A.n)
+        got = store.a_orthogonalize(p)
+        want = mgs2_a_orthogonalize(p, store.V[:, :k], store.AV[:, :k], store.gamma[:k])
+        # classical and modified sweeps sum in different orders
+        assert np.linalg.norm(got - want) <= 10 * k * np.finfo(float).eps * np.linalg.norm(p)
+
+
+class TestFrozenCounts:
+    # iteration and matvec counts of the first 60x60 diffusion system as
+    # measured with two modified Gram-Schmidt sweeps per fom step
+    # (helpers.mgs2_a_orthogonalize); block CGS2 must reproduce them
+    @pytest.mark.parametrize("mode, iterations, matvecs", [("fom", 93, 93), ("cg", 93, 93)])
+    def test_unpreconditioned_60x60(self, mode, iterations, matvecs):
+        seq = gen_diffusion_sequence((60, 60), 20, 0.05, seed=1, tol=1e-6, load_scale=1e-4)
+        system = seq.systems[0]
+        sink = InstrumentationSink()
+        res = pcg(system.A, system.b, tol=system.tol, mode=mode, sink=sink)
+        assert (res.k, sink.matvecs) == (iterations, matvecs)
+        assert np.linalg.norm(system.b - system.A.to_scipy() @ res.x) <= system.tol
 
 
 class TestPcg:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import make_spd, make_spd_dense, make_sparse_spd, random_basis
 from recykl.errors import (
@@ -125,6 +126,42 @@ class TestDenseCholesky:
         L = dense_cholesky(G)
         rhs = np.arange(1.0, 7.0)
         assert np.allclose(G @ L.solve_spd(rhs), rhs, atol=1e-10)
+
+
+class TestTriangularSolve:
+    # scipy.linalg.solve_triangular is the reference the LAPACK calls replace
+    @pytest.mark.parametrize("m", [1, 5, 50, 200])
+    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
+    def test_equals_solve_triangular(self, m, layout):
+        L = dense_cholesky(make_spd_dense(m, seed=m, cond=1e3))
+        rng = np.random.default_rng(m + 1)
+        rhs = {"vector": rng.standard_normal(m),
+               "C": rng.standard_normal((m, 7)),
+               "F": rng.standard_normal((7, m)).T}[layout]
+        full = L.full()
+        lower = scipy.linalg.solve_triangular(full, rhs, lower=True)
+        upper = scipy.linalg.solve_triangular(full, rhs, lower=True, trans="T")
+        assert np.array_equal(L.solve_lower(rhs), lower)
+        assert np.array_equal(L.solve_upper(rhs), upper)
+        assert np.array_equal(L.solve_spd(rhs),
+                              scipy.linalg.solve_triangular(full, lower, lower=True, trans="T"))
+
+    def test_nan_rhs_raises_value_error(self):
+        L = dense_cholesky(make_spd_dense(4, seed=3))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            L.solve_lower(np.array([1.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            L.solve_spd(np.array([1.0, np.inf, 0.0, 0.0]))
+
+    def test_empty_factor(self):
+        L = dense_cholesky(np.zeros((0, 0)))
+        assert L.solve_spd(np.zeros(0)).shape == (0,)
+        assert L.solve_lower(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_rhs_length_mismatch(self):
+        L = dense_cholesky(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            L.solve_lower(np.ones(4))
 
 
 class TestSymmetricEvd:
