@@ -66,12 +66,28 @@ def _fixture_cases():
             config=dict(strategy="deflate", deflate_dim=20, storage_cap=30),
             precond="jacobi",
         ),
+        # the same stage-2 run under the two-term recurrence
+        "split_pod_cg": dict(
+            generator=dict(grid=(10, 10), p=6, delta=0.05, seed=5, tol=1e-8),
+            config=dict(strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0,
+                        storage_cap=30, max_dim=20, stage1_dim=5),
+            precond="jacobi",
+            mode="cg",
+        ),
+        # nested projections on an unpreconditioned, larger system
+        "split_pod_it_unprec": dict(
+            generator=dict(grid=(20, 20), p=8, delta=0.05, seed=5, tol=1e-8),
+            config=dict(strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0,
+                        storage_cap=30, max_dim=20, stage1_dim=5, full_orth=True),
+            precond="identity",
+        ),
     }
 
 
 def run_fixture_case(case: dict):
     seq = gen_diffusion_sequence(**case["generator"])
-    cfg = SolverConfig(truncation=TruncationConfig(**case["config"]), precond=case["precond"])
+    cfg = SolverConfig(truncation=TruncationConfig(**case["config"]), precond=case["precond"],
+                       mode=case.get("mode", "fom"))
     _, reports, _ = run_sequence(seq, cfg)
     return {
         "stage3_iters": [r.stage3_iters for r in reports],

@@ -68,25 +68,25 @@ class ReducedSpdOperator(LinearOperator):
     """Implicit reduced operator p -> Y'(A(Yp)).
 
     The reduced matrix Y'AY is never materialized; each application costs a
-    single sparse matvec.  With ``record_products=True`` the operator keeps,
-    for every application, the full-space product A(Yp) and the reduced
-    output Y'A(Yp) so later stages can reuse them as cached cross terms.
+    single sparse matvec.  The operator keeps, for every application, the
+    full-space product A(Yp) and the reduced output Y'A(Yp), so the caller
+    can reuse them as cached cross terms; the owner of the operator drops
+    them once read.
     """
 
-    def __init__(self, A: SparseSpdMatrix, Y: np.ndarray, sink=None, record_products=False):
+    def __init__(self, A: SparseSpdMatrix, Y: np.ndarray, sink=None):
         self.A = A
         self.Y = np.asarray(Y, dtype=np.float64)
         self.sink = sink
         self.dim = self.Y.shape[1]
-        self.full_products: list[np.ndarray] | None = [] if record_products else None
-        self.reduced_products: list[np.ndarray] | None = [] if record_products else None
+        self.full_products: list[np.ndarray] = []
+        self.reduced_products: list[np.ndarray] = []
 
     def apply(self, p):
         full = spmv(self.A, self.Y @ p, self.sink)
         reduced = self.Y.T @ full
-        if self.full_products is not None:
-            self.full_products.append(full)
-            self.reduced_products.append(reduced)
+        self.full_products.append(full)
+        self.reduced_products.append(reduced)
         return reduced
 
 

@@ -5,20 +5,23 @@ across the sequence:
 
 1. a direct Galerkin solve over the stage-1 block W (a few columns of Y
    expected to capture most of the solution), factored once and reused;
-2. an unpreconditioned augmented-CG solve over all of Y through the
-   implicit reduced operator p -> Y'(A(Yp)) (the reduced matrix is never
-   formed), augmented with W so the stage-1 factor keeps doing the
-   projections;
+2. the first nested run of the reduced-space solver
+   (:class:`InnerIterativeProjection`): unpreconditioned augmented CG over
+   all of Y through the implicit reduced operator p -> Y'(A(Yp)) (the
+   reduced matrix is never formed), started from the stage-1 solution and
+   augmented with W, so the stage-1 factor keeps doing the projections;
 3. one full-space augmented PCG run to the forcing tolerance.  Each stage
-   that ran contributes a block (reduced coordinates, full-space columns,
-   cached A-products, start coefficients, Gram factor); the run starts from
-   the stacked blocks and keeps new directions A-orthogonal either to them,
-   backsolving the block-diagonal factor, or (``full_orth``) to the entire
-   Y, each projection a nested augmented-CG run seeded with the same blocks
-   whose factor grows block by block.
+   that ran contributes a block (full-space columns, cached A-products,
+   start coefficients, Gram factor); the run starts from the stacked blocks
+   and keeps new directions A-orthogonal either to them, backsolving the
+   block-diagonal factor, or (``full_orth``) to the entire Y, each
+   projection a further nested run of the same solver, augmented with the
+   stage-1 block and the direction block of every earlier run.
 
 Stages 1 and 2 run only over a non-empty basis; without one (the first
 system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
+A system whose stage-1 Gram matrix fails its Cholesky factorization is
+solved the same way, and its report sets ``stage1_fallback``.
 
 After the solve, new search directions are appended to Y normalized to unit
 A-norm; once the block exceeds the storage cap it is compressed by the
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import preconditioners
-from .errors import NotConverged, RecyklError
+from .errors import NotConverged, NotPositiveDefinite, RecyklError
 from .krylov import (
     AugmentedPcgResult,
     BlockDiagFactor,
@@ -119,6 +122,7 @@ class SolveReport:
     truncated: bool = False
     converged: bool = True
     stage2_converged: bool = True
+    stage1_fallback: bool = False  # stage-1 factorization failed; solved without the basis
     reduced_condition: float | None = None
     checkpoints: list[Checkpoint] | None = None
 
@@ -144,12 +148,13 @@ class SystemTrace:
 class InnerIterativeProjection:
     """Reduced solves Y'AY mu = Y'Az by nested augmented CG.
 
-    The nested runs are augmented with every block already understood in
-    reduced coordinates: the stage-1 selection, the stage-2 directions, and
-    the direction blocks of earlier projections, whose Gram factor is block
-    diagonal and grows by one sqrt-diagonal block per call.  ``basis``
-    stacks those blocks, ``cross`` holds Y'AY times them, and ``factor``
-    factors their Gram matrix; each call extends all three.
+    The one reduced-space solver: stage 2 is its first nested run and each
+    ``full_orth`` projection a later one.  Every run is augmented with the
+    blocks already understood in reduced coordinates: the stage-1 selection,
+    then the direction block of each earlier run, whose Gram factor is block
+    diagonal and grows by one sqrt-diagonal block per run.  ``basis`` stacks
+    those blocks, ``cross`` holds Y'AY times them, and ``factor`` factors
+    their Gram matrix; each run extends all three.
     """
 
     def __init__(
@@ -169,22 +174,19 @@ class InnerIterativeProjection:
         self.tol = tol
         self.mode = mode
         self.max_iter = 3 * Y.shape[1] + 10
-        self.op = ReducedSpdOperator(A, Y, sink=sink, record_products=True)
+        self.op = ReducedSpdOperator(A, Y, sink=sink)
         self.basis = basis
         self.cross = cross
         self.factor = factor
 
-    def add_block(self, basis_block: np.ndarray, cross_block: np.ndarray,
-                  sqrt_diag: np.ndarray) -> None:
-        self.basis = np.hstack([self.basis, basis_block])
-        self.cross = np.hstack([self.cross, cross_block])
-        self.factor.append_sqrt_diag(sqrt_diag)
+    def extend(self, bhat: np.ndarray, ybase: np.ndarray,
+               tol: float) -> tuple[AugmentedPcgResult, list[np.ndarray]]:
+        """One nested run on Y'AY v = bhat from ``ybase`` over the blocks.
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        bhat = self.Y.T @ spmv(self.A, z, self.sink)
-        tol = max(self.tol, 1e-13 * float(np.linalg.norm(bhat)))
-        ybase = self.factor.solve_spd(self.basis.T @ bhat)
-        mark = len(self.op.reduced_products)
+        The run's directions become the next block.  Returns the run's
+        result (partial when the budget ran out) and the full-space products
+        A(Yp) of its directions.
+        """
         try:
             res = augmented_pcg(
                 self.op,
@@ -200,17 +202,26 @@ class InnerIterativeProjection:
             )
         except NotConverged as exc:
             res = exc.partial
+        products, reduced = self.op.full_products, self.op.reduced_products
+        self.op.full_products, self.op.reduced_products = [], []
         if res.k > 0:
-            new_cross = np.column_stack(self.op.reduced_products[mark : mark + res.k])
-            self.add_block(res.V, new_cross, np.sqrt(res.gamma))
+            self.basis = np.hstack([self.basis, res.V])
+            self.cross = np.hstack([self.cross, np.column_stack(reduced)])
+            self.factor.append_sqrt_diag(np.sqrt(res.gamma))
+        return res, products
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        bhat = self.Y.T @ spmv(self.A, z, self.sink)
+        tol = max(self.tol, 1e-13 * float(np.linalg.norm(bhat)))
+        ybase = self.factor.solve_spd(self.basis.T @ bhat)
+        res, _ = self.extend(bhat, ybase, tol)
         return res.x
 
 
 class _Block(NamedTuple):
     """One stage's share of the stage-3 augmenting block."""
 
-    coords: np.ndarray  # the columns in coordinates of Y
-    cols: np.ndarray  # the same columns in full space
+    cols: np.ndarray  # the block's columns in full space
     products: np.ndarray  # A @ cols
     start: np.ndarray  # Galerkin start coefficients over cols
 
@@ -282,17 +293,23 @@ def solve_system(
     Y = state.Y if cfg.recycle else state.Y[:, :0]
     y = Y.shape[1]
     idx = list(state.stage1_idx) if y else []
-    yhat_comb = np.zeros(y)
+    yhat_comb = np.zeros(y)  # coefficients over the entry basis
     stage1_gram = None
     blocks: list[_Block] = []
     factor = BlockDiagFactor()  # Gram factor of the blocks, one diagonal block each
     if y:
         # stage 1: direct solve over W, factor cached for every later stage
         W = Y[:, idx]
-        stage1 = direct_reduced_solve(A, r0, W, sink)
+        try:
+            stage1 = direct_reduced_solve(A, r0, W, sink)
+        except NotPositiveDefinite:
+            # the stage-1 Gram matrix lost definiteness in round-off: solve
+            # this system over an empty basis, as without recycling
+            report.stage1_fallback = True
+            Y, y, idx = Y[:, :0], 0, []
+    if y:
         what, rhat, AW = stage1.what, stage1.rhat, stage1.aw
-        What = np.eye(y)[:, idx]
-        blocks.append(_Block(What, W, AW, what))
+        blocks.append(_Block(W, AW, what))
         factor.append_cholesky(rhat)
         yhat_comb[idx] = what
         if len(idx) == y:
@@ -304,61 +321,33 @@ def solve_system(
             eigs, _ = symmetric_evd(0.5 * (gram_diag + gram_diag.T))
             report.reduced_condition = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("inf")
 
-        # stage 2: iterate over all of Y through the implicit reduced
-        # operator, augmented with the stage-1 selection block
+        # the reduced-space solver of stage 2 and the full_orth projections
+        if y > len(idx) or cfg.truncation.full_orth:
+            inner = InnerIterativeProjection(
+                A, Y, sink, eps_inner, cfg.mode, np.eye(y)[:, idx], Y.T @ AW, factor
+            )
+        # stage 2: the first nested run, over all of Y from the stage-1
+        # solution, augmented with the stage-1 selection block
         if y > len(idx):
-            cross_w = Y.T @ AW
-            reduced_op = ReducedSpdOperator(A, Y, sink=sink, record_products=True)
-            bhat = Y.T @ r0
-            try:
-                stage2_res = augmented_pcg(
-                    reduced_op,
-                    bhat,
-                    what,
-                    What,
-                    DirectReducedProjection(cross_w, rhat),
-                    None,
-                    eps_hat,
-                    mode=cfg.mode,
-                    max_iter=3 * y + 10,
-                    r0=bhat - cross_w @ what,
-                )
-            except NotConverged as exc:
-                stage2_res = exc.partial
-                report.stage2_converged = False
-            yhat_comb = stage2_res.x
-            report.stage2_iters = stage2_res.k
-            report.stage2_residual_history = stage2_res.residual_history
-            if stage2_res.k:
-                Phat = stage2_res.V
-                AVhat = np.column_stack(reduced_op.full_products[: stage2_res.k])
-                blocks.append(_Block(Phat, Y @ Phat, AVhat, stage2_res.vhat))
-                factor.append_sqrt_diag(np.sqrt(stage2_res.gamma))
+            stage2, AV2 = inner.extend(Y.T @ r0, what, eps_hat)
+            yhat_comb = stage2.x
+            report.stage2_iters = stage2.k
+            report.stage2_converged = stage2.converged
+            report.stage2_residual_history = stage2.residual_history
+            if stage2.k:
+                blocks.append(_Block(Y @ stage2.V, np.column_stack(AV2), stage2.vhat))
         record("stage2", 0, add_center(Y @ yhat_comb))
 
     # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
     # New directions stay A-orthogonal to the stacked blocks, each
     # projection backsolving the cached block factor, or with ``full_orth``
-    # to all of Y, each projection a nested solve seeded with the blocks.
-    if cfg.truncation.full_orth:
-        stage3_basis, stage3_start = Y, yhat_comb
-        handle = InnerIterativeProjection(
-            A, Y, sink, eps_inner, cfg.mode,
-            _stack([blk.coords for blk in blocks], y),
-            _stack([Y.T @ blk.products for blk in blocks], y),
-            factor,
-        )
-        # subtracted block by block: a stacked product would round differently
-        # from the full_orth results the fixtures pin
-        r_entry = r0
-        for blk in blocks:
-            r_entry = r_entry - blk.products @ blk.start
-    else:
-        stage3_basis = _stack([blk.cols for blk in blocks], A.n)
-        stage3_start = np.concatenate([blk.start for blk in blocks]) if blocks else np.zeros(0)
-        products = _stack([blk.products for blk in blocks], A.n)
-        handle = DirectReducedProjection(products, factor)
-        r_entry = r0 - products @ stage3_start
+    # to all of Y, each projection a further nested run of ``inner``.
+    full_orth = cfg.truncation.full_orth and y > 0
+    stage3_basis = Y if full_orth else _stack([blk.cols for blk in blocks], A.n)
+    products = _stack([blk.products for blk in blocks], A.n)
+    block_start = np.concatenate([blk.start for blk in blocks]) if blocks else np.zeros(0)
+    stage3_start = yhat_comb if full_orth else block_start
+    handle = inner if full_orth else DirectReducedProjection(products, factor)
     monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
     try:
         stage3_res = augmented_pcg(
@@ -372,7 +361,7 @@ def solve_system(
             mode=cfg.mode,
             sink=sink,
             max_iter=cfg.max_iter,
-            r0=r_entry,
+            r0=r0 - products @ block_start,
             monitor=monitor,
         )
     except NotConverged as exc:

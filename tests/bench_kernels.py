@@ -6,19 +6,22 @@ not stall on thread hand-off:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest tests/bench_kernels.py
 
 The file name does not match ``test_*.py``, so the test suite does not
-collect it.  Covered kernels: the sparse matvec on a 100x100 diffusion
-matrix, one ``mode="fom"`` re-orthogonalization step against k stored
-directions at n = 3600 (block CGS2, with the two-sweep modified Gram-Schmidt
-loop it replaced alongside for comparison), and a dense SPD solve through a
-50x50 Cholesky factor.
+collect it.  Covered kernels: the sparse matvec and one SSOR preconditioner
+apply (relaxation 1.7) on a 100x100 diffusion matrix, the Gram assembly
+B'AB of a C-ordered block of m in {10, 50, 200} columns against the same
+matrix (n = 10,000), one ``mode="fom"`` re-orthogonalization step against k
+stored directions at n = 3600 (block CGS2, with the two-sweep modified
+Gram-Schmidt loop it replaced alongside for comparison), and a dense SPD
+solve through a 50x50 Cholesky factor.
 """
 
 import numpy as np
 import pytest
 
 from helpers import make_spd_dense, mgs2_a_orthogonalize
+from recykl import preconditioners
 from recykl.krylov import _DirectionStore
-from recykl.linalg import dense_cholesky, spmv
+from recykl.linalg import assemble_gram, dense_cholesky, spmv
 from recykl.problems import gen_diffusion_sequence
 
 
@@ -30,6 +33,18 @@ def diffusion_100():
 def test_spmv_100x100(benchmark, diffusion_100):
     x = np.random.default_rng(1).standard_normal(diffusion_100.n)
     benchmark(spmv, diffusion_100, x)
+
+
+def test_ssor_apply_100x100(benchmark, diffusion_100):
+    M = preconditioners.build("ssor:1.7", diffusion_100)
+    r = np.random.default_rng(2).standard_normal(diffusion_100.n)
+    benchmark(M.apply, r)
+
+
+@pytest.mark.parametrize("m", [10, 50, 200])
+def test_assemble_gram(benchmark, diffusion_100, m):
+    B = np.random.default_rng(m).standard_normal((diffusion_100.n, m))
+    benchmark(assemble_gram, diffusion_100, B)
 
 
 def _filled_store(n, k, seed):

@@ -341,7 +341,7 @@ class TestReducedOperator:
     def test_records_products(self):
         A = make_spd(20, seed=44)
         Y = random_basis(20, 4, seed=45)
-        op = ReducedSpdOperator(A, Y, record_products=True)
+        op = ReducedSpdOperator(A, Y)
         p = np.random.default_rng(46).standard_normal(4)
         out = op.apply(p)
         assert np.allclose(op.full_products[0], A.to_dense() @ (Y @ p))

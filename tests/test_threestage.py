@@ -3,9 +3,10 @@ import pytest
 
 from helpers import make_spd
 from recykl import preconditioners as pc
+from recykl.bench import default_methods
 from recykl.errors import RecyklError
 from recykl.krylov import MatrixOperator, DirectReducedProjection, augmented_pcg, pcg
-from recykl.linalg import InstrumentationSink
+from recykl.linalg import InstrumentationSink, spmv
 from recykl.problems import gen_diffusion_sequence, gen_output_matrix
 from recykl.threestage import (
     RecycleState,
@@ -277,6 +278,30 @@ class TestPartialFailure:
         cfg = solver_cfg(max_iter=3)
         _, reports, _ = run_sequence(seq, cfg, stop_on_failure=True)
         assert len(reports) == 1 and not reports[0].converged
+
+
+class TestStage1Fallback:
+    def test_failed_stage1_factor_solves_without_basis(self):
+        # the untruncated cg-mode basis loses A-orthogonality on this sequence,
+        # so from system 3 on the stage-1 Cholesky of W'AW fails; those
+        # systems fall back to plain PCG and keep the weight history aligned
+        # with the grown basis (system 2 diverges in stage 3 and is not pinned)
+        seq = gen_diffusion_sequence((25, 35), 12, 0.5, seed=3, tol=1e-8)
+        (no_trunc,) = [m for m in default_methods(storage_cap=30, mode="cg")
+                       if m.name == "no-trunc"]
+        state = RecycleState.empty(seq.n)
+        reports = []
+        for spec in seq:
+            x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol,
+                                     no_trunc.config)
+            reports.append(report)
+            assert state.history.width() == state.basis_dim
+            if report.j >= 3:
+                assert report.stage1_fallback and report.converged
+                assert report.stage1_dim == 0 and report.stage2_iters == 0
+                assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= 1.1 * spec.tol
+        assert len(reports) == 12
+        assert not any(r.stage1_fallback for r in reports[:2])
 
 
 class TestDiagnostics:
