@@ -4,10 +4,19 @@ Two flavors are read and written: ``coordinate real symmetric`` for the
 sparse matrices (lower triangle stored) and ``array real general`` for
 right-hand sides and output matrices.  Values are written with shortest
 round-tripping decimal representation, so write/read cycles are bit exact
-for float64.  Parse failures report the offending file and line number.
+for float64; each file is formatted in memory and written at once.
+
+A reader takes the header and the size line itself, then parses the whole
+body in one C-level pass (``np.loadtxt``) and checks the entry count and,
+for coordinate files, the index range on the resulting arrays.  When the
+parse or a check fails, one diagnostic rescan walks the body line by line
+to name the first offending line, so every parse failure reports the file
+and line number.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import scipy.sparse
@@ -18,19 +27,15 @@ from .linalg import SparseSpdMatrix
 _HEADER_PREFIX = "%%matrixmarket"
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_symmetric_matrix(path, A: SparseSpdMatrix) -> None:
     """Write the lower triangle of a symmetric sparse matrix."""
     coo = scipy.sparse.tril(A.to_scipy(), k=0).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    entries = zip((coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(),
+                  coo.data[order].tolist())
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{A.n} {A.n} {coo.nnz}\n")
-        order = np.lexsort((coo.col, coo.row))
-        for idx in order:
-            fh.write(f"{coo.row[idx] + 1} {coo.col[idx] + 1} {_fmt(coo.data[idx])}\n")
+        fh.write(f"%%MatrixMarket matrix coordinate real symmetric\n{A.n} {A.n} {coo.nnz}\n"
+                 + "".join(f"{i} {j} {v!r}\n" for i, j, v in entries))
 
 
 def write_array(path, values: np.ndarray) -> None:
@@ -39,23 +44,8 @@ def write_array(path, values: np.ndarray) -> None:
     if arr.ndim == 1:
         arr = arr[:, None]
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for j in range(arr.shape[1]):
-            for i in range(arr.shape[0]):
-                fh.write(f"{_fmt(arr[i, j])}\n")
-
-
-def _data_lines(path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if lineno == 1:
-                yield lineno, line
-                continue
-            if not line or line.startswith("%"):
-                continue
-            yield lineno, line
+        fh.write(f"%%MatrixMarket matrix array real general\n{arr.shape[0]} {arr.shape[1]}\n"
+                 + "".join(f"{v!r}\n" for v in arr.T.ravel().tolist()))
 
 
 def _parse_header(path, line):
@@ -68,45 +58,112 @@ def _parse_header(path, line):
     return fmt, symmetry
 
 
+def _read_head(path, fh, ntoks):
+    """Read the header and the size line from ``fh``, leaving it at the body.
+
+    Returns the header's format and symmetry, the size line's ``ntoks``
+    integers and the size line's number.
+    """
+    header = fh.readline()
+    if not header:
+        raise ManifestError(f"{path}: empty file")
+    fmt, symmetry = _parse_header(path, header.strip())
+    for lineno, raw in enumerate(iter(fh.readline, ""), start=2):
+        line = raw.strip()
+        if line and not line.startswith("%"):
+            break
+    else:
+        raise ManifestError(f"{path}: missing size line")
+    try:
+        sizes = [int(tok) for tok in line.split()]
+    except ValueError:
+        sizes = []
+    if len(sizes) != ntoks or min(sizes) < 0:
+        raise ManifestError(f"{path}:{lineno}: malformed size line {line!r}")
+    return fmt, symmetry, sizes, lineno
+
+
+def _load_body(fh, dtype, usecols):
+    # one C-level parse of every remaining line; an empty body is legal
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(fh, dtype=dtype, comments="%", usecols=usecols, ndmin=1)
+
+
+def _number(tok, kind):
+    # the body parse takes only ASCII numerals without digit-group underscores
+    if "_" in tok or not tok.isascii():
+        raise ValueError(tok)
+    return kind(tok)
+
+
+def _first_bad_line(path, after, declared, noun, check):
+    """Raise a ManifestError naming the first body line the parse rejected.
+
+    A diagnostic rescan, made only after the body parse or its checks
+    failed.  The lines past the size line (line ``after``) are walked in
+    order: each counts as one of the ``declared`` entries, and
+    ``check(tokens)`` raises ``ValueError`` or ``IndexError`` on a malformed
+    line and returns a message for a well-formed but invalid one.
+    """
+    count = 0
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if lineno <= after or not line or line.startswith("%"):
+                continue
+            if count >= declared:
+                raise ManifestError(f"{path}:{lineno}: more entries than declared ({declared})")
+            try:
+                problem = check(line.split())
+            except (ValueError, IndexError):
+                raise ManifestError(f"{path}:{lineno}: malformed {noun} {line!r}") from None
+            if problem:
+                raise ManifestError(f"{path}:{lineno}: {problem}")
+            count += 1
+    raise ManifestError(f"{path}: malformed body after line {after}")
+
+
+def _check_value(toks):
+    _number(toks[0], float)
+
+
+def _within(indices, bound):
+    return indices.size == 0 or (indices.min() >= 1 and indices.max() <= bound)
+
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
 def read_matrix(path) -> SparseSpdMatrix:
     """Read a sparse symmetric matrix in coordinate format."""
-    lines = _data_lines(path)
-    try:
-        _, header = next(lines)
-    except StopIteration:
-        raise ManifestError(f"{path}: empty file") from None
-    fmt, symmetry = _parse_header(path, header)
-    if fmt != "coordinate":
-        raise ManifestError(f"{path}:1: expected coordinate format, got {fmt!r}")
-    try:
-        lineno, size_line = next(lines)
-    except StopIteration:
-        raise ManifestError(f"{path}: missing size line") from None
-    try:
-        rows, cols, nnz = (int(tok) for tok in size_line.split())
-    except ValueError:
-        raise ManifestError(f"{path}:{lineno}: malformed size line {size_line!r}") from None
-    if rows != cols:
-        raise ManifestError(f"{path}:{lineno}: matrix must be square, got {rows}x{cols}")
-    ii = np.empty(nnz, dtype=np.int64)
-    jj = np.empty(nnz, dtype=np.int64)
-    vv = np.empty(nnz, dtype=np.float64)
-    count = 0
-    for lineno, line in lines:
-        if count >= nnz:
-            raise ManifestError(f"{path}:{lineno}: more entries than declared ({nnz})")
-        toks = line.split()
+    with open(path) as fh:
+        fmt, symmetry, (rows, cols, nnz), after = _read_head(path, fh, 3)
+        if fmt != "coordinate":
+            raise ManifestError(f"{path}:1: expected coordinate format, got {fmt!r}")
+        if rows != cols:
+            raise ManifestError(f"{path}:{after}: matrix must be square, got {rows}x{cols}")
         try:
-            i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
-        except (ValueError, IndexError):
-            raise ManifestError(f"{path}:{lineno}: malformed entry {line!r}") from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ManifestError(f"{path}:{lineno}: index ({i},{j}) out of range")
-        ii[count], jj[count], vv[count] = i - 1, j - 1, v
-        count += 1
-    if count != nnz:
-        raise ManifestError(f"{path}: expected {nnz} entries, found {count}")
-    mat = scipy.sparse.coo_matrix((vv, (ii, jj)), shape=(rows, cols)).tocsr()
+            body = _load_body(fh, _ENTRY, (0, 1, 2))
+        except ValueError:
+            body = None
+    if (
+        body is None
+        or len(body) > nnz
+        or not (_within(body["i"], rows) and _within(body["j"], cols))
+    ):
+
+        def check(toks):
+            i, j, _ = _number(toks[0], int), _number(toks[1], int), _number(toks[2], float)
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                return f"index ({i},{j}) out of range"
+
+        _first_bad_line(path, after, nnz, "entry", check)
+    if len(body) != nnz:
+        raise ManifestError(f"{path}: expected {nnz} entries, found {len(body)}")
+    mat = scipy.sparse.coo_matrix(
+        (body["v"], (body["i"] - 1, body["j"] - 1)), shape=(rows, cols)
+    ).tocsr()
     if symmetry == "symmetric":
         strict = scipy.sparse.tril(mat, k=-1) + scipy.sparse.triu(mat, k=1)
         full = mat + strict.T
@@ -123,33 +180,17 @@ def read_matrix(path) -> SparseSpdMatrix:
 
 def read_array(path) -> np.ndarray:
     """Read a dense vector or matrix in array format."""
-    lines = _data_lines(path)
-    try:
-        _, header = next(lines)
-    except StopIteration:
-        raise ManifestError(f"{path}: empty file") from None
-    fmt, symmetry = _parse_header(path, header)
-    if fmt != "array" or symmetry != "general":
-        raise ManifestError(f"{path}:1: expected 'array real general'")
-    try:
-        lineno, size_line = next(lines)
-    except StopIteration:
-        raise ManifestError(f"{path}: missing size line") from None
-    try:
-        rows, cols = (int(tok) for tok in size_line.split())
-    except ValueError:
-        raise ManifestError(f"{path}:{lineno}: malformed size line {size_line!r}") from None
-    values = np.empty(rows * cols, dtype=np.float64)
-    count = 0
-    for lineno, line in lines:
-        if count >= values.size:
-            raise ManifestError(f"{path}:{lineno}: more values than declared")
+    with open(path) as fh:
+        fmt, symmetry, (rows, cols), after = _read_head(path, fh, 2)
+        if fmt != "array" or symmetry != "general":
+            raise ManifestError(f"{path}:1: expected 'array real general'")
         try:
-            values[count] = float(line.split()[0])
-        except (ValueError, IndexError):
-            raise ManifestError(f"{path}:{lineno}: malformed value {line!r}") from None
-        count += 1
-    if count != values.size:
-        raise ManifestError(f"{path}: expected {values.size} values, found {count}")
+            values = _load_body(fh, np.float64, 0)
+        except ValueError:
+            values = None
+    if values is None or values.size > rows * cols:
+        _first_bad_line(path, after, rows * cols, "value", _check_value)
+    if values.size != rows * cols:
+        raise ManifestError(f"{path}: expected {rows * cols} values, found {values.size}")
     out = values.reshape((cols, rows)).T  # column-major storage
     return out[:, 0] if cols == 1 else out

@@ -21,7 +21,9 @@ across the sequence:
 Stages 1 and 2 run only over a non-empty basis; without one (the first
 system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
 A system whose stage-1 Gram matrix fails its Cholesky factorization is
-solved the same way, and its report sets ``stage1_fallback``.
+solved the same way, and its report sets ``stage1_fallback``; so is one whose
+stage-1 block has more columns than A has rows, without assembling the Gram
+matrix, which is then singular.
 
 After the solve, new search directions are appended to Y normalized to unit
 A-norm; once the block exceeds the storage cap it is compressed by the
@@ -122,7 +124,7 @@ class SolveReport:
     truncated: bool = False
     converged: bool = True
     stage2_converged: bool = True
-    stage1_fallback: bool = False  # stage-1 factorization failed; solved without the basis
+    stage1_fallback: bool = False  # stage-1 factor failed or was skipped; solved without basis
     reduced_condition: float | None = None
     checkpoints: list[Checkpoint] | None = None
 
@@ -297,16 +299,20 @@ def solve_system(
     stage1_gram = None
     blocks: list[_Block] = []
     factor = BlockDiagFactor()  # Gram factor of the blocks, one diagonal block each
-    if y:
+    stage1 = None
+    if y and len(idx) <= A.n:
         # stage 1: direct solve over W, factor cached for every later stage
         W = Y[:, idx]
         try:
             stage1 = direct_reduced_solve(A, r0, W, sink)
         except NotPositiveDefinite:
-            # the stage-1 Gram matrix lost definiteness in round-off: solve
-            # this system over an empty basis, as without recycling
-            report.stage1_fallback = True
-            Y, y, idx = Y[:, :0], 0, []
+            pass
+    if y and stage1 is None:
+        # the stage-1 Gram matrix W'AW is singular (W has more columns than
+        # A has rows) or lost definiteness in round-off: solve this system
+        # over an empty basis, as without recycling
+        report.stage1_fallback = True
+        Y, y, idx = Y[:, :0], 0, []
     if y:
         what, rhat, AW = stage1.what, stage1.rhat, stage1.aw
         blocks.append(_Block(W, AW, what))

@@ -11,8 +11,9 @@ apply (relaxation 1.7) on a 100x100 diffusion matrix, the Gram assembly
 B'AB of a C-ordered block of m in {10, 50, 200} columns against the same
 matrix (n = 10,000), one ``mode="fom"`` re-orthogonalization step against k
 stored directions at n = 3600 (block CGS2, with the two-sweep modified
-Gram-Schmidt loop it replaced alongside for comparison), and a dense SPD
-solve through a 50x50 Cholesky factor.
+Gram-Schmidt loop it replaced alongside for comparison), a dense SPD
+solve through a 50x50 Cholesky factor, and the Matrix Market readers on the
+written 100x100 diffusion matrix and on a 10,000-value vector.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from helpers import make_spd_dense, mgs2_a_orthogonalize
 from recykl import preconditioners
 from recykl.krylov import _DirectionStore
 from recykl.linalg import assemble_gram, dense_cholesky, spmv
+from recykl.mmio import read_array, read_matrix, write_array, write_symmetric_matrix
 from recykl.problems import gen_diffusion_sequence
 
 
@@ -75,3 +77,19 @@ def test_solve_spd_50(benchmark):
     L = dense_cholesky(make_spd_dense(50, seed=2, cond=1e3))
     rhs = np.random.default_rng(3).standard_normal(50)
     benchmark(L.solve_spd, rhs)
+
+
+@pytest.fixture(scope="module")
+def mtx_dir(tmp_path_factory, diffusion_100):
+    out = tmp_path_factory.mktemp("mmio")
+    write_symmetric_matrix(out / "A.mtx", diffusion_100)
+    write_array(out / "b.mtx", np.random.default_rng(4).standard_normal(10_000))
+    return out
+
+
+def test_read_matrix_100x100(benchmark, mtx_dir):
+    benchmark(read_matrix, mtx_dir / "A.mtx")
+
+
+def test_read_array_10000(benchmark, mtx_dir):
+    benchmark(read_array, mtx_dir / "b.mtx")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -12,6 +14,9 @@ from recykl.problems import (
     write_sequence,
 )
 from recykl.rng import Xorshift64Star
+
+COORD_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
 
 
 class TestRng:
@@ -142,6 +147,89 @@ class TestMatrixMarketIO:
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n")
         with pytest.raises(ManifestError, match="expected 2 entries"):
             read_matrix(bad)
+
+    def test_negative_size_rejected(self, tmp_path):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(ARRAY_HEADER + "% c\n-2 1\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{bad}:3: ") + "malformed size line"):
+            read_array(bad)
+
+    def test_comment_and_blank_lines_between_entries(self, tmp_path):
+        path = tmp_path / "A.mtx"
+        path.write_text(
+            COORD_HEADER + "% size next\n2 2 3\n\n1 1 4.0\n% between\n   \n2 1 -1.0\n2 2 4.0\n\n"
+        )
+        assert np.array_equal(read_matrix(path).to_dense(), [[4.0, -1.0], [-1.0, 4.0]])
+
+    def test_extra_trailing_tokens_ignored(self, tmp_path):
+        path = tmp_path / "A.mtx"
+        path.write_text(COORD_HEADER + "2 2 2\n1 1 4.0 junk 7\n2 2 5.0\n")
+        assert np.array_equal(read_matrix(path).to_dense(), [[4.0, 0.0], [0.0, 5.0]])
+        path = tmp_path / "b.mtx"
+        path.write_text(ARRAY_HEADER + "2 1\n1.5 junk\n-2.5\n")
+        assert np.array_equal(read_array(path), [1.5, -2.5])
+
+    def test_zero_entries_read_as_empty_matrix(self, tmp_path):
+        path = tmp_path / "A.mtx"
+        path.write_text(COORD_HEADER + "% nothing stored\n0 0 0\n")
+        A = read_matrix(path)
+        assert A.n == 0 and A.to_scipy().nnz == 0
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("3 3 3\n% c\n1 1 2.0\n2 2 oops\n3 3 1.0\n", "malformed entry"),
+            ("3 3 3\n% c\n1 1 2.0\n2 2.5 1.0\n3 3 1.0\n", "malformed entry"),
+            ("3 3 3\n% c\n1 1 2.0\n2 2\n3 3 1.0\n", "malformed entry"),
+            ("3 3 3\n% c\n1 1 2.0\n4 1 1.0\n3 3 1.0\n", r"index \(4,1\) out of range"),
+            ("3 3 1\n% c\n1 1 2.0\n2 2 1.0\n", r"more entries than declared \(1\)"),
+        ],
+        ids=["malformed-value", "non-integer-index", "short-line", "out-of-range", "too-many"],
+    )
+    def test_body_error_names_line_counting_comments(self, tmp_path, body, message):
+        # lines 2 and 4 are comments, so the first bad line is line 6
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(COORD_HEADER + "% c\n" + body)
+        with pytest.raises(ManifestError, match=re.escape(f"{bad}:6: ") + message):
+            read_matrix(bad)
+
+    def test_digit_group_underscores_rejected(self, tmp_path):
+        # Python's float() takes "1_0.5" but the body parse does not; the
+        # rescan must agree with the parse and still name the line
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(COORD_HEADER + "2 2 2\n1 1 2.0\n2 2 1_0.5\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{bad}:4: ") + "malformed entry"):
+            read_matrix(bad)
+
+    def test_array_malformed_value_names_line(self, tmp_path):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(ARRAY_HEADER + "% c\n3 1\n1.0\n% c\n\nnope\n2.0\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{bad}:7: ") + "malformed value"):
+            read_array(bad)
+
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        values = np.array(
+            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1, 1 / 3]
+        )
+        path = tmp_path / "v.mtx"
+        write_array(path, values)
+        assert np.array_equal(read_array(path).view(np.int64), values.view(np.int64))
+
+    def test_written_bytes_pinned(self, tmp_path):
+        A = SparseSpdMatrix.from_dense(np.array([[4.0, -1.0], [-1.0, 0.1]]))
+        write_symmetric_matrix(tmp_path / "A.mtx", A)
+        assert (tmp_path / "A.mtx").read_bytes() == (
+            b"%%MatrixMarket matrix coordinate real symmetric\n"
+            b"2 2 3\n1 1 4.0\n2 1 -1.0\n2 2 0.1\n"
+        )
+        write_array(tmp_path / "b.mtx", np.array([1.0, -0.0, 1 / 3]))
+        assert (tmp_path / "b.mtx").read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n3 1\n1.0\n-0.0\n0.3333333333333333\n"
+        )
+        write_array(tmp_path / "C.mtx", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert (tmp_path / "C.mtx").read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n2 2\n1.0\n3.0\n2.0\n4.0\n"
+        )
 
 
 class TestManifest:

@@ -303,6 +303,26 @@ class TestStage1Fallback:
         assert len(reports) == 12
         assert not any(r.stage1_fallback for r in reports[:2])
 
+    def test_basis_wider_than_matrix_skips_gram_assembly(self):
+        # system 2 runs stage 3 to its cap of n = 400 iterations and leaves an
+        # untruncated basis of 483 columns; from system 3 on W'AW is singular,
+        # so the fallback is taken without assembling it (one matvec a column)
+        seq = gen_diffusion_sequence((20, 20), 12, 0.5, seed=3, tol=1e-8)
+        (no_trunc,) = [m for m in default_methods(storage_cap=30, mode="cg")
+                       if m.name == "no-trunc"]
+        state = RecycleState.empty(seq.n)
+        wide = 0
+        for spec in seq:
+            entry_width = state.basis_dim
+            x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol,
+                                     no_trunc.config)
+            if entry_width > seq.n:
+                wide += 1
+                assert report.stage1_fallback and report.converged
+                assert report.matvecs == report.stage3_iters
+                assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= 1.1 * spec.tol
+        assert wide == 10
+
 
 class TestDiagnostics:
     def test_reduced_condition_reported(self):
