@@ -34,7 +34,7 @@ class IterationLimit(RecyklError):
 
 
 class Breakdown(RecyklError):
-    """Conjugate-gradient breakdown: a search direction with p'Ap <= 0."""
+    """Conjugate-gradient breakdown: a direction with p'Ap <= 0 or a non-finite residual."""
 
 
 class NotConverged(RecyklError):

@@ -283,7 +283,8 @@ def augmented_pcg(
     NotConverged
         Iteration budget exhausted; carries the partial result.
     Breakdown
-        Nonpositive direction curvature p'Ap.
+        Nonpositive direction curvature p'Ap, or a residual norm that is
+        not finite.
     """
     operator = _as_operator(op, sink)
     n = operator.dim
@@ -359,6 +360,8 @@ def augmented_pcg(
         r = r - alpha * Ap
         store.append(p, Ap, gamma, alpha)
         history.append(float(np.linalg.norm(r)))
+        if not np.isfinite(history[-1]):
+            raise Breakdown(f"residual norm {history[-1]} at iteration {k}")
         if monitor is not None:
             monitor(k + 1, x)
         if history[-1] <= tol:

@@ -88,7 +88,8 @@ class SparseSpdMatrix:
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseSpdMatrix":
-        csr = scipy.sparse.csr_matrix(mat).astype(np.float64)
+        """Wrap a scipy sparse matrix; a float64 CSR input is taken over, not copied."""
+        csr = scipy.sparse.csr_matrix(mat).astype(np.float64, copy=False)
         csr.sum_duplicates()
         return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
 

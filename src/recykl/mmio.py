@@ -161,20 +161,20 @@ def read_matrix(path) -> SparseSpdMatrix:
         _first_bad_line(path, after, nnz, "entry", check)
     if len(body) != nnz:
         raise ManifestError(f"{path}: expected {nnz} entries, found {len(body)}")
-    mat = scipy.sparse.coo_matrix(
-        (body["v"], (body["i"] - 1, body["j"] - 1)), shape=(rows, cols)
-    ).tocsr()
+    i, j, v = body["i"] - 1, body["j"] - 1, body["v"]
     if symmetry == "symmetric":
-        strict = scipy.sparse.tril(mat, k=-1) + scipy.sparse.triu(mat, k=1)
-        full = mat + strict.T
-    elif symmetry == "general":
-        full = mat
+        # mirror the off-diagonal entries: one COO -> CSR holds both triangles
+        off = i != j
+        i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
+                   np.concatenate((v, v[off])))
+    elif symmetry != "general":
+        raise ManifestError(f"{path}:1: unsupported symmetry {symmetry!r}")
+    full = scipy.sparse.coo_matrix((v, (i, j)), shape=(rows, cols)).tocsr()
+    if symmetry == "general":
         gap = full - full.T
         scale = np.max(np.abs(full.data)) if full.nnz else 0.0
         if gap.nnz and scale > 0 and np.max(np.abs(gap.data)) > 1e-12 * scale:
             raise NotSymmetric(f"{path}: general matrix is not numerically symmetric")
-    else:
-        raise ManifestError(f"{path}:1: unsupported symmetry {symmetry!r}")
     return SparseSpdMatrix.from_scipy(full)
 
 

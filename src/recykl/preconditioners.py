@@ -7,9 +7,12 @@ solves M z = r for the fixed SPD operator
     M = (D/w + L) D^{-1} (D/w + L)'      (SSOR, relaxation w in (0, 2))
 
 with A = L + D + L' split into strictly lower, diagonal, and upper parts.
-PCG is invariant to positive scaling of M, so no scalar normalization is
-applied.  No preconditioner at all (the ``identity`` kind of a solver
-configuration) is ``precond=None`` to the Krylov solvers, never an object.
+The build factors the triangle D/w + L once with SuperLU (natural order, no
+pivot search); an application is its solve, a scaling by D, and its
+transposed solve, so both sweeps come from the one factor.  PCG is
+invariant to positive scaling of M, so no scalar normalization is applied.
+No preconditioner at all (the ``identity`` kind of a solver configuration)
+is ``precond=None`` to the Krylov solvers, never an object.
 """
 
 from __future__ import annotations
@@ -59,22 +62,31 @@ class SsorPreconditioner(Preconditioner):
         diag = A.diagonal()
         if np.any(diag <= 0.0):
             raise NotPositiveDefinite("SSOR preconditioner needs positive diagonal")
+        # A is symmetric, so the upper triangle of its CSR arrays, read as
+        # CSC, is the lower factor D/w + L
         csr = A.to_scipy()
-        lower = scipy.sparse.tril(csr, k=-1) + scipy.sparse.diags(diag / omega)
-        # SuperLU with natural ordering factors the triangular matrix in place
-        # and gives C-speed sweeps; spsolve_triangular is a Python-level loop.
-        self._lower_solve = scipy.sparse.linalg.splu(
-            lower.tocsc(), permc_spec="NATURAL", options={"SymmetricMode": False}
-        )
-        self._upper_solve = scipy.sparse.linalg.splu(
-            lower.T.tocsc(), permc_spec="NATURAL", options={"SymmetricMode": False}
+        rows = np.repeat(np.arange(A.n), np.diff(csr.indptr))
+        keep = csr.indices >= rows
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        cols, data = csr.indices[keep], csr.data[keep]
+        data[cols == rows[keep]] /= omega
+        lower = scipy.sparse.csc_matrix((data, cols, kept[csr.indptr]), shape=A.shape)
+        # SuperLU with natural ordering and no pivot search factors the
+        # triangular matrix as it stands and gives C-speed sweeps in both
+        # directions (a spsolve_triangular sweep is 7x slower).  The factor
+        # of a triangle needs no column updates, so one-column panels give
+        # the same factor; wider ones cost 2.5 of 4.2 ms at 100x100.
+        self._lu = scipy.sparse.linalg.splu(
+            lower,
+            permc_spec="NATURAL",
+            options={"DiagPivotThresh": 0.0, "PanelSize": 1},
         )
         self._diag = diag
 
     def _solve(self, r):
-        u = self._lower_solve.solve(r)
+        u = self._lu.solve(r)
         u *= self._diag
-        return self._upper_solve.solve(u)
+        return self._lu.solve(u, trans="T")
 
 
 def build(kind: str, A: SparseSpdMatrix) -> Preconditioner:

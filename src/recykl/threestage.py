@@ -23,7 +23,9 @@ system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
 A system whose stage-1 Gram matrix fails its Cholesky factorization is
 solved the same way, and its report sets ``stage1_fallback``; so is one whose
 stage-1 block has more columns than A has rows, without assembling the Gram
-matrix, which is then singular.
+matrix, which is then singular.  A stage 2 that breaks down contributes
+nothing: stage 3 runs from the stage-1 solution over the stage-1 block
+alone, and the report leaves ``stage2_converged`` false.
 
 After the solve, new search directions are appended to Y normalized to unit
 A-norm; once the block exceeds the storage cap it is compressed by the
@@ -44,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import preconditioners
-from .errors import NotConverged, NotPositiveDefinite, RecyklError
+from .errors import Breakdown, NotConverged, NotPositiveDefinite, RecyklError
 from .krylov import (
     AugmentedPcgResult,
     BlockDiagFactor,
@@ -187,7 +189,8 @@ class InnerIterativeProjection:
 
         The run's directions become the next block.  Returns the run's
         result (partial when the budget ran out) and the full-space products
-        A(Yp) of its directions.
+        A(Yp) of its directions.  A run that raises adds no block, and its
+        products are dropped all the same.
         """
         try:
             res = augmented_pcg(
@@ -204,8 +207,9 @@ class InnerIterativeProjection:
             )
         except NotConverged as exc:
             res = exc.partial
-        products, reduced = self.op.full_products, self.op.reduced_products
-        self.op.full_products, self.op.reduced_products = [], []
+        finally:
+            products, reduced = self.op.full_products, self.op.reduced_products
+            self.op.full_products, self.op.reduced_products = [], []
         if res.k > 0:
             self.basis = np.hstack([self.basis, res.V])
             self.cross = np.hstack([self.cross, np.column_stack(reduced)])
@@ -300,6 +304,7 @@ def solve_system(
     blocks: list[_Block] = []
     factor = BlockDiagFactor()  # Gram factor of the blocks, one diagonal block each
     stage1 = None
+    stage2_broke = False
     if y and len(idx) <= A.n:
         # stage 1: direct solve over W, factor cached for every later stage
         W = Y[:, idx]
@@ -335,20 +340,28 @@ def solve_system(
         # stage 2: the first nested run, over all of Y from the stage-1
         # solution, augmented with the stage-1 selection block
         if y > len(idx):
-            stage2, AV2 = inner.extend(Y.T @ r0, what, eps_hat)
-            yhat_comb = stage2.x
-            report.stage2_iters = stage2.k
-            report.stage2_converged = stage2.converged
-            report.stage2_residual_history = stage2.residual_history
-            if stage2.k:
-                blocks.append(_Block(Y @ stage2.V, np.column_stack(AV2), stage2.vhat))
+            try:
+                stage2, AV2 = inner.extend(Y.T @ r0, what, eps_hat)
+            except Breakdown:
+                # stage 2 contributes nothing: stage 3 starts from the
+                # stage-1 solution, which is Galerkin over W only, so even
+                # under full_orth it augments with the stage-1 block alone
+                stage2_broke = True
+                report.stage2_converged = False
+            else:
+                yhat_comb = stage2.x
+                report.stage2_iters = stage2.k
+                report.stage2_converged = stage2.converged
+                report.stage2_residual_history = stage2.residual_history
+                if stage2.k:
+                    blocks.append(_Block(Y @ stage2.V, np.column_stack(AV2), stage2.vhat))
         record("stage2", 0, add_center(Y @ yhat_comb))
 
     # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
     # New directions stay A-orthogonal to the stacked blocks, each
     # projection backsolving the cached block factor, or with ``full_orth``
     # to all of Y, each projection a further nested run of ``inner``.
-    full_orth = cfg.truncation.full_orth and y > 0
+    full_orth = cfg.truncation.full_orth and y > 0 and not stage2_broke
     stage3_basis = Y if full_orth else _stack([blk.cols for blk in blocks], A.n)
     products = _stack([blk.products for blk in blocks], A.n)
     block_start = np.concatenate([blk.start for blk in blocks]) if blocks else np.zeros(0)

@@ -6,8 +6,8 @@ not stall on thread hand-off:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest tests/bench_kernels.py
 
 The file name does not match ``test_*.py``, so the test suite does not
-collect it.  Covered kernels: the sparse matvec and one SSOR preconditioner
-apply (relaxation 1.7) on a 100x100 diffusion matrix, the Gram assembly
+collect it.  Covered kernels: the sparse matvec, one SSOR preconditioner
+build and one apply (relaxation 1.7) on a 100x100 diffusion matrix, the Gram assembly
 B'AB of a C-ordered block of m in {10, 50, 200} columns against the same
 matrix (n = 10,000), one ``mode="fom"`` re-orthogonalization step against k
 stored directions at n = 3600 (block CGS2, with the two-sweep modified
@@ -35,6 +35,10 @@ def diffusion_100():
 def test_spmv_100x100(benchmark, diffusion_100):
     x = np.random.default_rng(1).standard_normal(diffusion_100.n)
     benchmark(spmv, diffusion_100, x)
+
+
+def test_ssor_build_100x100(benchmark, diffusion_100):
+    benchmark(preconditioners.build, "ssor:1.7", diffusion_100)
 
 
 def test_ssor_apply_100x100(benchmark, diffusion_100):

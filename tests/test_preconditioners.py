@@ -12,6 +12,14 @@ def tridiag(n):
     return SparseSpdMatrix.from_dense(M)
 
 
+def dense_ssor_solve(A, omega, r):
+    """Oracle: solve (D/w + L) D^-1 (D/w + L)' z = r densely."""
+    dense = A.to_dense()
+    D = np.diag(np.diag(dense))
+    lower = D / omega + np.tril(dense, k=-1)
+    return np.linalg.solve(lower @ np.linalg.inv(D) @ lower.T, r)
+
+
 class TestBuild:
     def test_jacobi_diagonal(self):
         M = pc.build("jacobi", SparseSpdMatrix.from_diagonal([2.0, 4.0]))
@@ -24,23 +32,51 @@ class TestBuild:
 
     def test_ssor_matches_dense_factored_oracle(self):
         A = tridiag(5)
-        omega = 1.0  # the relaxation of a bare "ssor"
-        M = pc.build("ssor", A)
-        D = np.diag(A.diagonal())
-        L = np.tril(A.to_dense(), k=-1)
-        dense_M = (D / omega + L) @ np.linalg.inv(D) @ (D / omega + L).T
+        M = pc.build("ssor", A)  # a bare "ssor" relaxes with 1
         r = np.array([1.0, -2.0, 3.0, 0.5, -1.0])
-        assert np.max(np.abs(M.apply(r) - np.linalg.solve(dense_M, r))) <= 1e-12
+        assert np.max(np.abs(M.apply(r) - dense_ssor_solve(A, 1.0, r))) <= 1e-12
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 1.6])
     def test_ssor_omega_variants(self, omega):
         A = make_sparse_spd(20, seed=5)
         M = pc.build(f"ssor:{omega}", A)
-        D = np.diag(A.diagonal())
-        L = np.tril(A.to_dense(), k=-1)
-        dense_M = (D / omega + L) @ np.linalg.inv(D) @ (D / omega + L).T
         r = np.random.default_rng(1).standard_normal(20)
-        assert np.allclose(M.apply(r), np.linalg.solve(dense_M, r), atol=1e-11)
+        assert np.allclose(M.apply(r), dense_ssor_solve(A, omega, r), atol=1e-11)
+
+    @pytest.mark.parametrize("omega", [1.5, 1.9])
+    def test_ssor_off_diagonal_above_scaled_pivot(self, omega):
+        # a_21 = 0.9 exceeds a_11/w, the pivot a row-swapping factorization
+        # of D/w + L would have passed over
+        dense = np.array([[1.0, 0.9, 0.0, 0.2],
+                          [0.9, 4.0, 1.5, 0.0],
+                          [0.0, 1.5, 2.0, 0.6],
+                          [0.2, 0.0, 0.6, 1.0]])
+        A = SparseSpdMatrix.from_dense(dense)
+        assert np.all(np.linalg.eigvalsh(dense) > 0.0)
+        assert 0.9 > dense[0, 0] / omega and 1.5 > dense[2, 2] / omega
+        r = np.array([1.0, -2.0, 0.5, 3.0])
+        expected = dense_ssor_solve(A, omega, r)
+        got = pc.build(f"ssor:{omega}", A).apply(r)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_ssor_from_unsorted_duplicate_entries(self):
+        # every entry of a random sparse SPD matrix split in two pieces and
+        # the pieces shuffled within their row: the CSR arrays reach the
+        # builder unsorted and with duplicates
+        dense = make_sparse_spd(30, seed=11, density=0.15).to_dense()
+        rng = np.random.default_rng(12)
+        rows, cols = np.nonzero(dense)
+        part = rng.random(rows.size)
+        rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+        vals = np.concatenate((part, 1.0 - part)) * dense[rows, cols]
+        order = np.lexsort((rng.random(rows.size), rows))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=30))))
+        A = SparseSpdMatrix(30, offsets, cols[order], vals[order])
+        assert not A.to_scipy().has_canonical_format
+        r = rng.standard_normal(30)
+        expected = dense_ssor_solve(A, 1.7, r)
+        got = pc.build("ssor:1.7", A).apply(r)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_bad_omega(self):
         with pytest.raises(RecyklError):
@@ -73,7 +109,7 @@ class TestApply:
         M.apply(np.ones(4), sink)
         assert sink.precond_applies == 2
 
-    @pytest.mark.parametrize("kind", ["jacobi", "ssor"])
+    @pytest.mark.parametrize("kind", ["jacobi", "ssor", "ssor:1.7"])
     def test_symmetric_operator(self, kind):
         A = make_sparse_spd(15, seed=8)
         M = pc.build(kind, A)

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import make_spd
+from helpers import make_spd, random_basis
 from recykl import preconditioners as pc
+from recykl import threestage
 from recykl.bench import default_methods
-from recykl.errors import RecyklError
-from recykl.krylov import MatrixOperator, DirectReducedProjection, augmented_pcg, pcg
-from recykl.linalg import InstrumentationSink, spmv
+from recykl.errors import Breakdown, RecyklError
+from recykl.krylov import (
+    BlockDiagFactor,
+    DirectReducedProjection,
+    MatrixOperator,
+    augmented_pcg,
+    pcg,
+)
+from recykl.linalg import InstrumentationSink, dense_cholesky, spmv
 from recykl.problems import gen_diffusion_sequence, gen_output_matrix
 from recykl.threestage import (
+    InnerIterativeProjection,
     RecycleState,
     SolverConfig,
     run_sequence,
@@ -322,6 +330,68 @@ class TestStage1Fallback:
                 assert report.matvecs == report.stage3_iters
                 assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= 1.1 * spec.tol
         assert wide == 10
+
+
+class TestStage2Breakdown:
+    def test_overflowing_stage2_ends_typed(self):
+        # with ssor:1.7 at tol 1e-9, stage 2 of pod(5,20) and pod(5,20)it
+        # overflows on some systems; each solve must either converge to its
+        # tolerance or end in a typed error, never a raw ValueError
+        seq = gen_diffusion_sequence((30, 30), 20, 0.05, seed=1, tol=1e-9)
+        for method in default_methods(storage_cap=50, precond="ssor:1.7"):
+            state = RecycleState.empty(seq.n)
+            for spec in seq:
+                try:
+                    x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol,
+                                             method.config)
+                except RecyklError:
+                    break
+                if report.converged:
+                    assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol
+
+    def test_broken_run_drops_its_products(self, monkeypatch):
+        def broken(op, bhat, *args, **kwargs):
+            op.apply(bhat)
+            raise Breakdown("injected")
+
+        monkeypatch.setattr(threestage, "augmented_pcg", broken)
+        A = make_spd(8, seed=60)
+        Y = np.linalg.qr(random_basis(8, 3, seed=61))[0]
+        W = Y[:, :1]
+        factor = BlockDiagFactor()
+        factor.append_cholesky(dense_cholesky(W.T @ A.to_dense() @ W))
+        inner = InnerIterativeProjection(
+            A, Y, None, 1e-10, "fom", np.eye(3)[:, :1], Y.T @ (A.to_dense() @ W), factor
+        )
+        with pytest.raises(Breakdown):
+            inner.extend(np.ones(3), np.zeros(1), 1e-10)
+        assert inner.op.full_products == [] and inner.op.reduced_products == []
+        assert inner.basis.shape == (3, 1) and factor.size == 1
+
+    @pytest.mark.parametrize("full_orth", [False, True])
+    def test_broken_stage2_contributes_nothing(self, monkeypatch, full_orth):
+        # stage 2 is the first run of each system's reduced-space solver;
+        # after it breaks down stage 3 starts from the stage-1 solution and,
+        # full_orth or not, augments with the stage-1 block alone
+        def break_stage2(self, bhat, ybase, tol):
+            raise Breakdown("injected")
+
+        monkeypatch.setattr(InnerIterativeProjection, "extend", break_stage2)
+        seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(stage1_threshold=0.1, precond="ssor:1.7", full_orth=full_orth)
+        state = RecycleState.empty(seq.n)
+        ran_stage2 = 0
+        for spec in seq:
+            width = len(state.stage1_idx)
+            wider = state.basis_dim > width
+            x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
+            assert report.converged and not report.stage1_fallback
+            assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol
+            if wider:
+                ran_stage2 += 1
+                assert not report.stage2_converged and report.stage2_iters == 0
+                assert report.stage1_dim == width
+        assert ran_stage2 == 3
 
 
 class TestDiagnostics:
