@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .problems import gen_diffusion_sequence
+from .problems import gen_diffusion_sequence, gen_output_matrix
 from .threestage import SolverConfig, run_sequence
 from .truncation import TruncationConfig
 
@@ -81,11 +81,28 @@ def _fixture_cases():
                         storage_cap=30, max_dim=20, stage1_dim=5, full_orth=True),
             precond="identity",
         ),
+        # output-metric POD: C'C-weighted snapshots, then A-orthogonalized
+        "output_pod": dict(
+            generator=dict(grid=(10, 10), p=6, delta=0.05, seed=5, tol=1e-8),
+            config=dict(strategy="pod-ctc-rbf", nu_y=1.0, nu_w=1.0,
+                        storage_cap=30, max_dim=20),
+            precond="jacobi",
+            outputs=dict(rows=20, seed=6),
+        ),
+        # previous-solution weights with a stage-1 block narrower than Y
+        "prev_pod_split": dict(
+            generator=dict(grid=(10, 10), p=6, delta=0.05, seed=5, tol=1e-8),
+            config=dict(strategy="pod-a-prev", nu_y=1.0, nu_w=1.0,
+                        storage_cap=30, max_dim=20, stage1_dim=5),
+            precond="jacobi",
+        ),
     }
 
 
 def run_fixture_case(case: dict):
     seq = gen_diffusion_sequence(**case["generator"])
+    if "outputs" in case:
+        seq.C = gen_output_matrix(case["outputs"]["rows"], seq.n, seed=case["outputs"]["seed"])
     cfg = SolverConfig(truncation=TruncationConfig(**case["config"]), precond=case["precond"],
                        mode=case.get("mode", "fom"))
     _, reports, _ = run_sequence(seq, cfg)
