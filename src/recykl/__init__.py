@@ -42,7 +42,7 @@ from .krylov import (
     direct_reduced_solve,
     pcg,
 )
-from .pod import PodBasisResult, PodMetric, energy_truncation_dim, pod_evd, pod_svd
+from .pod import PodBasisResult, energy_truncation_dim, pod_evd, pod_svd
 from .preconditioners import Preconditioner, build as build_preconditioner
 from .problems import (
     LinearSystemSpec,
@@ -66,7 +66,6 @@ from .truncation import (
     compress,
     deflation_compress,
     enforce_a_orthogonality,
-    pod_compress,
 )
 from .weights import (
     WeightHistory,

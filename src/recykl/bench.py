@@ -4,7 +4,8 @@ A method is a name and a :class:`SolverConfig` (truncation shape, mode,
 preconditioner, stage-tolerance factors).  Methods run over a shared
 immutable sequence, optionally in a thread pool, and their per-system
 reports land in CSV/JSON files: one row per (method, system) with the three
-cost metrics (``wall_ms`` includes the preconditioner build), per-iteration
+cost metrics (``wall_ms`` includes the preconditioner build) and the solve's
+outcome flags (``reduced_condition`` only under diagnostics), per-iteration
 residual histories, and per-method averages.
 """
 
@@ -56,18 +57,12 @@ class MethodSpec:
             tr_raw.update(parse_strategy(tr_raw.pop("strategy")))
         if tr_raw.get("storage_cap") in ("inf", None):
             tr_raw["storage_cap"] = math.inf
+        # keys left out of the entry keep the SolverConfig defaults
         tols = raw.get("tolerances", {})
-        cfg = SolverConfig(
-            truncation=TruncationConfig(**tr_raw),
-            mode=raw.get("mode", "fom"),
-            precond=raw.get("precond", "identity"),
-            eps_hat_factor=tols.get("eps_hat_factor", 1e-4),
-            eps_inner_factor=tols.get("eps_inner_factor", 1e-2),
-            recycle=raw.get("recycle", True),
-            diagnostics=raw.get("diagnostics", False),
-            max_iter=raw.get("max_iter"),
-        )
-        return cls(name=name, config=cfg)
+        kw = {k: raw[k] for k in ("mode", "precond", "recycle", "diagnostics", "max_iter")
+              if k in raw}
+        kw.update({k: tols[k] for k in ("eps_hat_factor", "eps_inner_factor") if k in tols})
+        return cls(name=name, config=SolverConfig(truncation=TruncationConfig(**tr_raw), **kw))
 
 
 def default_methods(
@@ -183,7 +178,8 @@ def run_methods(
 
 CSV_FIELDS = (
     "method", "j", "matvecs", "precond_apps", "stage1_dim", "stage2_iters",
-    "stage3_iters", "wall_ms", "final_residual",
+    "stage3_iters", "wall_ms", "final_residual", "converged", "stage2_converged",
+    "stage1_fallback", "reduced_condition",
 )
 
 
@@ -206,6 +202,12 @@ def write_run_outputs(runs: list[MethodRun], out_dir, label: str = "run") -> dic
                     "stage3_iters": r.stage3_iters,
                     "wall_ms": round(1e3 * r.wall_time, 3),
                     "final_residual": r.final_residual,
+                    "converged": r.converged,
+                    "stage2_converged": r.stage2_converged,
+                    "stage1_fallback": r.stage1_fallback,
+                    # computed only under diagnostics: blank otherwise
+                    "reduced_condition": "" if r.reduced_condition is None
+                    else r.reduced_condition,
                 })
     hist_path = os.path.join(out_dir, f"{label}_residuals.csv")
     with open(hist_path, "w", newline="") as fh:

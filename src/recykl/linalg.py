@@ -62,6 +62,9 @@ class SparseSpdMatrix:
     """Symmetric positive-definite sparse matrix in CSR layout.
 
     Both triangles are stored explicitly (2x memory, single-sweep matvec).
+    The one copy of the CSR arrays is the wrapped scipy matrix's, with the
+    index width scipy picks (int32 while the entries fit); the properties
+    ``row_offsets``, ``col_indices`` and ``values`` return its arrays.
     Construction validates squareness, numerical symmetry to 1e-12 relative,
     and strictly positive diagonal entries.  Instances are immutable and safe
     to share across threads.
@@ -69,15 +72,14 @@ class SparseSpdMatrix:
 
     def __init__(self, n, row_offsets, col_indices, values):
         self.n = int(n)
-        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(col_indices, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.row_offsets.shape != (self.n + 1,):
+        row_offsets = np.asarray(row_offsets)
+        if row_offsets.shape != (self.n + 1,):
             raise DimensionMismatch(
-                f"row_offsets must have length n+1={self.n + 1}, got {self.row_offsets.shape}"
+                f"row_offsets must have length n+1={self.n + 1}, got {row_offsets.shape}"
             )
         self._csr = scipy.sparse.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
+            (np.asarray(values, dtype=np.float64), col_indices, row_offsets),
+            shape=(self.n, self.n),
         )
         self._validate()
 
@@ -116,6 +118,18 @@ class SparseSpdMatrix:
             raise NotPositiveDefinite(
                 f"diagonal entry {bad[0]} is {diag[bad[0]]!r}, must be > 0", pivot=int(bad[0])
             )
+
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self._csr.indptr
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return self._csr.indices
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._csr.data
 
     @property
     def shape(self):

@@ -11,7 +11,10 @@ factor F with Theta = F'F is at hand, e.g. an output map).
 
 The returned basis columns are Theta-orthonormal, optimally ordered, and
 nested: the basis for a smaller energy criterion is a column prefix of the
-basis for a larger one.
+basis for a larger one.  Truncation (:func:`recykl.truncation.compress`)
+uses the Gram route for the metric of the system matrix, where the solver
+may already hold the Gram block, and the SVD route for the output metric
+C'C with factor F = C.
 """
 
 from __future__ import annotations
@@ -28,27 +31,10 @@ _RANK_RTOL = 1e-12  # on sigma^2, relative to the largest
 
 
 @dataclass
-class PodMetric:
-    """Pseudometric Theta, either explicit SPD or in factor form Theta = F'F."""
-
-    kind: str  # "explicit" | "factor"
-    operand: object
-
-    @classmethod
-    def explicit(cls, theta) -> "PodMetric":
-        return cls("explicit", theta)
-
-    @classmethod
-    def factor(cls, chalf) -> "PodMetric":
-        return cls("factor", np.atleast_2d(np.asarray(chalf, dtype=np.float64)))
-
-
-@dataclass
 class PodBasisResult:
     columns: np.ndarray  # Theta-orthonormal basis, n x y
     singular_values: np.ndarray  # full spectrum, descending, length = snapshot count
     y: int
-    snapshot_coef: np.ndarray | None = None  # columns = S @ snapshot_coef
 
 
 def energy_truncation_dim(sigma_sq, eps: float) -> int:
@@ -85,12 +71,7 @@ def _finalize(S, gamma, sigma, V, eps):
     sigma_sq = np.maximum(sigma, 0.0) ** 2
     y = energy_truncation_dim(sigma_sq, eps)
     coef = (V[:, :y] / sigma[:y]) * gamma[:, None]
-    return PodBasisResult(
-        columns=S @ coef,
-        singular_values=np.maximum(sigma, 0.0),
-        y=y,
-        snapshot_coef=coef,
-    )
+    return PodBasisResult(columns=S @ coef, singular_values=np.maximum(sigma, 0.0), y=y)
 
 
 def pod_evd(S, gamma, theta, eps: float) -> PodBasisResult:

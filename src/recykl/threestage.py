@@ -28,8 +28,9 @@ nothing: stage 3 runs from the stage-1 solution over the stage-1 block
 alone, and the report leaves ``stage2_converged`` false.
 
 After the solve, new search directions are appended to Y normalized to unit
-A-norm; once the block exceeds the storage cap it is compressed by the
-configured truncation strategy and the stage-1 prefix is re-derived.
+A-norm; once the block exceeds the storage cap it is compressed by
+:func:`~recykl.truncation.compress`, which alone reads the truncation
+strategy, and the stage-1 prefix is re-derived.
 
 A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
 preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
@@ -57,7 +58,7 @@ from .krylov import (
 )
 from .linalg import InstrumentationSink, SparseSpdMatrix, assemble_gram, spmv, symmetric_evd
 from .truncation import TruncationConfig, compress
-from .weights import WeightHistory, weights_previous, weights_rbf
+from .weights import WeightHistory
 
 
 @dataclass
@@ -87,7 +88,6 @@ class RecycleState:
     n: int
     Y: np.ndarray
     stage1_idx: list[int] = field(default_factory=list)
-    last_trunc_index: int = 0
     systems_seen: int = 0
     history: WeightHistory = field(default_factory=WeightHistory)
 
@@ -143,9 +143,7 @@ class SystemTrace:
     Y_entry: np.ndarray
     stage1_idx: list[int]
     stage3_basis: np.ndarray
-    stage3_start: np.ndarray
     Y_exit: np.ndarray
-    last_trunc_index: int
     truncated: bool
 
 
@@ -415,9 +413,7 @@ def solve_system(
                 Y_entry=Y.copy(),
                 stage1_idx=list(idx),
                 stage3_basis=stage3_basis.copy(),
-                stage3_start=stage3_start.copy(),
                 Y_exit=state.Y.copy(),
-                last_trunc_index=state.last_trunc_index,
                 truncated=truncated,
             )
         )
@@ -441,9 +437,13 @@ def update_basis(
     fired.  New directions enter normalized to unit A-norm (columns divided
     by sqrt(p'Ap)); with threshold 1 they all join the stage-1 block,
     otherwise only those whose share of the direction Gram trace exceeds
-    the threshold.  When the grown block exceeds the storage cap the
-    configured compression runs with the metric of the just-solved matrix,
-    the weight history is reset, and the stage-1 prefix is re-derived.
+    the threshold.  The solution's coefficients in the grown block join the
+    weight history.  When the config says the grown block is to be
+    truncated, :func:`~recykl.truncation.compress` gets the block, the
+    just-solved matrix, the history and, when this solve already knows it
+    blockwise, the Gram matrix Z'AZ; it picks the weights, metric and method.
+    The weight history is then reset and the stage-1 prefix is the one
+    ``compress`` derived.
     """
     j = state.systems_seen + 1
     if not cfg.recycle:
@@ -470,23 +470,10 @@ def update_basis(
     if eta.size:
         state.history.push(eta)
 
-    truncated = False
-    if Y_grown.shape[1] > tcfg.storage_cap and tcfg.strategy != "none":
-        weights = None
-        if tcfg.strategy.startswith("pod"):
-            if tcfg.weight_kind == "prev":
-                weights = weights_previous(state.history)
-            else:
-                weights = weights_rbf(state.history, len(state.history))
+    truncated = tcfg.truncates(Y_grown.shape[1])
+    if truncated:
         gram = None
-        reuse_blocks = (
-            not tcfg.uses_output_metric
-            and tcfg.strategy != "deflate"
-            and stage1_gram is not None
-            and cfg.mode == "fom"
-            and k > 0
-        )
-        if reuse_blocks:
+        if stage1_gram is not None and cfg.mode == "fom" and k > 0:
             # Z'AZ is already known blockwise: the stage-1 factor covers the
             # old basis, the full orthogonalization makes the new columns
             # A-orthonormal and A-orthogonal to it
@@ -494,21 +481,10 @@ def update_basis(
             gram = np.zeros((y_old + k, y_old + k))
             gram[:y_old, :y_old] = stage1_gram
             gram[y_old:, y_old:] = np.eye(k)
-        out = compress(
-            Y_grown,
-            tcfg,
-            weights=weights,
-            a_prev=A,
-            chalf=chalf,
-            current_stage1_width=len(stage1_idx),
-            gram=gram,
-            sink=sink,
-        )
+        out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, gram=gram, sink=sink)
         state.history.reset()
         state.Y = out.Y_new
         state.stage1_idx = list(range(out.stage1_width))
-        state.last_trunc_index = j
-        truncated = True
     else:
         state.Y = Y_grown
         state.stage1_idx = stage1_idx

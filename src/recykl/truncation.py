@@ -1,17 +1,22 @@
 """Compression of the accumulated direction block into an augmenting basis.
 
 When the stored block Z (previous augmenting basis plus the latest Krylov
-directions) exceeds the storage cap, one of several strategies shrinks it:
+directions) grows past the storage cap, :func:`compress` shrinks it.  It is
+the one reader of the strategy name; the solver only asks
+:meth:`TruncationConfig.truncates` whether to call it.  The strategies:
 
-- goal-oriented POD in the metric of the just-solved matrix (basis comes out
-  automatically A-orthonormal, no enforcement needed) or in the output
-  metric C'C (followed by explicit A-orthogonalization);
-- harmonic-Ritz deflation, retaining approximations to the eigenvectors of
-  the just-solved matrix with the smallest eigenvalues;
-- a passthrough that keeps the whole block.
+- goal-oriented POD, ``pod-<metric>-<weights>``: snapshots weighted by the
+  last solution's coefficients in the block (``prev``) or by an
+  inverse-distance blend of the recent ones (``rbf``), energy measured in
+  the metric of the just-solved matrix (``a``; the basis comes out
+  A-orthonormal) or in the output metric C'C (``ctc``; the basis is then
+  A-orthonormalized);
+- harmonic-Ritz deflation (``deflate``), retaining approximations to the
+  eigenvectors of the just-solved matrix with the smallest eigenvalues;
+- ``none``, which never truncates.
 
-Every outcome carries the retained basis, the stage-1 prefix width, and the
-map expressing new columns in old-block coordinates.
+Every outcome carries the retained A-orthonormal basis, the stage-1 prefix
+width, and the spectrum it was cut from.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from .linalg import (
     dense_cholesky,
     generalized_symmetric_evd,
 )
-from .pod import PodMetric, energy_truncation_dim, pod_evd_from_gram, pod_svd
+from .pod import energy_truncation_dim, pod_evd_from_gram, pod_svd
+from .weights import WeightHistory, weights_previous, weights_rbf
 
-POD_STRATEGIES = ("pod-a-prev", "pod-a-rbf", "pod-ctc-prev", "pod-ctc-rbf")
-ALL_STRATEGIES = POD_STRATEGIES + ("deflate", "none")
+ALL_STRATEGIES = ("pod-a-prev", "pod-a-rbf", "pod-ctc-prev", "pod-ctc-rbf", "deflate", "none")
 
 
 @dataclass
@@ -71,13 +76,9 @@ class TruncationConfig:
         if self.strategy == "deflate" and self.deflate_dim is None:
             raise RecyklError("deflation needs a retained count")
 
-    @property
-    def uses_output_metric(self) -> bool:
-        return self.strategy in ("pod-ctc-prev", "pod-ctc-rbf")
-
-    @property
-    def weight_kind(self) -> str:
-        return "rbf" if self.strategy.endswith("rbf") else "prev"
+    def truncates(self, width: int) -> bool:
+        """Whether a block of ``width`` columns is compressed."""
+        return width > self.storage_cap and self.strategy != "none"
 
 
 def parse_strategy(text: str) -> dict:
@@ -91,56 +92,14 @@ def parse_strategy(text: str) -> dict:
 
 @dataclass
 class TruncationOutcome:
-    Y_new: np.ndarray
+    Y_new: np.ndarray  # the retained basis, A-orthonormal
     stage1_width: int
-    truncation_map: np.ndarray  # Y_new = Z @ truncation_map
-    spectrum: np.ndarray | None = None
-    enforced: bool = False  # True once the basis is A-orthonormal
+    spectrum: np.ndarray  # POD singular values, or retained harmonic Ritz values
 
 
 def _cap(value: int, pin: int | None, hard: int) -> int:
     out = value if pin is None else min(value, pin)
     return max(1, min(out, hard))
-
-
-def pod_compress(
-    Z,
-    weights,
-    metric: PodMetric,
-    cfg: TruncationConfig,
-    *,
-    gram=None,
-    sink: InstrumentationSink | None = None,
-) -> TruncationOutcome:
-    """Goal-oriented POD truncation of the block Z with snapshot weights.
-
-    For an explicit metric the Gram block Z'Theta Z may be supplied when the
-    caller already holds it; otherwise it is assembled here (and audited on
-    the sink).  The stage-1 width is read off the same spectrum with the
-    smaller energy criterion nu_w.
-    """
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    weights = np.asarray(weights, dtype=np.float64)
-    if metric.kind == "explicit":
-        if gram is None:
-            theta = metric.operand
-            if isinstance(theta, SparseSpdMatrix):
-                gram, _ = assemble_gram(theta, Z, sink)
-            else:
-                gram = Z.T @ np.asarray(theta) @ Z
-        res = pod_evd_from_gram(gram, Z, weights, cfg.nu_y)
-    else:
-        res = pod_svd(Z, weights, metric.operand, cfg.nu_y)
-    y = _cap(res.y, cfg.max_dim, res.y)
-    sigma_sq = res.singular_values**2
-    w = _cap(energy_truncation_dim(sigma_sq, cfg.nu_w), cfg.stage1_dim, y)
-    return TruncationOutcome(
-        Y_new=res.columns[:, :y],
-        stage1_width=w,
-        truncation_map=res.snapshot_coef[:, :y],
-        spectrum=res.singular_values,
-        enforced=metric.kind == "explicit",
-    )
 
 
 def deflation_compress(
@@ -169,81 +128,64 @@ def deflation_compress(
     Y = Z @ keep
     gram_y = keep.T @ gram_az @ keep
     L = dense_cholesky(0.5 * (gram_y + gram_y.T))
-    Y_orth = L.solve_lower(Y.T).T
-    trunc_map = L.solve_lower(keep.T).T
     w = m if stage1_dim is None else min(stage1_dim, m)
-    return TruncationOutcome(
-        Y_new=Y_orth,
-        stage1_width=w,
-        truncation_map=trunc_map,
-        spectrum=mu,
-        enforced=True,
-    )
+    return TruncationOutcome(Y_new=L.solve_lower(Y.T).T, stage1_width=w, spectrum=mu)
 
 
-def enforce_a_orthogonality(
-    Y,
-    A: SparseSpdMatrix,
-    *,
-    gram=None,
-    sink: InstrumentationSink | None = None,
-):
+def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, sink: InstrumentationSink | None = None):
     """Rescale Y so that Y'AY = I, returning the new basis and the factor.
 
     The range is unchanged: with Y'AY = L L', the result is Y L^{-T}.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if gram is None:
-        gram, _ = assemble_gram(A, Y, sink)
-    L = dense_cholesky(0.5 * (np.asarray(gram) + np.asarray(gram).T))
+    gram, _ = assemble_gram(A, Y, sink)
+    L = dense_cholesky(0.5 * (gram + gram.T))
     return L.solve_lower(Y.T).T, L
 
 
 def compress(
     Z,
     cfg: TruncationConfig,
+    A: SparseSpdMatrix,
+    history: WeightHistory,
     *,
-    weights=None,
-    a_prev: SparseSpdMatrix | None = None,
     chalf=None,
-    current_stage1_width: int | None = None,
     gram=None,
     sink: InstrumentationSink | None = None,
 ) -> TruncationOutcome:
-    """Dispatch the configured truncation strategy on the block Z."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    """Compress the block Z by the configured strategy.
+
+    ``A`` is the just-solved matrix and ``history`` the coefficient vectors
+    of the solutions since the last truncation.  Deflation keeps harmonic
+    Ritz vectors of A.  POD weights the snapshots with the last coefficient
+    vector (``-prev``) or their inverse-distance blend (``-rbf``) and
+    measures energy in A (``pod-a-``), whose basis comes out A-orthonormal,
+    or in C'C for the output matrix ``chalf`` (``pod-ctc-``), whose basis is
+    then A-orthonormalized.  ``gram``, when given, is Z'AZ; only A-metric
+    POD reads it, and assembles it otherwise.  The stage-1 width is read off
+    the POD spectrum with the smaller energy criterion nu_w.
+    """
     if cfg.strategy == "none":
-        w = Z.shape[1] if current_stage1_width is None else current_stage1_width
-        return TruncationOutcome(
-            Y_new=Z,
-            stage1_width=min(w, Z.shape[1]),
-            truncation_map=np.eye(Z.shape[1]),
-            enforced=False,
-        )
+        raise RecyklError("strategy 'none' keeps the whole block: nothing to compress")
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     if cfg.strategy == "deflate":
-        if a_prev is None:
-            raise DimensionMismatch("deflation needs the previous matrix")
-        return deflation_compress(
-            Z, a_prev, cfg.deflate_dim, stage1_dim=cfg.stage1_dim, sink=sink
-        )
-    if weights is None:
-        raise DimensionMismatch("POD truncation needs snapshot weights")
-    if cfg.uses_output_metric:
+        return deflation_compress(Z, A, cfg.deflate_dim, stage1_dim=cfg.stage1_dim, sink=sink)
+    if cfg.strategy.endswith("-rbf"):
+        weights = weights_rbf(history, len(history))
+    else:
+        weights = weights_previous(history)
+    output_metric = cfg.strategy.startswith("pod-ctc")
+    if output_metric:
         if chalf is None:
             raise DimensionMismatch("output-metric truncation needs the output matrix")
-        metric = PodMetric.factor(chalf)
+        res = pod_svd(Z, weights, chalf, cfg.nu_y)
     else:
-        if a_prev is None:
-            raise DimensionMismatch("matrix-metric truncation needs the previous matrix")
-        metric = PodMetric.explicit(a_prev)
-    out = pod_compress(Z, weights, metric, cfg, gram=gram, sink=sink)
-    if cfg.uses_output_metric and a_prev is not None:
-        Y_orth, L = enforce_a_orthogonality(out.Y_new, a_prev, sink=sink)
-        out = TruncationOutcome(
-            Y_new=Y_orth,
-            stage1_width=out.stage1_width,
-            truncation_map=L.solve_lower(out.truncation_map.T).T,
-            spectrum=out.spectrum,
-            enforced=True,
-        )
-    return out
+        if gram is None:
+            gram, _ = assemble_gram(A, Z, sink)
+        res = pod_evd_from_gram(gram, Z, weights, cfg.nu_y)
+    y = _cap(res.y, cfg.max_dim, res.y)
+    w = _cap(energy_truncation_dim(res.singular_values**2, cfg.nu_w), cfg.stage1_dim, y)
+    Y = res.columns[:, :y]
+    if output_metric:
+        Y, _ = enforce_a_orthogonality(Y, A, sink=sink)
+    return TruncationOutcome(Y_new=Y, stage1_width=w, spectrum=res.singular_values)

@@ -15,6 +15,7 @@ from recykl.bench import (
 )
 from recykl.errors import RecyklError
 from recykl.problems import gen_diffusion_sequence, gen_output_matrix
+from recykl.threestage import SolverConfig
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,9 @@ class TestMethodSpec:
         plain = MethodSpec.from_dict({"name": "plain"}).config
         assert plain.precond == "identity"
         assert (plain.eps_hat_factor, plain.eps_inner_factor) == (1e-4, 1e-2)
+
+    def test_name_only_entry_is_default_config(self):
+        assert MethodSpec.from_dict({"name": "plain", "unknown": 1}).config == SolverConfig()
 
     def test_deflate_strategy_string(self):
         spec = MethodSpec.from_dict({"name": "df", "truncation": {"strategy": "deflate:7"}})
@@ -89,7 +93,9 @@ class TestRunMethods:
         paths = write_run_outputs(runs, tmp_path)
         header = open(paths["systems"]).readline().strip().split(",")
         assert header == ["method", "j", "matvecs", "precond_apps", "stage1_dim",
-                          "stage2_iters", "stage3_iters", "wall_ms", "final_residual"]
+                          "stage2_iters", "stage3_iters", "wall_ms", "final_residual",
+                          "converged", "stage2_converged", "stage1_fallback",
+                          "reduced_condition"]
         summary = json.loads(open(paths["summary"]).read())
         assert set(summary) == {m.name for m in methods}
 

@@ -49,6 +49,23 @@ class TestRun:
         summary = json.loads((out / "run_summary.json").read_text())
         assert summary["pcg"]["all_converged"]
 
+    def test_diagnostics_fill_reduced_condition(self, sequence_dir, tmp_path):
+        spec_path = tmp_path / "methods.json"
+        spec_path.write_text(json.dumps([
+            {"name": "pod", "truncation": {"strategy": "pod-a-rbf", "storage_cap": 10}},
+        ]))
+        manifest = str(sequence_dir / "manifest.json")
+        for flags, name in (([], "plain"), (["--diagnostics"], "diag")):
+            assert main(["run", "--manifest", manifest, "--methods", str(spec_path),
+                         "--out-dir", str(tmp_path / name), *flags]) == 0
+        plain = list(csv.DictReader(open(tmp_path / "plain" / "run_systems.csv")))
+        diag = list(csv.DictReader(open(tmp_path / "diag" / "run_systems.csv")))
+        assert all(r["reduced_condition"] == "" for r in plain)
+        # the first system has no basis to condition
+        assert diag[0]["reduced_condition"] == ""
+        assert all(float(r["reduced_condition"]) >= 1.0 for r in diag[1:])
+        assert all(r["converged"] == "True" and r["stage1_fallback"] == "False" for r in diag)
+
     def test_methods_file(self, sequence_dir, tmp_path):
         spec_path = tmp_path / "methods.json"
         spec_path.write_text(json.dumps([

@@ -3,22 +3,39 @@ import pytest
 
 from helpers import make_spd, make_spd_dense, random_basis
 from recykl.errors import RecyklError
-from recykl.linalg import SparseSpdMatrix, principal_angle_distance
-from recykl.pod import PodMetric
+from recykl.linalg import SparseSpdMatrix, assemble_gram, principal_angle_distance
+from recykl.pod import pod_evd
 from recykl.truncation import (
     TruncationConfig,
     compress,
     deflation_compress,
     enforce_a_orthogonality,
     parse_strategy,
-    pod_compress,
 )
+from recykl.weights import WeightHistory, weights_previous, weights_rbf
 
 
 def cfg(**kw):
     base = dict(strategy="pod-a-prev", nu_y=1.0, nu_w=0.5)
     base.update(kw)
     return TruncationConfig(**base)
+
+
+def history_of(*etas):
+    history = WeightHistory()
+    for eta in etas:
+        history.push(eta)
+    return history
+
+
+def pod_compress(Z, weights, A, config):
+    """A-metric POD of Z with ``weights`` as the previous solution's coefficients."""
+    return compress(Z, config, A, history_of(weights))
+
+
+def in_range(Y, Z, atol):
+    coef = np.linalg.lstsq(Z, Y, rcond=None)[0]
+    return np.allclose(Z @ coef, Y, atol=atol)
 
 
 class TestConfig:
@@ -41,7 +58,7 @@ class TestPodCompress:
     def test_single_column_normalized(self):
         A = make_spd(10, seed=90)
         Z = random_basis(10, 1, seed=91)
-        out = pod_compress(Z, np.ones(1), PodMetric.explicit(A), cfg())
+        out = pod_compress(Z, np.ones(1), A, cfg())
         assert out.Y_new.shape == (10, 1)
         assert out.stage1_width == 1
         y = out.Y_new[:, 0]
@@ -52,34 +69,27 @@ class TestPodCompress:
         A = make_spd(20, seed=92)
         Z = random_basis(20, 6, seed=93)
         out = pod_compress(Z, np.random.default_rng(94).random(6) + 0.2,
-                           PodMetric.explicit(A), cfg(nu_y=1.0))
+                           A, cfg(nu_y=1.0))
         assert principal_angle_distance(out.Y_new, Z) <= 1e-8
 
     def test_a_metric_orthonormal_without_enforcement(self):
         A = make_spd(25, seed=95)
         Z = random_basis(25, 8, seed=96)
-        out = pod_compress(Z, np.ones(8), PodMetric.explicit(A), cfg(nu_y=0.9))
-        assert out.enforced
+        out = pod_compress(Z, np.ones(8), A, cfg(nu_y=0.9))
         G = out.Y_new.T @ A.to_dense() @ out.Y_new
         assert np.max(np.abs(G - np.eye(out.Y_new.shape[1]))) <= 1e-9
-
-    def test_truncation_map_reproduces_basis(self):
-        A = make_spd(15, seed=97)
-        Z = random_basis(15, 5, seed=98)
-        out = pod_compress(Z, np.ones(5), PodMetric.explicit(A), cfg(nu_y=0.8))
-        assert np.allclose(Z @ out.truncation_map, out.Y_new, atol=1e-10)
 
     def test_max_dim_caps_retained(self):
         A = make_spd(15, seed=99)
         Z = random_basis(15, 6, seed=100)
-        out = pod_compress(Z, np.ones(6), PodMetric.explicit(A), cfg(nu_y=1.0, max_dim=3))
+        out = pod_compress(Z, np.ones(6), A, cfg(nu_y=1.0, max_dim=3))
         assert out.Y_new.shape[1] == 3
         assert out.stage1_width <= 3
 
     def test_stage1_prefix_is_exact_prefix(self):
         A = make_spd(18, seed=101)
         Z = random_basis(18, 7, seed=102)
-        out = pod_compress(Z, np.ones(7), PodMetric.explicit(A), cfg(nu_y=1.0, nu_w=0.6))
+        out = pod_compress(Z, np.ones(7), A, cfg(nu_y=1.0, nu_w=0.6))
         W = out.Y_new[:, : out.stage1_width]
         assert np.array_equal(W, out.Y_new[:, : out.stage1_width])
         assert 1 <= out.stage1_width <= out.Y_new.shape[1]
@@ -119,7 +129,7 @@ class TestDeflationCompress:
         out = deflation_compress(Z, A, 3)
         G = out.Y_new.T @ A.to_dense() @ out.Y_new
         assert np.max(np.abs(G - np.eye(3))) <= 1e-8
-        assert np.allclose(Z @ out.truncation_map, out.Y_new, atol=1e-9)
+        assert in_range(out.Y_new, Z, atol=1e-9)
 
     def test_harmonic_ritz_residual_orthogonality(self):
         # defining property: residual A y - mu y orthogonal to range(AZ)
@@ -160,7 +170,7 @@ class TestEnforceOrthogonality:
 
 class TestCompressDispatch:
     @pytest.mark.parametrize(
-        "strategy", ["pod-a-prev", "pod-a-rbf", "pod-ctc-prev", "pod-ctc-rbf", "deflate", "none"]
+        "strategy", ["pod-a-prev", "pod-a-rbf", "pod-ctc-prev", "pod-ctc-rbf", "deflate"]
     )
     def test_range_containment_every_strategy(self, strategy):
         A = make_spd(20, seed=117)
@@ -169,14 +179,7 @@ class TestCompressDispatch:
         kw = dict(strategy=strategy, nu_y=0.9, nu_w=0.5)
         if strategy == "deflate":
             kw["deflate_dim"] = 3
-        out = compress(
-            Z,
-            TruncationConfig(**kw),
-            weights=np.ones(6),
-            a_prev=A,
-            chalf=C,
-            current_stage1_width=2,
-        )
+        out = compress(Z, TruncationConfig(**kw), A, history_of(np.ones(6)), chalf=C)
         # every retained column stays inside the old range
         Q, _ = np.linalg.qr(Z)
         resid = out.Y_new - Q @ (Q.T @ out.Y_new)
@@ -189,17 +192,48 @@ class TestCompressDispatch:
         out = compress(
             Z,
             TruncationConfig(strategy="pod-ctc-rbf", nu_y=0.8, nu_w=0.4),
-            weights=np.ones(6),
-            a_prev=A,
+            A,
+            history_of(np.ones(6)),
             chalf=C,
         )
-        assert out.enforced
         G = out.Y_new.T @ A.to_dense() @ out.Y_new
         assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
-        assert np.allclose(Z @ out.truncation_map, out.Y_new, atol=1e-9)
+        assert in_range(out.Y_new, Z, atol=1e-9)
 
-    def test_none_passthrough(self):
-        Z = random_basis(10, 4, seed=123)
-        out = compress(Z, TruncationConfig(strategy="none"), current_stage1_width=2)
-        assert np.array_equal(out.Y_new, Z)
-        assert out.stage1_width == 2
+    def test_none_never_truncates(self):
+        none = TruncationConfig(strategy="none", storage_cap=4)
+        assert not none.truncates(100)
+        with pytest.raises(RecyklError):
+            compress(random_basis(10, 6, seed=123), none, make_spd(10, seed=124), history_of())
+        pod = TruncationConfig(strategy="pod-a-rbf", storage_cap=4)
+        assert pod.truncates(5) and not pod.truncates(4)
+
+    @pytest.mark.parametrize("weights", ["prev", "rbf"])
+    def test_weights_come_from_history(self, weights):
+        A = make_spd(20, seed=124)
+        Z = random_basis(20, 6, seed=125)
+        rng = np.random.default_rng(126)
+        history = history_of(rng.random(4), rng.random(6), rng.random(6))
+        gamma = weights_previous(history) if weights == "prev" else weights_rbf(history, 3)
+        out = compress(Z, cfg(strategy=f"pod-a-{weights}"), A, history)
+        want = pod_evd(Z, gamma, A, eps=1.0)
+        assert out.Y_new.shape[1] == want.y
+        assert np.allclose(out.spectrum, want.singular_values, rtol=1e-10, atol=1e-12)
+        assert principal_angle_distance(out.Y_new, want.columns) <= 1e-8
+
+    def test_gram_read_by_matrix_metric_only(self):
+        A = make_spd(15, seed=127)
+        C = np.random.default_rng(128).random((5, 15))
+        Z = random_basis(15, 6, seed=129)
+        history = history_of(np.ones(6))
+        gram, _ = assemble_gram(A, Z)
+        a_cfg = cfg(strategy="pod-a-prev")
+        given = compress(Z, a_cfg, A, history, gram=gram).Y_new
+        assert np.array_equal(given, compress(Z, a_cfg, A, history).Y_new)
+        # a doubled Gram matrix shrinks the basis by sqrt(2): the block is read
+        doubled = compress(Z, a_cfg, A, history, gram=2.0 * gram).Y_new
+        assert np.allclose(np.sqrt(2.0) * doubled, given, rtol=1e-10, atol=1e-14)
+        ctc_cfg = cfg(strategy="pod-ctc-prev")
+        plain = compress(Z, ctc_cfg, A, history, chalf=C)
+        ignored = compress(Z, ctc_cfg, A, history, chalf=C, gram=np.full((6, 6), np.nan))
+        assert np.array_equal(plain.Y_new, ignored.Y_new)
