@@ -55,9 +55,9 @@ class MethodSpec:
         tr_raw = dict(raw.get("truncation", {}))
         if "strategy" in tr_raw:
             tr_raw.update(parse_strategy(tr_raw.pop("strategy")))
-        if tr_raw.get("storage_cap") in ("inf", None):
-            tr_raw["storage_cap"] = math.inf
         # keys left out of the entry keep the SolverConfig defaults
+        if "storage_cap" in tr_raw and tr_raw["storage_cap"] in ("inf", None):
+            tr_raw["storage_cap"] = math.inf
         tols = raw.get("tolerances", {})
         kw = {k: raw[k] for k in ("mode", "precond", "recycle", "diagnostics", "max_iter")
               if k in raw}

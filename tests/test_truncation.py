@@ -28,7 +28,7 @@ def history_of(*etas):
     return history
 
 
-def pod_compress(Z, weights, A, config):
+def pod_a_prev(Z, weights, A, config):
     """A-metric POD of Z with ``weights`` as the previous solution's coefficients."""
     return compress(Z, config, A, history_of(weights))
 
@@ -58,7 +58,7 @@ class TestPodCompress:
     def test_single_column_normalized(self):
         A = make_spd(10, seed=90)
         Z = random_basis(10, 1, seed=91)
-        out = pod_compress(Z, np.ones(1), A, cfg())
+        out = pod_a_prev(Z, np.ones(1), A, cfg())
         assert out.Y_new.shape == (10, 1)
         assert out.stage1_width == 1
         y = out.Y_new[:, 0]
@@ -68,28 +68,27 @@ class TestPodCompress:
     def test_full_energy_preserves_range(self):
         A = make_spd(20, seed=92)
         Z = random_basis(20, 6, seed=93)
-        out = pod_compress(Z, np.random.default_rng(94).random(6) + 0.2,
-                           A, cfg(nu_y=1.0))
+        out = pod_a_prev(Z, np.random.default_rng(94).random(6) + 0.2, A, cfg(nu_y=1.0))
         assert principal_angle_distance(out.Y_new, Z) <= 1e-8
 
     def test_a_metric_orthonormal_without_enforcement(self):
         A = make_spd(25, seed=95)
         Z = random_basis(25, 8, seed=96)
-        out = pod_compress(Z, np.ones(8), A, cfg(nu_y=0.9))
+        out = pod_a_prev(Z, np.ones(8), A, cfg(nu_y=0.9))
         G = out.Y_new.T @ A.to_dense() @ out.Y_new
         assert np.max(np.abs(G - np.eye(out.Y_new.shape[1]))) <= 1e-9
 
     def test_max_dim_caps_retained(self):
         A = make_spd(15, seed=99)
         Z = random_basis(15, 6, seed=100)
-        out = pod_compress(Z, np.ones(6), A, cfg(nu_y=1.0, max_dim=3))
+        out = pod_a_prev(Z, np.ones(6), A, cfg(nu_y=1.0, max_dim=3))
         assert out.Y_new.shape[1] == 3
         assert out.stage1_width <= 3
 
     def test_stage1_prefix_is_exact_prefix(self):
         A = make_spd(18, seed=101)
         Z = random_basis(18, 7, seed=102)
-        out = pod_compress(Z, np.ones(7), A, cfg(nu_y=1.0, nu_w=0.6))
+        out = pod_a_prev(Z, np.ones(7), A, cfg(nu_y=1.0, nu_w=0.6))
         W = out.Y_new[:, : out.stage1_width]
         assert np.array_equal(W, out.Y_new[:, : out.stage1_width])
         assert 1 <= out.stage1_width <= out.Y_new.shape[1]
