@@ -10,7 +10,7 @@ solution onto the combined space.
 
 import numpy as np
 
-from recykl import SparseSpdMatrix, augmented_pcg, pcg
+from recykl import SparseSpdMatrix, augmented_pcg
 
 rng = np.random.default_rng(7)
 n = 120
@@ -21,7 +21,7 @@ A = SparseSpdMatrix.from_dense(Ad)
 xstar = rng.standard_normal(n)
 b = Ad @ xstar
 
-plain = pcg(A, b, tol=1e-8 * np.linalg.norm(b), max_iter=5 * n, mode="fom")
+plain = augmented_pcg(A, b, tol=1e-8 * np.linalg.norm(b), max_iter=5 * n, mode="fom")
 print(f"plain CG:     {plain.k} iterations, final residual {plain.final_residual:.2e}")
 
 # an augmenting subspace built from solutions of nearby systems, the kind of

@@ -31,16 +31,12 @@ from .linalg import (
     spmv,
     symmetric_evd,
     thin_svd,
-    weighted_inner,
 )
 from .krylov import (
     AugmentedPcgResult,
-    LinearOperator,
-    MatrixOperator,
     ReducedSpdOperator,
     augmented_pcg,
     direct_reduced_solve,
-    pcg,
 )
 from .pod import PodBasisResult, energy_truncation_dim, pod_evd, pod_svd
 from .preconditioners import Preconditioner, build as build_preconditioner

@@ -67,15 +67,17 @@ class MethodSpec:
 
 def default_methods(
     storage_cap: int = 50,
-    retained: int | None = None,
-    stage1_small: int = 5,
     precond: str = "identity",
     mode: str = "fom",
     include_output_metric: bool = False,
 ) -> list[MethodSpec]:
-    """The standard comparison roster at a given storage budget."""
-    retained = storage_cap // 2 if retained is None else retained
-    small = min(stage1_small, retained)
+    """The standard comparison roster at a given storage budget.
+
+    Truncation keeps half the budget, and the split methods give five of
+    those columns (fewer on a budget under ten) to the stage-1 block.
+    """
+    retained = storage_cap // 2
+    small = min(5, retained)
 
     def spec(name, **tr):
         recycle = tr.pop("recycle", True)

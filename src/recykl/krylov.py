@@ -9,6 +9,13 @@ iteration in the reduced coordinates.  The final solution x0 + sum(alpha p)
 is then the A-orthogonal projection of the exact solution onto the direct
 sum of range(Y) and the generated Krylov directions.
 
+It is the one Krylov entry point, run in two spaces: over a
+:class:`~recykl.linalg.SparseSpdMatrix` in the full space (plain PCG is the
+empty-basis case) and over a :class:`ReducedSpdOperator`, the implicit Y'AY
+of the staged solver's reduced space.  The staged solver's direct
+projections, in either space, backsolve a :class:`BlockDiagFactor`: the
+stage-1 Cholesky factor followed by the diagonal of every nested run.
+
 Two direction updates are available.  ``mode="cg"`` keeps the classical
 two-term recurrence.  ``mode="fom"`` re-orthogonalizes each new direction
 against all previous ones, which guarantees a full-rank direction block in
@@ -43,29 +50,8 @@ _BREAKDOWN_RTOL = 1e-14
 _STORE_INITIAL_COLS = 64
 
 
-class LinearOperator:
-    """Symmetric positive-definite operator on R^dim."""
-
-    dim: int
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class MatrixOperator(LinearOperator):
-    """A sparse SPD matrix acting as an operator, charging a shared sink."""
-
-    def __init__(self, A: SparseSpdMatrix, sink: InstrumentationSink | None = None):
-        self.A = A
-        self.sink = sink
-        self.dim = A.n
-
-    def apply(self, x):
-        return spmv(self.A, x, self.sink)
-
-
-class ReducedSpdOperator(LinearOperator):
-    """Implicit reduced operator p -> Y'(A(Yp)).
+class ReducedSpdOperator:
+    """Implicit reduced operator p -> Y'(A(Yp)) on R^dim, dim = Y's width.
 
     The reduced matrix Y'AY is never materialized; each application costs a
     single sparse matvec.  The operator keeps, for every application, the
@@ -90,50 +76,31 @@ class ReducedSpdOperator(LinearOperator):
         return reduced
 
 
-def _as_operator(op, sink):
-    if isinstance(op, LinearOperator):
-        return op
-    if isinstance(op, SparseSpdMatrix):
-        return MatrixOperator(op, sink)
-    raise DimensionMismatch("unsupported operator type")
-
-
 class BlockDiagFactor:
-    """Cholesky factor of a block-diagonal Gram matrix.
+    """Cholesky factor of the staged solver's block-diagonal Gram matrix.
 
-    Blocks are either a dense lower-triangular factor or the square root of
-    a diagonal block, mirroring how the staged solver accumulates them: the
-    stage-1 factor, then sqrt of the stage-2 direction Gram diagonal, then
-    sqrt diagonals from successive inner projections.
+    The leading block is the dense stage-1 factor ``chol``; the tail is
+    diagonal, held as its square roots ``d``: those of the direction Gram
+    diagonal p'Ap of stage 2 and of every later nested run, in the order
+    the runs appended them.
     """
 
-    def __init__(self):
-        self._blocks: list[tuple[str, object]] = []
-        self.size = 0
+    def __init__(self, chol: DenseLowerTriangular):
+        self.chol = chol
+        self.d = np.zeros(0)
 
-    def append_cholesky(self, factor: DenseLowerTriangular):
-        self._blocks.append(("chol", factor))
-        self.size += factor.m
+    @property
+    def size(self) -> int:
+        return self.chol.m + self.d.shape[0]
 
     def append_sqrt_diag(self, sqrt_diag: np.ndarray):
-        sqrt_diag = np.asarray(sqrt_diag, dtype=np.float64)
-        self._blocks.append(("sqrtdiag", sqrt_diag))
-        self.size += sqrt_diag.shape[0]
+        self.d = np.concatenate([self.d, np.asarray(sqrt_diag, dtype=np.float64)])
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.shape[0] != self.size:
             raise DimensionMismatch("block factor: rhs length mismatch")
-        out = np.empty_like(rhs, dtype=np.float64)
-        at = 0
-        for kind, block in self._blocks:
-            if kind == "chol":
-                m = block.m
-                out[at : at + m] = block.solve_spd(rhs[at : at + m])
-            else:
-                m = block.shape[0]
-                out[at : at + m] = rhs[at : at + m] / (block * block)
-            at += m
-        return out
+        m = self.chol.m
+        return np.concatenate([self.chol.solve_spd(rhs[:m]), rhs[m:] / (self.d * self.d)])
 
 
 class DirectReducedProjection:
@@ -149,10 +116,10 @@ class DirectReducedProjection:
         self.factor = factor
 
     @classmethod
-    def assemble(cls, op: LinearOperator, B: np.ndarray) -> "DirectReducedProjection":
-        """Form A*B with operator applications and factorize B'AB."""
+    def assemble(cls, apply, B: np.ndarray) -> "DirectReducedProjection":
+        """Form A*B column by column with ``apply`` and factorize B'AB."""
         B = np.asarray(B, dtype=np.float64)
-        cross = np.column_stack([op.apply(B[:, i]) for i in range(B.shape[1])]) if B.shape[1] else np.zeros((B.shape[0], 0))
+        cross = np.column_stack([apply(B[:, i]) for i in range(B.shape[1])]) if B.shape[1] else np.zeros((B.shape[0], 0))
         gram = B.T @ cross
         return cls(cross, dense_cholesky(0.5 * (gram + gram.T)))
 
@@ -252,8 +219,11 @@ def augmented_pcg(
 
     Parameters
     ----------
-    op : SparseSpdMatrix or LinearOperator
-        The SPD system operator.
+    op : SparseSpdMatrix or ReducedSpdOperator
+        The SPD system operator: a matrix, whose products are counted on
+        ``sink``, or the reduced operator Y'AY of a nested run, which counts
+        its products on its own sink.  Anything else raises
+        ``DimensionMismatch``.
     b : array
         Right-hand side (already centered by the caller when solving around
         an initial guess).
@@ -286,8 +256,15 @@ def augmented_pcg(
         Nonpositive direction curvature p'Ap, or a residual norm that is
         not finite.
     """
-    operator = _as_operator(op, sink)
-    n = operator.dim
+    if isinstance(op, SparseSpdMatrix):
+        n = op.n
+
+        def apply(v):
+            return spmv(op, v, sink)
+    elif isinstance(op, ReducedSpdOperator):
+        n, apply = op.dim, op.apply
+    else:
+        raise DimensionMismatch("augmented_pcg: unsupported operator type")
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != n:
         raise DimensionMismatch("augmented_pcg: rhs length mismatch")
@@ -309,14 +286,14 @@ def augmented_pcg(
             raise DimensionMismatch("augmented_pcg: yhat0 length mismatch")
         x = Y @ yhat0
         if reduced_solver is None:
-            reduced_solver = DirectReducedProjection.assemble(operator, Y)
+            reduced_solver = DirectReducedProjection.assemble(apply, Y)
     else:
         x = np.zeros(n)
 
     if r0 is not None:
         r = np.array(r0, dtype=np.float64)
     elif Y is not None and np.any(x):
-        r = b - operator.apply(x)
+        r = b - apply(x)
     else:
         r = b.copy()
 
@@ -351,7 +328,7 @@ def augmented_pcg(
     rz = float(r @ z)
 
     for k in range(max_iter):
-        Ap = operator.apply(p)
+        Ap = apply(p)
         gamma = float(p @ Ap)
         if not np.isfinite(gamma) or gamma <= _BREAKDOWN_RTOL * float(p @ p):
             raise Breakdown(f"direction curvature {gamma:.3e} at iteration {k}")
@@ -385,46 +362,6 @@ def augmented_pcg(
         f"no convergence to {tol:.3e} within {max_iter} iterations",
         partial=result(False),
     )
-
-
-def pcg(
-    A,
-    b,
-    x0=None,
-    precond=None,
-    tol: float = 0.0,
-    max_iter: int | None = None,
-    *,
-    mode: str = "cg",
-    sink: InstrumentationSink | None = None,
-    monitor=None,
-) -> AugmentedPcgResult:
-    """Plain PCG; the empty-basis special case of :func:`augmented_pcg`.
-
-    ``x0`` is a full-space initial guess; the returned ``x`` is the full
-    solution (guess plus increment).
-    """
-    operator = _as_operator(A, sink)
-    b = np.asarray(b, dtype=np.float64)
-    shift = None
-    rhs = b
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if np.any(x0):
-            rhs = b - operator.apply(x0)
-            shift = x0
-    try:
-        res = augmented_pcg(
-            operator, rhs, precond=precond, tol=tol, max_iter=max_iter, mode=mode,
-            sink=sink, monitor=monitor,
-        )
-    except NotConverged as exc:
-        if shift is not None and exc.partial is not None:
-            exc.partial.x = exc.partial.x + shift
-        raise
-    if shift is not None:
-        res.x = res.x + shift
-    return res
 
 
 @dataclass

@@ -144,9 +144,6 @@ class SparseSpdMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def matvec(self, x: np.ndarray, sink: InstrumentationSink | None = None) -> np.ndarray:
-        return spmv(self, x, sink)
-
 
 def spmv(A: SparseSpdMatrix, x, sink: InstrumentationSink | None = None) -> np.ndarray:
     """Sparse matrix-vector product A @ x.
@@ -159,15 +156,6 @@ def spmv(A: SparseSpdMatrix, x, sink: InstrumentationSink | None = None) -> np.n
     if sink is not None:
         sink.add_matvec()
     return A.to_scipy() @ x
-
-
-def weighted_inner(A: SparseSpdMatrix, x, y) -> float:
-    """A-weighted inner product x'Ay."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] != A.n or y.shape[0] != A.n:
-        raise DimensionMismatch("weighted_inner: dimension mismatch")
-    return float(x @ (A.to_scipy() @ y))
 
 
 def assemble_gram(A: SparseSpdMatrix, B: np.ndarray, sink: InstrumentationSink | None = None):

@@ -13,7 +13,8 @@ File-based sequences are described by a JSON manifest:
     {"n": 9, "systems": [{"matrix": "A_001.mtx", "rhs": "b_001.mtx",
      "tol": 1e-08}], "output_matrix": "C.mtx"}
 
-with Matrix Market files next to it (see :mod:`recykl.mmio`).
+with Matrix Market files next to it (see :mod:`recykl.mmio`).  A system's
+``tol`` (default 1e-8) must be finite and positive.
 """
 
 from __future__ import annotations
@@ -208,6 +209,8 @@ def load_sequence_manifest(path) -> SystemSequence:
             tol = float(entry.get("tol", 1e-8))
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{path}: system {idx} entry malformed") from exc
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ManifestError(f"{path}: system {idx} tolerance {tol} is not finite and positive")
         A = mmio.read_matrix(os.path.join(base, mat_file))
         b = mmio.read_array(os.path.join(base, rhs_file))
         if A.n != n or b.shape[0] != n:

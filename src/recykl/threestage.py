@@ -56,7 +56,14 @@ from .krylov import (
     augmented_pcg,
     direct_reduced_solve,
 )
-from .linalg import InstrumentationSink, SparseSpdMatrix, assemble_gram, spmv, symmetric_evd
+from .linalg import (
+    DenseLowerTriangular,
+    InstrumentationSink,
+    SparseSpdMatrix,
+    assemble_gram,
+    spmv,
+    symmetric_evd,
+)
 from .truncation import TruncationConfig, compress
 from .weights import WeightHistory
 
@@ -122,7 +129,6 @@ class SolveReport:
     final_residual: float = float("nan")
     residual_history: np.ndarray | None = None
     stage2_residual_history: np.ndarray | None = None
-    basis_dim: int = 0
     truncated: bool = False
     converged: bool = True
     stage2_converged: bool = True
@@ -266,7 +272,7 @@ def solve_system(
     t0 = time.perf_counter()
     M = None if cfg.precond == "identity" else preconditioners.build(cfg.precond, A)
     j = state.systems_seen + 1
-    report = SolveReport(j=j, basis_dim=state.basis_dim)
+    report = SolveReport(j=j)
     # checkpoint fields plus the iterate itself: the solvers rebind their
     # iterates and never mutate them, so a reference suffices until the
     # outputs C @ x are formed, all at once after the clock stops
@@ -298,9 +304,8 @@ def solve_system(
     y = Y.shape[1]
     idx = list(state.stage1_idx) if y else []
     yhat_comb = np.zeros(y)  # coefficients over the entry basis
-    stage1_gram = None
     blocks: list[_Block] = []
-    factor = BlockDiagFactor()  # Gram factor of the blocks, one diagonal block each
+    factor = None  # Gram factor of the blocks, one diagonal block each
     stage1 = None
     stage2_broke = False
     if y and len(idx) <= A.n:
@@ -319,10 +324,8 @@ def solve_system(
     if y:
         what, rhat, AW = stage1.what, stage1.rhat, stage1.aw
         blocks.append(_Block(W, AW, what))
-        factor.append_cholesky(rhat)
+        factor = BlockDiagFactor(rhat)
         yhat_comb[idx] = what
-        if len(idx) == y:
-            stage1_gram = rhat.full() @ rhat.full().T
         record("stage1", 0, add_center(W @ what))
 
         if cfg.diagnostics:
@@ -364,7 +367,10 @@ def solve_system(
     products = _stack([blk.products for blk in blocks], A.n)
     block_start = np.concatenate([blk.start for blk in blocks]) if blocks else np.zeros(0)
     stage3_start = yhat_comb if full_orth else block_start
-    handle = inner if full_orth else DirectReducedProjection(products, factor)
+    if full_orth:
+        handle = inner
+    else:
+        handle = DirectReducedProjection(products, factor) if factor is not None else None
     monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
     try:
         stage3_res = augmented_pcg(
@@ -393,7 +399,7 @@ def solve_system(
 
     truncated = update_basis(
         state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
-        stage1_gram=stage1_gram,
+        stage1_factor=factor.chol if factor is not None and len(idx) == y else None,
     )
     report.truncated = truncated
     snap = sink.snapshot()
@@ -429,7 +435,7 @@ def update_basis(
     *,
     chalf: np.ndarray | None = None,
     sink: InstrumentationSink | None = None,
-    stage1_gram: np.ndarray | None = None,
+    stage1_factor: DenseLowerTriangular | None = None,
 ) -> bool:
     """Fold the new directions into the recycled basis, truncating at the cap.
 
@@ -442,6 +448,9 @@ def update_basis(
     truncated, :func:`~recykl.truncation.compress` gets the block, the
     just-solved matrix, the history and, when this solve already knows it
     blockwise, the Gram matrix Z'AZ; it picks the weights, metric and method.
+    Z'AZ is known blockwise in ``fom`` mode when ``stage1_factor``, the
+    Cholesky factor of the stage-1 Gram matrix, is passed: the caller passes
+    it only when the stage-1 block spans the old basis.
     The weight history is then reset and the stage-1 prefix is the one
     ``compress`` derived.
     """
@@ -473,13 +482,15 @@ def update_basis(
     truncated = tcfg.truncates(Y_grown.shape[1])
     if truncated:
         gram = None
-        if stage1_gram is not None and cfg.mode == "fom" and k > 0:
+        if stage1_factor is not None and cfg.mode == "fom" and k > 0:
             # Z'AZ is already known blockwise: the stage-1 factor covers the
             # old basis, the full orthogonalization makes the new columns
-            # A-orthonormal and A-orthogonal to it
+            # A-orthonormal and A-orthogonal to it.  Two copies of the factor
+            # keep numpy from taking L @ L' as one symmetric rank-k update,
+            # which rounds differently
             y_old = state.Y.shape[1]
             gram = np.zeros((y_old + k, y_old + k))
-            gram[:y_old, :y_old] = stage1_gram
+            gram[:y_old, :y_old] = stage1_factor.full() @ stage1_factor.full().T
             gram[y_old:, y_old:] = np.eye(k)
         out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, gram=gram, sink=sink)
         state.history.reset()

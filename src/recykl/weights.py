@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NoHistory
 from .krylov import direct_reduced_solve
-from .linalg import InstrumentationSink, SparseSpdMatrix
+from .linalg import InstrumentationSink, SparseSpdMatrix, spmv
 
 
 def idw_weight(r: int) -> float:
@@ -76,7 +76,7 @@ def weights_ideal(
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
-    rhs = b if xguess is None else b - A.matvec(np.asarray(xguess, dtype=np.float64), sink)
+    rhs = b if xguess is None else b - spmv(A, xguess, sink)
     return direct_reduced_solve(A, rhs, Z, sink).what
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import make_spd, make_spd_dense, make_sparse_spd, random_basis
+from helpers import make_spd_dense, make_sparse_spd, random_basis
 from recykl.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -19,7 +19,6 @@ from recykl.linalg import (
     spmv,
     symmetric_evd,
     thin_svd,
-    weighted_inner,
 )
 
 
@@ -74,24 +73,6 @@ class TestSpmv:
         A = SparseSpdMatrix.identity(4)
         with pytest.raises(DimensionMismatch):
             spmv(A, np.ones(5))
-
-
-class TestWeightedInner:
-    def test_identity_metric(self):
-        A = SparseSpdMatrix.identity(2)
-        assert weighted_inner(A, [3.0, 4.0], [3.0, 4.0]) == pytest.approx(25.0)
-
-    def test_orthogonal_vectors(self):
-        A = SparseSpdMatrix.from_diagonal([1.0, 4.0])
-        assert weighted_inner(A, [1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_symmetry(self):
-        A = make_spd(30, seed=11)
-        rng = np.random.default_rng(4)
-        x, y = rng.standard_normal(30), rng.standard_normal(30)
-        xy = weighted_inner(A, x, y)
-        yx = weighted_inner(A, y, x)
-        assert abs(xy - yx) <= 1e-12 * max(1.0, abs(xy))
 
 
 class TestDenseCholesky:

@@ -246,7 +246,7 @@ class TestManifest:
         assert np.array_equal(back.C, seq.C)
 
     def test_identity_system_manifest(self, tmp_path):
-        from recykl.krylov import pcg
+        from recykl.krylov import augmented_pcg
         from recykl.problems import LinearSystemSpec, SystemSequence
 
         seq = SystemSequence(
@@ -259,7 +259,7 @@ class TestManifest:
         )
         manifest = write_sequence(seq, tmp_path)
         back = load_sequence_manifest(manifest)
-        res = pcg(back[0].A, back[0].b, tol=back[0].tol)
+        res = augmented_pcg(back[0].A, back[0].b, tol=back[0].tol)
         assert res.k == 1
 
     def test_dimension_mismatch_detected(self, tmp_path):
@@ -271,6 +271,18 @@ class TestManifest:
         data["n"] = 5
         open(manifest, "w").write(json.dumps(data))
         with pytest.raises(ManifestError, match="dimension mismatch"):
+            load_sequence_manifest(manifest)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", 0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, tol):
+        seq = gen_diffusion_sequence((3, 3), p=2, delta=0.1, seed=16)
+        manifest = write_sequence(seq, tmp_path)
+        import json
+
+        data = json.loads(open(manifest).read())
+        data["systems"][1]["tol"] = tol
+        open(manifest, "w").write(json.dumps(data))
+        with pytest.raises(ManifestError, match="system 2 tolerance"):
             load_sequence_manifest(manifest)
 
     def test_invalid_json_reports_line(self, tmp_path):

@@ -9,11 +9,9 @@ from recykl.errors import Breakdown, RecyklError
 from recykl.krylov import (
     BlockDiagFactor,
     DirectReducedProjection,
-    MatrixOperator,
     augmented_pcg,
-    pcg,
 )
-from recykl.linalg import InstrumentationSink, dense_cholesky, spmv
+from recykl.linalg import InstrumentationSink, assemble_gram, dense_cholesky, spmv
 from recykl.problems import gen_diffusion_sequence, gen_output_matrix
 from recykl.threestage import (
     InnerIterativeProjection,
@@ -23,7 +21,7 @@ from recykl.threestage import (
     solve_system,
     summarize_reports,
 )
-from recykl.truncation import TruncationConfig
+from recykl.truncation import TruncationConfig, compress
 
 
 def solver_cfg(**kw):
@@ -69,7 +67,7 @@ class TestFirstSystem:
         xs, reports, _ = run_sequence(seq, cfg)
         sink = InstrumentationSink()
         M = pc.build(precond, seq[0].A) if precond != "identity" else None
-        ref = pcg(seq[0].A, seq[0].b, precond=M, tol=1e-9, mode=cfg.mode, sink=sink)
+        ref = augmented_pcg(seq[0].A, seq[0].b, precond=M, tol=1e-9, mode=cfg.mode, sink=sink)
         assert reports[0].stage1_dim == 0
         assert reports[0].stage2_iters == 0
         assert reports[0].stage3_iters == ref.k
@@ -194,6 +192,26 @@ class TestTruncationFiring:
             assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
 
+    def test_blockwise_gram_matches_assembled(self, monkeypatch):
+        # with stage 1 spanning Y, fom truncation hands compress Z'AZ formed
+        # from the stage-1 factor and the identity on the new directions
+        grams = []
+
+        def spy(Z, cfg, A, history, **kw):
+            if kw["gram"] is not None:
+                exact, _ = assemble_gram(A, Z)
+                grams.append(np.linalg.norm(kw["gram"] - exact) / np.linalg.norm(exact))
+            return compress(Z, cfg, A, history, **kw)
+
+        monkeypatch.setattr(threestage, "compress", spy)
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(storage_cap=12, max_dim=8, mode="fom")
+        _, reports, _ = run_sequence(seq, cfg)
+        assert all(r.converged for r in reports)
+        assert len(grams) == len(reports) - 1
+        assert max(grams) <= 1e-10
+
+
 class TestDirectSumOptimality:
     def test_phi0_solution_is_projection(self):
         seq = gen_diffusion_sequence((8, 8), p=4, delta=0.05, seed=35, tol=1e-10)
@@ -242,7 +260,7 @@ class TestMonolithicAgreement:
             yhat0 = np.linalg.solve(B.T @ Ad @ B, B.T @ rhs)
             mono = augmented_pcg(
                 t.A, rhs, yhat0, B,
-                DirectReducedProjection.assemble(MatrixOperator(t.A), B),
+                DirectReducedProjection.assemble(lambda v: spmv(t.A, v), B),
                 pc.build("jacobi", t.A), t.eps, mode=cfg.mode,
             )
             x_mono = (t.xbar if t.xbar is not None else 0.0) + mono.x
@@ -358,8 +376,7 @@ class TestStage2Breakdown:
         A = make_spd(8, seed=60)
         Y = np.linalg.qr(random_basis(8, 3, seed=61))[0]
         W = Y[:, :1]
-        factor = BlockDiagFactor()
-        factor.append_cholesky(dense_cholesky(W.T @ A.to_dense() @ W))
+        factor = BlockDiagFactor(dense_cholesky(W.T @ A.to_dense() @ W))
         inner = InnerIterativeProjection(
             A, Y, None, 1e-10, "fom", np.eye(3)[:, :1], Y.T @ (A.to_dense() @ W), factor
         )
