@@ -10,8 +10,6 @@ the benefit at a fraction of the memory.
 
 import warnings
 
-import numpy as np
-
 from recykl import SolverConfig, TruncationConfig, gen_diffusion_sequence, run_sequence
 
 warnings.filterwarnings("ignore")  # rank-limited energy criteria are expected here

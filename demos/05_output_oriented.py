@@ -11,8 +11,6 @@ stage-3 iteration ran.
 
 import warnings
 
-import numpy as np
-
 from recykl import gen_diffusion_sequence, gen_output_matrix
 from recykl.bench import default_methods, output_error_run
 

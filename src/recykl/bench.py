@@ -75,6 +75,9 @@ def default_methods(
 
     Truncation keeps half the budget, and the split methods give five of
     those columns (fewer on a budget under ten) to the stage-1 block.
+    ``mode`` applies to the recycling methods only: the ``pcg`` baseline
+    keeps no directions, so it runs plain PCG with the two-term recurrence
+    whatever ``mode`` says.
     """
     retained = storage_cap // 2
     small = min(5, retained)

@@ -96,6 +96,14 @@ def _fixture_cases():
                         storage_cap=30, max_dim=20, stage1_dim=5),
             precond="jacobi",
         ),
+        # the roster's baseline: nothing recycled, so stage 3 is plain PCG
+        # with the two-term recurrence although the config says fom
+        "plain_pcg": dict(
+            generator=dict(grid=(10, 10), p=6, delta=0.05, seed=5, tol=1e-8),
+            config=dict(),
+            precond="jacobi",
+            recycle=False,
+        ),
     }
 
 
@@ -104,7 +112,7 @@ def run_fixture_case(case: dict):
     if "outputs" in case:
         seq.C = gen_output_matrix(case["outputs"]["rows"], seq.n, seed=case["outputs"]["seed"])
     cfg = SolverConfig(truncation=TruncationConfig(**case["config"]), precond=case["precond"],
-                       mode=case.get("mode", "fom"))
+                       mode=case.get("mode", "fom"), recycle=case.get("recycle", True))
     _, reports, _ = run_sequence(seq, cfg)
     return {
         "stage3_iters": [r.stage3_iters for r in reports],

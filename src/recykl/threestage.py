@@ -20,6 +20,10 @@ across the sequence:
 
 Stages 1 and 2 run only over a non-empty basis; without one (the first
 system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
+Without recycling that PCG runs the two-term recurrence whatever ``mode``
+says, because nothing keeps its directions; only runs that keep them (every
+run of a recycling method, its first system and stage-1 fallbacks included)
+pay for ``fom``'s re-orthogonalization and stored A-products.
 A system whose stage-1 Gram matrix fails its Cholesky factorization is
 solved the same way, and its report sets ``stage1_fallback``; so is one whose
 stage-1 block has more columns than A has rows, without assembling the Gram
@@ -71,6 +75,12 @@ from .weights import WeightHistory
 @dataclass
 class SolverConfig:
     """A method: truncation shape, recurrence mode, preconditioner, tolerances.
+
+    ``mode`` is the recurrence of every Krylov run that keeps its
+    directions: ``fom`` re-orthogonalizes each new direction against all
+    earlier ones, ``cg`` runs the two-term recurrence.  With
+    ``recycle=False`` no run keeps its directions, so stage 3 is plain PCG
+    with the two-term recurrence whatever ``mode`` says.
 
     ``precond`` is ``identity`` (no preconditioner), ``jacobi``, ``ssor`` or
     ``ssor:<omega>``.  For a system with forcing tolerance eps, stage 2
@@ -381,7 +391,9 @@ def solve_system(
             handle,
             M,
             eps,
-            mode=cfg.mode,
+            # a run that keeps no directions has nothing to orthogonalize
+            # them for: plain PCG runs the two-term recurrence
+            mode=cfg.mode if cfg.recycle else "cg",
             sink=sink,
             max_iter=cfg.max_iter,
             r0=r0 - products @ block_start,
@@ -446,11 +458,12 @@ def update_basis(
     the threshold.  The solution's coefficients in the grown block join the
     weight history.  When the config says the grown block is to be
     truncated, :func:`~recykl.truncation.compress` gets the block, the
-    just-solved matrix, the history and, when this solve already knows it
-    blockwise, the Gram matrix Z'AZ; it picks the weights, metric and method.
-    Z'AZ is known blockwise in ``fom`` mode when ``stage1_factor``, the
-    Cholesky factor of the stage-1 Gram matrix, is passed: the caller passes
-    it only when the stage-1 block spans the old basis.
+    just-solved matrix, the history and, for A-metric POD when this solve
+    already knows it blockwise, the Gram matrix Z'AZ; it picks the weights,
+    metric and method.  Z'AZ is known blockwise in ``fom`` mode when
+    ``stage1_factor``, the Cholesky factor of the stage-1 Gram matrix, is
+    passed: the caller passes it only when the stage-1 block spans the old
+    basis.  No other strategy reads Z'AZ, so none is given it.
     The weight history is then reset and the stage-1 prefix is the one
     ``compress`` derived.
     """
@@ -482,12 +495,14 @@ def update_basis(
     truncated = tcfg.truncates(Y_grown.shape[1])
     if truncated:
         gram = None
-        if stage1_factor is not None and cfg.mode == "fom" and k > 0:
-            # Z'AZ is already known blockwise: the stage-1 factor covers the
-            # old basis, the full orthogonalization makes the new columns
-            # A-orthonormal and A-orthogonal to it.  Two copies of the factor
-            # keep numpy from taking L @ L' as one symmetric rank-k update,
-            # which rounds differently
+        a_metric = tcfg.strategy.startswith("pod-a-")
+        if a_metric and stage1_factor is not None and cfg.mode == "fom" and k > 0:
+            # only A-metric POD reads Z'AZ, and here it is already known
+            # blockwise: the stage-1 factor covers the old basis, the full
+            # orthogonalization makes the new columns A-orthonormal and
+            # A-orthogonal to it.  Two copies of the factor keep numpy from
+            # taking L @ L' as one symmetric rank-k update, which rounds
+            # differently
             y_old = state.Y.shape[1]
             gram = np.zeros((y_old + k, y_old + k))
             gram[:y_old, :y_old] = stage1_factor.full() @ stage1_factor.full().T

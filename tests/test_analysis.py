@@ -18,7 +18,6 @@ from recykl.analysis import (
     WeightsBoundInstance,
 )
 from recykl.errors import RegimeInapplicable
-from recykl.linalg import SparseSpdMatrix
 
 
 class TestAbssep:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from recykl.fixtures import regenerate_fixtures, run_fixture_case, verify_fixture
+from recykl.fixtures import regenerate_fixtures, verify_fixture
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 FIXTURES = sorted(

@@ -67,13 +67,59 @@ class TestFirstSystem:
         xs, reports, _ = run_sequence(seq, cfg)
         sink = InstrumentationSink()
         M = pc.build(precond, seq[0].A) if precond != "identity" else None
-        ref = augmented_pcg(seq[0].A, seq[0].b, precond=M, tol=1e-9, mode=cfg.mode, sink=sink)
+        # without recycling nothing keeps the directions: plain PCG runs the
+        # two-term recurrence whatever the config's mode
+        mode = cfg.mode if recycle else "cg"
+        ref = augmented_pcg(seq[0].A, seq[0].b, precond=M, tol=1e-9, mode=mode, sink=sink)
         assert reports[0].stage1_dim == 0
         assert reports[0].stage2_iters == 0
         assert reports[0].stage3_iters == ref.k
         assert np.array_equal(xs[0], ref.x)
         assert reports[0].matvecs == sink.matvecs
         assert reports[0].precond_applies == sink.precond_applies
+
+    def test_no_recycle_ignores_mode(self):
+        seq = gen_diffusion_sequence((9, 9), p=3, delta=0.05, seed=27, tol=1e-9)
+        runs = [run_sequence(seq, solver_cfg(recycle=False, precond="jacobi", mode=mode))
+                for mode in ("fom", "cg")]
+        (xs_fom, reps_fom, _), (xs_cg, reps_cg, _) = runs
+        for x_fom, x_cg in zip(xs_fom, xs_cg, strict=True):
+            assert np.array_equal(x_fom, x_cg)
+        for r_fom, r_cg in zip(reps_fom, reps_cg, strict=True):
+            for name, value in vars(r_fom).items():
+                if name == "wall_time":
+                    continue
+                other = getattr(r_cg, name)
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, other), name
+                else:
+                    assert value == other, name
+
+    @pytest.mark.parametrize("mode", ["fom", "cg"])
+    def test_recycling_runs_keep_mode_and_directions(self, monkeypatch, mode):
+        # the first system and a stage-1 fallback both run over an empty
+        # block, but a recycling method keeps their directions, so stage 3
+        # runs the config's mode
+        modes = []
+
+        def spy(op, *args, **kw):
+            modes.append(kw["mode"])
+            return augmented_pcg(op, *args, **kw)
+
+        monkeypatch.setattr(threestage, "augmented_pcg", spy)
+        seq = gen_diffusion_sequence((4, 4), p=2, delta=0.05, seed=28, tol=1e-9)
+        cfg = solver_cfg(strategy="none", mode=mode)
+        state = RecycleState.empty(seq.n)
+        first, second = seq[0], seq[1]
+        _, report = solve_system(first.A, first.b, first.xbar, state, first.tol, cfg)
+        assert state.basis_dim == report.stage3_iters > 0
+        # a stage-1 block wider than A forces the fallback
+        wide = random_basis(seq.n, seq.n + 1, seed=29)
+        state = RecycleState(n=seq.n, Y=wide, stage1_idx=list(range(seq.n + 1)))
+        _, report = solve_system(second.A, second.b, second.xbar, state, second.tol, cfg)
+        assert report.stage1_fallback and report.converged
+        assert state.basis_dim == seq.n + 1 + report.stage3_iters
+        assert modes == [mode, mode]
 
     def test_single_system_summary(self):
         seq = gen_diffusion_sequence((6, 6), p=1, delta=0.0, seed=21, tol=1e-8)
@@ -210,6 +256,26 @@ class TestTruncationFiring:
         assert all(r.converged for r in reports)
         assert len(grams) == len(reports) - 1
         assert max(grams) <= 1e-10
+
+    @pytest.mark.parametrize("strategy", ["deflate", "pod-ctc-rbf"])
+    def test_gram_only_for_a_metric_pod(self, monkeypatch, strategy):
+        # deflation and output-metric POD never read Z'AZ, so fom truncation
+        # does not build it for them
+        grams = []
+
+        def spy(Z, cfg, A, history, **kw):
+            grams.append(kw["gram"])
+            return compress(Z, cfg, A, history, **kw)
+
+        monkeypatch.setattr(threestage, "compress", spy)
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        seq.C = gen_output_matrix(20, seq.n, seed=6)
+        cfg = solver_cfg(strategy=strategy, deflate_dim=8, storage_cap=12, max_dim=8,
+                         mode="fom")
+        _, reports, _ = run_sequence(seq, cfg)
+        assert all(r.converged for r in reports)
+        assert len(grams) == len(reports)
+        assert all(gram is None for gram in grams)
 
 
 class TestDirectSumOptimality:

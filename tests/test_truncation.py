@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_spd, make_spd_dense, random_basis
+from helpers import make_spd, random_basis
 from recykl.errors import RecyklError
 from recykl.linalg import SparseSpdMatrix, assemble_gram, principal_angle_distance
 from recykl.pod import pod_evd
