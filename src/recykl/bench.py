@@ -237,8 +237,19 @@ def write_run_outputs(runs: list[MethodRun], out_dir, label: str = "run") -> dic
 
 
 def dense_solutions(seq: SystemSequence) -> list[np.ndarray]:
+    """Reference solutions x* = A^{-1} b, one sparse LU per system.
+
+    A is SPD, so the factorization orders symmetrically (minimum degree on
+    A' + A) and pivots on the diagonal without a threshold.
+    """
     return [
-        scipy.sparse.linalg.spsolve(s.A.to_scipy().tocsc(), s.b) for s in seq.systems
+        scipy.sparse.linalg.splu(
+            s.A.to_scipy().tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).solve(s.b)
+        for s in seq.systems
     ]
 
 

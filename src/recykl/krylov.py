@@ -26,7 +26,9 @@ round-off (Giraud, Langou & Rozloznik, "The loss of orthogonality in the
 Gram-Schmidt orthogonalization process", Comput. Math. Appl. 50, 2005), and
 each sweep is two matrix-vector products over the stored block.  The
 directions of a run live in one preallocated, Fortran-ordered store, so that
-block is a contiguous prefix BLAS reads without copying.
+block is a contiguous prefix BLAS reads without copying; the result gets it
+in the same layout, and a run told to keep no directions (plain PCG, whose
+caller recycles nothing) stores none.
 """
 
 from __future__ import annotations
@@ -130,32 +132,35 @@ class DirectReducedProjection:
 class _DirectionStore:
     """The directions of one augmented-PCG run, in preallocated blocks.
 
-    Column i of ``V`` is direction p_i, with step length ``alpha[i]`` and
-    curvature ``gamma[i]`` = p_i'Ap_i; ``AV`` (kept only for ``mode="fom"``)
-    holds A p_i.  The blocks are Fortran-ordered, so the live prefix
-    ``V[:, :k]`` is one contiguous block.  Capacity starts at
-    min(64, max_iter) columns and doubles, capped at max_iter, when full.
+    Column i of ``V`` (kept only when ``directions``) is direction p_i, with
+    step length ``alpha[i]`` and curvature ``gamma[i]`` = p_i'Ap_i; ``AV``
+    (kept only when ``products``, for ``mode="fom"``) holds A p_i.  The
+    blocks are Fortran-ordered, so the live prefix ``V[:, :k]`` is one
+    contiguous block.  Capacity starts at min(64, max_iter) columns and
+    doubles, capped at max_iter, when full.
     """
 
-    def __init__(self, n: int, max_iter: int, products: bool):
+    def __init__(self, n: int, max_iter: int, products: bool, directions: bool = True):
         cap = min(_STORE_INITIAL_COLS, max_iter)
         self.k = 0
         self.max_iter = max_iter
-        self.V = np.empty((n, cap), order="F")
+        self.V = np.empty((n, cap), order="F") if directions else None
         self.AV = np.empty((n, cap), order="F") if products else None
         self.alpha = np.empty(cap)
         self.gamma = np.empty(cap)
 
     def append(self, p: np.ndarray, Ap: np.ndarray, gamma: float, alpha: float) -> None:
         k = self.k
-        if k == self.V.shape[1]:
+        if k == self.alpha.shape[0]:
             cap = min(2 * k, self.max_iter)
-            self.V = _grown(self.V, k, cap)
+            if self.V is not None:
+                self.V = _grown(self.V, k, cap)
             if self.AV is not None:
                 self.AV = _grown(self.AV, k, cap)
             self.alpha = _grown(self.alpha, k, cap)
             self.gamma = _grown(self.gamma, k, cap)
-        self.V[:, k] = p
+        if self.V is not None:
+            self.V[:, k] = p
         if self.AV is not None:
             self.AV[:, k] = Ap
         self.alpha[k] = alpha
@@ -184,7 +189,9 @@ class AugmentedPcgResult:
 
     ``x`` is the final iterate in the run's own coordinates (the caller adds
     any outer centering); it equals Y @ yhat0 + V @ vhat.  ``gamma`` holds
-    the diagonal p'Ap values of the A-orthogonal direction block V.
+    the diagonal p'Ap values of the A-orthogonal direction block V, which
+    is Fortran-ordered.  A run that kept no directions returns V, vhat and
+    gamma with no columns; ``k`` still counts its iterations.
     """
 
     k: int
@@ -214,6 +221,7 @@ def augmented_pcg(
     sink: InstrumentationSink | None = None,
     r0: np.ndarray | None = None,
     monitor=None,
+    keep_directions: bool = True,
 ) -> AugmentedPcgResult:
     """Augmented preconditioned CG over the affine space Y yhat0 + directions.
 
@@ -247,6 +255,10 @@ def augmented_pcg(
     monitor : callable, optional
         Called as monitor(k, x_k) at entry (k=0) and after every iteration;
         x_k is the solver's own array, rebound (never mutated) afterwards.
+    keep_directions : bool
+        False for a caller that reads no direction block: the run then
+        stores no directions and returns none.  Only ``mode="cg"`` can run
+        without them.
 
     Raises
     ------
@@ -270,6 +282,8 @@ def augmented_pcg(
         raise DimensionMismatch("augmented_pcg: rhs length mismatch")
     if mode not in ("cg", "fom"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "fom" and not keep_directions:
+        raise ValueError("mode 'fom' re-orthogonalizes against its stored directions")
 
     Y = None
     if aug_basis is not None:
@@ -303,18 +317,17 @@ def augmented_pcg(
 
     if max_iter is None:
         max_iter = n
-    store = _DirectionStore(n, max_iter, products=mode == "fom")
+    store = _DirectionStore(n, max_iter, products=mode == "fom", directions=keep_directions)
 
     def result(converged):
-        k = store.k
+        kept = store.k if keep_directions else 0
         return AugmentedPcgResult(
-            k=k,
-            vhat=store.alpha[:k],
-            # a C-ordered copy: the callers' products with a Fortran-ordered
-            # V round differently (cg-mode solutions moved by up to 5e-10
-            # relative), and the copy lets the store's spare columns go
-            V=np.ascontiguousarray(store.V[:, :k]),
-            gamma=store.gamma[:k],
+            k=store.k,
+            vhat=store.alpha[:kept],
+            # the live prefix is contiguous, so this copy is one memcpy; it
+            # keeps the layout, and lets the store's spare columns go
+            V=store.V[:, :kept].copy(order="F") if keep_directions else np.zeros((n, 0)),
+            gamma=store.gamma[:kept],
             residual_history=np.asarray(history),
             x=x,
             converged=converged,

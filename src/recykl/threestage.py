@@ -40,6 +40,13 @@ A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
 preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
 builds the preconditioner of each matrix itself, inside its clock, and
 updates the :class:`RecycleState` it is given in place.
+
+Blocks pass between the stages without copies where the layout allows: a
+single C-ordered block (such as the stage-1 products A W when stage 2 adds
+none) goes to stage 3 as it is, and the grown Y is allocated once with the
+new directions written into its tail.  A run without recycling keeps no
+direction block at all.  Checkpoint outputs C x are formed after the clock
+stops, by one product over the stacked iterates.
 """
 
 from __future__ import annotations
@@ -225,7 +232,7 @@ class InnerIterativeProjection:
             products, reduced = self.op.full_products, self.op.reduced_products
             self.op.full_products, self.op.reduced_products = [], []
         if res.k > 0:
-            self.basis = np.hstack([self.basis, res.V])
+            self.basis = _stack([self.basis, res.V], self.basis.shape[0])
             self.cross = np.hstack([self.cross, np.column_stack(reduced)])
             self.factor.append_sqrt_diag(np.sqrt(res.gamma))
         return res, products
@@ -247,9 +254,16 @@ class _Block(NamedTuple):
 
 
 def _stack(arrays: list[np.ndarray], rows: int) -> np.ndarray:
-    # C order whatever the blocks' order: the layout decides how BLAS rounds
-    # products with the stacked basis, and the frozen fixtures pin that rounding
-    return np.ascontiguousarray(np.hstack(arrays)) if arrays else np.zeros((rows, 0))
+    """The blocks side by side in one C-ordered array, written once.
+
+    C order whatever the blocks' order: the layout decides how BLAS rounds
+    products with the stacked basis, and the frozen fixtures pin that
+    rounding.  A single block already in C order is returned as it is.
+    """
+    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
+        return arrays[0]
+    out = np.empty((rows, sum(a.shape[1] for a in arrays)))
+    return np.concatenate(arrays, axis=1, out=out) if arrays else out
 
 
 def solve_system(
@@ -285,7 +299,7 @@ def solve_system(
     report = SolveReport(j=j)
     # checkpoint fields plus the iterate itself: the solvers rebind their
     # iterates and never mutate them, so a reference suffices until the
-    # outputs C @ x are formed, all at once after the clock stops
+    # outputs C @ x are formed after the clock stops, all in one product
     marks: list[tuple] | None = [] if track_iterates else None
 
     def record(stage, iteration, x):
@@ -319,7 +333,9 @@ def solve_system(
     stage1 = None
     stage2_broke = False
     if y and len(idx) <= A.n:
-        # stage 1: direct solve over W, factor cached for every later stage
+        # stage 1: direct solve over W, factor cached for every later stage.
+        # A prefix of Y taken as a view instead of this copy rounds
+        # differently and changed a stage-2 iteration count
         W = Y[:, idx]
         try:
             stage1 = direct_reduced_solve(A, r0, W, sink)
@@ -365,7 +381,10 @@ def solve_system(
                 report.stage2_converged = stage2.converged
                 report.stage2_residual_history = stage2.residual_history
                 if stage2.k:
-                    blocks.append(_Block(Y @ stage2.V, np.column_stack(AV2), stage2.vhat))
+                    # V is Fortran-ordered; the product rounds as the
+                    # fixtures pin it from a C copy
+                    blocks.append(_Block(Y @ np.ascontiguousarray(stage2.V),
+                                         np.column_stack(AV2), stage2.vhat))
         record("stage2", 0, add_center(Y @ yhat_comb))
 
     # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
@@ -394,6 +413,7 @@ def solve_system(
             # a run that keeps no directions has nothing to orthogonalize
             # them for: plain PCG runs the two-term recurrence
             mode=cfg.mode if cfg.recycle else "cg",
+            keep_directions=cfg.recycle,
             sink=sink,
             max_iter=cfg.max_iter,
             r0=r0 - products @ block_start,
@@ -419,7 +439,11 @@ def solve_system(
     report.precond_applies = snap["precond_applies"]
     report.wall_time = time.perf_counter() - t0
     if marks is not None:
-        report.checkpoints = [Checkpoint(*fields, output=chalf @ x) for *fields, x in marks]
+        # one GEMM over the stacked iterates, not one GEMV per checkpoint;
+        # each output is a contiguous row of the product
+        outputs = np.stack([x for *_, x in marks]) @ chalf.T
+        report.checkpoints = [Checkpoint(*fields, output=out)
+                              for (*fields, _), out in zip(marks, outputs)]
     if trace_out is not None:
         trace_out.append(
             SystemTrace(
@@ -475,14 +499,17 @@ def update_basis(
     k = stage3_res.k
     if k > 0:
         sqrt_t = np.sqrt(stage3_res.gamma)
-        scaled = stage3_res.V / sqrt_t
         y_old = state.Y.shape[1]
         if tcfg.stage1_threshold >= 1.0:
             admitted = list(range(k))
         else:
             shares = stage3_res.gamma / np.sum(stage3_res.gamma)
             admitted = [i for i in range(k) if shares[i] > tcfg.stage1_threshold]
-        Y_grown = np.hstack([state.Y, scaled]) if y_old else scaled
+        # the grown block is allocated once, in C order, and the scaled
+        # directions are written straight into its tail
+        Y_grown = np.empty((state.Y.shape[0], y_old + k))
+        Y_grown[:, :y_old] = state.Y
+        np.divide(stage3_res.V, sqrt_t, out=Y_grown[:, y_old:])
         stage1_idx = state.stage1_idx + [y_old + i for i in admitted]
         eta = np.concatenate([yhat_comb, stage3_res.vhat * sqrt_t])
     else:

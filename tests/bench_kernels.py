@@ -11,9 +11,12 @@ build and one apply (relaxation 1.7) on a 100x100 diffusion matrix, the Gram ass
 B'AB of a C-ordered block of m in {10, 50, 200} columns against the same
 matrix (n = 10,000), one ``mode="fom"`` re-orthogonalization step against k
 stored directions at n = 3600 (block CGS2, with the two-sweep modified
-Gram-Schmidt loop it replaced alongside for comparison), a dense SPD
-solve through a 50x50 Cholesky factor, and the Matrix Market readers on the
-written 100x100 diffusion matrix and on a 10,000-value vector.
+Gram-Schmidt loop it replaced alongside for comparison), the outputs C x of
+K in {10, 25, 60} checkpoint iterates at q = 100, n = 3600 (one GEMM over
+the stacked iterates, with the per-checkpoint GEMVs it replaced alongside),
+a dense SPD solve through a 50x50 Cholesky factor, and the Matrix Market
+readers on the written 100x100 diffusion matrix and on a 10,000-value
+vector.
 """
 
 import numpy as np
@@ -75,6 +78,23 @@ def test_reorth_cgs2(benchmark, k):
 def test_reorth_mgs_loop(benchmark, k):
     store, p = _filled_store(3600, k, seed=k)
     benchmark(mgs2_a_orthogonalize, p, store.V[:, :k], store.AV[:, :k], store.gamma[:k])
+
+
+def _checkpoint_iterates(K):
+    rng = np.random.default_rng(K)
+    return rng.standard_normal((100, 3600)), [rng.standard_normal(3600) for _ in range(K)]
+
+
+@pytest.mark.parametrize("K", [10, 25, 60])
+def test_checkpoint_outputs_gemm(benchmark, K):
+    C, xs = _checkpoint_iterates(K)
+    benchmark(lambda: np.stack(xs) @ C.T)
+
+
+@pytest.mark.parametrize("K", [10, 25, 60])
+def test_checkpoint_outputs_gemv(benchmark, K):
+    C, xs = _checkpoint_iterates(K)
+    benchmark(lambda: [C @ x for x in xs])
 
 
 def test_solve_spd_50(benchmark):

@@ -6,6 +6,7 @@ import pytest
 from recykl.bench import (
     MethodSpec,
     default_methods,
+    dense_solutions,
     load_methods_file,
     output_error_run,
     run_methods,
@@ -101,6 +102,13 @@ class TestRunMethods:
 
 
 class TestOutputErrorRun:
+    def test_reference_solutions_solve_each_system(self, small_seq):
+        xstars = dense_solutions(small_seq)
+        assert len(xstars) == small_seq.p
+        for spec, xstar in zip(small_seq.systems, xstars, strict=True):
+            residual = spec.b - spec.A.to_scipy() @ xstar
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(spec.b)
+
     def test_infinite_tau_zero_cost(self, small_seq):
         methods = [default_methods(storage_cap=16)[1]]  # no-trunc
         rows = output_error_run(small_seq, methods, [np.inf])

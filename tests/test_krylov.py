@@ -216,6 +216,24 @@ class TestDirectionStore:
         assert np.allclose(res.x, res.V @ res.vhat, rtol=0.0,
                            atol=1e-12 * np.linalg.norm(res.x))
 
+    def test_run_without_directions_keeps_none(self):
+        # a caller that reads no direction block gets the same run without one
+        A = laplacian_2d(30)
+        b = np.random.default_rng(38).standard_normal(A.n)
+        tol = 1e-10 * np.linalg.norm(b)
+        kept = augmented_pcg(A, b, tol=tol, mode="cg")
+        bare = augmented_pcg(A, b, tol=tol, mode="cg", keep_directions=False)
+        assert bare.k == kept.k > _STORE_INITIAL_COLS
+        assert np.array_equal(bare.x, kept.x)
+        assert np.array_equal(bare.residual_history, kept.residual_history)
+        assert bare.V.shape == (A.n, 0)
+        assert bare.vhat.shape == bare.gamma.shape == (0,)
+
+    def test_fom_needs_its_directions(self):
+        A = laplacian_2d(5)
+        with pytest.raises(ValueError):
+            augmented_pcg(A, np.ones(A.n), tol=1e-8, mode="fom", keep_directions=False)
+
     @pytest.mark.parametrize("k", [1, 50, 300])
     def test_cgs2_matches_mgs_reference(self, k):
         A = laplacian_2d(30)

@@ -12,7 +12,7 @@ from recykl.krylov import (
     augmented_pcg,
 )
 from recykl.linalg import InstrumentationSink, assemble_gram, dense_cholesky, spmv
-from recykl.problems import gen_diffusion_sequence, gen_output_matrix
+from recykl.problems import LinearSystemSpec, gen_diffusion_sequence, gen_output_matrix
 from recykl.threestage import (
     InnerIterativeProjection,
     RecycleState,
@@ -20,6 +20,7 @@ from recykl.threestage import (
     run_sequence,
     solve_system,
     summarize_reports,
+    update_basis,
 )
 from recykl.truncation import TruncationConfig, compress
 
@@ -278,6 +279,44 @@ class TestTruncationFiring:
         assert all(gram is None for gram in grams)
 
 
+class TestNoCopies:
+    def test_stack_returns_single_c_block(self):
+        B = np.arange(12.0).reshape(4, 3)
+        assert np.shares_memory(threestage._stack([B], 4), B)
+        F = np.asfortranarray(B)
+        for blocks in ([F], [B, F]):
+            out = threestage._stack(blocks, 4)
+            assert out.flags.c_contiguous and not np.shares_memory(out, F)
+            assert np.array_equal(out, np.hstack(blocks))
+        assert threestage._stack([], 4).shape == (4, 0)
+
+    @pytest.mark.parametrize("mode, width", [("fom", 3), ("cg", 0)])
+    def test_update_basis_appends_scaled_directions(self, mode, width):
+        seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=35, tol=1e-8)
+        A, b = seq[0].A, seq[0].b
+        Y = random_basis(seq.n, width, seed=36)
+        state = RecycleState(n=seq.n, Y=Y.copy(), stage1_idx=list(range(width)))
+        res = augmented_pcg(A, b, tol=1e-8, mode=mode)
+        update_basis(state, np.zeros(width), res, solver_cfg(strategy="none", mode=mode), A)
+        assert np.array_equal(state.Y, np.hstack([Y, res.V / np.sqrt(res.gamma)]))
+        assert state.Y.flags.c_contiguous
+        assert state.stage1_idx == list(range(width + res.k))
+
+    def test_no_recycle_keeps_no_directions(self, monkeypatch):
+        results = []
+
+        def spy(state, yhat_comb, stage3_res, *args, **kw):
+            results.append(stage3_res)
+            return update_basis(state, yhat_comb, stage3_res, *args, **kw)
+
+        monkeypatch.setattr(threestage, "update_basis", spy)
+        seq = gen_diffusion_sequence((8, 8), p=3, delta=0.05, seed=37, tol=1e-8)
+        _, reports, _ = run_sequence(seq, solver_cfg(recycle=False, precond="jacobi"))
+        assert [r.stage3_iters for r in reports] == [res.k for res in results]
+        for res in results:
+            assert res.k > 0 and res.V.shape == (seq.n, 0)
+
+
 class TestDirectSumOptimality:
     def test_phi0_solution_is_projection(self):
         seq = gen_diffusion_sequence((8, 8), p=4, delta=0.05, seed=35, tol=1e-10)
@@ -490,11 +529,17 @@ class TestDiagnostics:
     def test_checkpoints_track_iterates(self):
         seq = gen_diffusion_sequence((7, 7), p=2, delta=0.02, seed=42, tol=1e-8)
         seq.C = gen_output_matrix(4, seq.n, seed=43)
+        second = seq.systems[1]
+        xbar = np.random.default_rng(44).standard_normal(seq.n)
+        seq.systems[1] = LinearSystemSpec(second.A, second.b, xbar, second.tol)
         xs, reports, _ = run_sequence(seq, solver_cfg(), track_iterates=True)
         cps = reports[1].checkpoints
         stages = [c.stage for c in cps]
         assert stages[0] == "start" and "stage1" in stages and "stage2" in stages
-        assert np.array_equal(cps[-1].output, seq.C @ xs[1])
+        # the outputs come from one product over the stacked iterates, whose
+        # columns round within a few ulp of the one-iterate product
+        np.testing.assert_allclose(cps[-1].output, seq.C @ xs[1], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(cps[0].output, seq.C @ xbar, rtol=1e-14, atol=0)
         assert all(c.output.shape == (4,) for c in cps)
         times = [c.wall_time for c in cps]
         assert times == sorted(times) and times[-1] <= reports[1].wall_time
