@@ -120,7 +120,8 @@ class WeightsBoundInstance:
     label: str = ""
 
 
-def make_weights_instance(seed: int, n=24, m=6, drift=0.05, output_metric=False) -> WeightsBoundInstance:
+def make_weights_instance(seed: int, output_metric=False) -> WeightsBoundInstance:
+    n, m, drift = 24, 6, 0.05
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.logspace(0, 1.5, n)
@@ -310,8 +311,9 @@ def check_subspace_distance_bound(inst: DistanceBoundInstance, regime: str) -> B
     return BoundCheckReport.compare(lhs, rhs, context)
 
 
-def make_distance_instance(seed: int, regime: str, n=20, s=7, y=3) -> DistanceBoundInstance:
+def make_distance_instance(seed: int, regime: str) -> DistanceBoundInstance:
     """Random instance satisfying the preconditions of the requested regime."""
+    n, s, y = 20, 7, 3
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     theta_comp = (Q * np.logspace(0, 1, n)) @ Q.T
@@ -346,22 +348,20 @@ def make_distance_instance(seed: int, regime: str, n=20, s=7, y=3) -> DistanceBo
 # reduced-matrix conditioning bound
 
 
-def check_conditioning_bound(traces, *, assume_hypothesis: bool = False) -> list[BoundCheckReport]:
+def check_conditioning_bound(traces) -> list[BoundCheckReport]:
     """Per-system conditioning of the recycled reduced matrix vs its bound.
 
     ``traces`` is the list of per-system records from a sequence run.  The
     bound telescopes matrix drift from the latest truncation (or the start):
     ||Y_j' A_j Y_j - I|| <= sum over k since then of ||Y_k||^2 ||A_k - A_{k-1}||.
-    It presumes the run kept every basis column in the stage-1 block (or
-    orthogonalized fully with exact tolerances); pass
-    ``assume_hypothesis=True`` to skip the structural check.
+    It presumes the run kept every basis column in the stage-1 block, and
+    raises :class:`RegimeInapplicable` on a trace where it did not.
     """
-    if not assume_hypothesis:
-        for t in traces:
-            if t.Y_entry.shape[1] and len(t.stage1_idx) != t.Y_entry.shape[1]:
-                raise RegimeInapplicable(
-                    "conditioning bound requires the stage-1 block to span the whole basis"
-                )
+    for t in traces:
+        if t.Y_entry.shape[1] and len(t.stage1_idx) != t.Y_entry.shape[1]:
+            raise RegimeInapplicable(
+                "conditioning bound requires the stage-1 block to span the whole basis"
+            )
     reports = []
     norm_cache: dict[int, float] = {}
     drift_cache: dict[int, float] = {}

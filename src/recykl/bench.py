@@ -2,11 +2,12 @@
 
 A method is a name and a :class:`SolverConfig` (truncation shape, mode,
 preconditioner, stage-tolerance factors).  Methods run over a shared
-immutable sequence, optionally in a thread pool, and their per-system
-reports land in CSV/JSON files: one row per (method, system) with the three
-cost metrics (``wall_ms`` includes the preconditioner build) and the solve's
-outcome flags (``reduced_condition`` only under diagnostics), per-iteration
-residual histories, and per-method averages.
+immutable sequence one after another, so each ``wall_ms`` measures its
+solve alone, and their per-system reports land in CSV/JSON files: one row
+per (method, system) with the three cost metrics (``wall_ms`` includes the
+preconditioner build) and the solve's outcome flags (``reduced_condition``
+only under diagnostics), per-iteration residual histories, and per-method
+averages.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +134,11 @@ class MethodRun:
         return summarize_reports(self.reports)
 
 
+def _check_serial(threads: int) -> None:
+    if threads != 1:
+        raise RecyklError(f"methods run one after another; threads must be 1, got {threads!r}")
+
+
 def run_methods(
     seq: SystemSequence,
     methods: list[MethodSpec],
@@ -143,12 +148,15 @@ def run_methods(
     track_iterates: bool = False,
     tol_override: float | None = None,
 ) -> list[MethodRun]:
-    """Run every method over the shared sequence, optionally in parallel.
+    """Run every method over the shared sequence, one method after another.
 
+    Serial, so each report's ``wall_time`` measures its solve alone.
+    ``threads`` must be 1; any other value raises :class:`RecyklError`.  The
+    keyword remains only because perfbench still passes ``threads=1``.
     ``track_iterates`` records output checkpoints (C @ x), which needs the
     sequence's output matrix; ``keep_solutions`` keeps the solution vectors.
     """
-
+    _check_serial(threads)
     seq_used = seq
     if tol_override is not None:
         from .problems import LinearSystemSpec
@@ -161,24 +169,17 @@ def run_methods(
             C=seq.C,
             metadata=seq.metadata,
         )
-
-    def one(method: MethodSpec) -> MethodRun:
+    runs = []
+    for method in methods:
         sols, reports, _ = run_sequence(
             seq_used,
             method.config,
             stop_on_failure=False,
             track_iterates=track_iterates,
         )
-        return MethodRun(
-            method=method,
-            reports=reports,
-            solutions=sols if keep_solutions else None,
-        )
-
-    if threads <= 1 or len(methods) <= 1:
-        return [one(m) for m in methods]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, methods))
+        runs.append(MethodRun(method=method, reports=reports,
+                              solutions=sols if keep_solutions else None))
+    return runs
 
 
 CSV_FIELDS = (
@@ -267,12 +268,14 @@ def output_error_run(
     stage-3 iterate), from the output C x the checkpoint holds; per tau the
     first checkpoint meeting it is charged.
     Averages below one preconditioner application mean the threshold was
-    typically met before stage 3.
+    typically met before stage 3.  ``threads`` must be 1, as in
+    :func:`run_methods`.
     """
+    _check_serial(threads)
     if seq.C is None:
         raise RecyklError("output-error runs need the sequence's output matrix")
     xstars = dense_solutions(seq)
-    runs = run_methods(seq, methods, threads=threads, track_iterates=True)
+    runs = run_methods(seq, methods, track_iterates=True)
     rows = []
     for run in runs:
         per_tau = {tau: {"matvecs": [], "precond": [], "wall": [], "met": 0} for tau in taus}
@@ -310,7 +313,6 @@ def weight_study(
     *,
     dims=None,
     warmup: int = 10,
-    mode: str = "fom",
     precond: str = "identity",
     schemes=("ideal", "prev", "rbf"),
 ) -> list[dict]:
@@ -320,13 +322,16 @@ def weight_study(
     the accumulated block is then POD-truncated in the metric of the last
     solved matrix to each dimension in ``dims``, and the following system is
     solved from that basis: recorded are the residual after stages 1-2 and
-    the stage-3 iteration count.
+    the stage-3 iteration count.  Every solve uses the ``fom`` recurrence.
+    ``warmup`` and each entry of ``dims`` must be at least 1.
     """
+    if warmup < 1:
+        raise RecyklError(f"weight study needs warmup >= 1, got {warmup}")
+    if dims is not None and any(k < 1 for k in dims):
+        raise RecyklError(f"weight study dims must be >= 1, got {list(dims)}")
     if seq.p < warmup + 1:
         raise RecyklError("weight study needs at least warmup+1 systems")
-    cfg = SolverConfig(
-        truncation=TruncationConfig(strategy="none", nu_w=1.0), mode=mode, precond=precond
-    )
+    cfg = SolverConfig(truncation=TruncationConfig(strategy="none", nu_w=1.0), precond=precond)
     state = RecycleState.empty(seq.n)
     for spec in seq.systems[:warmup]:
         _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)

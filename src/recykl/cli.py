@@ -49,12 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _threads(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("RECYKL_THREADS", "1"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="recykl", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -78,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--precond", default=None,
                      help="identity, jacobi, or ssor:<omega>; overrides method specs")
     run.add_argument("--storage-cap", type=int, default=50)
-    run.add_argument("--threads", type=int, default=None)
     run.add_argument("--diagnostics", action="store_true")
     run.add_argument("--out-dir", default="results")
 
@@ -90,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     oer.add_argument("--storage-cap", type=int, default=50)
     oer.add_argument("--taus", type=float, nargs="+",
                      default=[10.0 ** (-k) for k in range(0, 9)])
-    oer.add_argument("--threads", type=int, default=None)
     oer.add_argument("--out-dir", default="results")
 
     ws = sub.add_parser("weight-study", help="weight-scheme comparison")
@@ -142,12 +134,11 @@ def cmd_run(args) -> int:
     if args.diagnostics:
         for m in methods:
             m.config.diagnostics = True
-    threads = _threads(args.threads)
     failures = 0
     if args.tol_sweep:
         sweep_summary = {}
         for tol in bench.TOL_SWEEP:
-            runs = bench.run_methods(seq, methods, threads=threads, tol_override=tol)
+            runs = bench.run_methods(seq, methods, tol_override=tol)
             label = f"tol{tol:.0e}"
             bench.write_run_outputs(runs, args.out_dir, label=label)
             sweep_summary[label] = {r.method.name: r.summary for r in runs}
@@ -157,7 +148,7 @@ def cmd_run(args) -> int:
             json.dump(sweep_summary, fh, indent=2)
         print(f"wrote sweep summary to {path}")
     else:
-        runs = bench.run_methods(seq, methods, threads=threads)
+        runs = bench.run_methods(seq, methods)
         paths = bench.write_run_outputs(runs, args.out_dir)
         for run in runs:
             s = run.summary
@@ -176,9 +167,7 @@ def cmd_output_error(args) -> int:
     if seq.C is None:
         raise RecyklError("manifest has no output matrix; regenerate with --outputs")
     methods = _load_or_default_methods(args)
-    rows = bench.output_error_run(
-        seq, methods, args.taus, threads=_threads(args.threads)
-    )
+    rows = bench.output_error_run(seq, methods, args.taus)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "output_error.csv")
     bench.write_rows_csv(rows, path)

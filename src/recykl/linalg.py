@@ -8,7 +8,6 @@ most a few hundred rows.
 
 from __future__ import annotations
 
-import threading
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -25,37 +24,26 @@ _SYMMETRY_RTOL = 1e-12
 
 
 class InstrumentationSink:
-    """Shared counters for operation costs.
+    """Counters for the operation costs of one solve.
 
-    One sink is attached per solve (or per benchmark run); increments are
-    lock-protected so concurrent solves may share a sink.
+    Each solve owns its sink: :func:`recykl.threestage.solve_system` makes
+    one unless handed one.  The counters are plain integers with no lock,
+    so a sink is not thread-safe and must not be shared between threads.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.matvecs = 0
         self.precond_applies = 0
         self.gram_assemblies = 0
 
     def add_matvec(self, count: int = 1) -> None:
-        with self._lock:
-            self.matvecs += count
+        self.matvecs += count
 
-    def add_precond(self, count: int = 1) -> None:
-        with self._lock:
-            self.precond_applies += count
+    def add_precond(self) -> None:
+        self.precond_applies += 1
 
     def add_gram(self) -> None:
-        with self._lock:
-            self.gram_assemblies += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "matvecs": self.matvecs,
-                "precond_applies": self.precond_applies,
-                "gram_assemblies": self.gram_assemblies,
-            }
+        self.gram_assemblies += 1
 
 
 class SparseSpdMatrix:

@@ -162,7 +162,7 @@ def gen_output_matrix(q: int, n: int, seed: int = 0) -> np.ndarray:
     return np.array(stream.uniforms(q * n)).reshape((q, n))
 
 
-def write_sequence(seq: SystemSequence, out_dir, name: str = "sequence") -> str:
+def write_sequence(seq: SystemSequence, out_dir) -> str:
     """Write Matrix Market files plus a JSON manifest; returns manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
@@ -177,7 +177,7 @@ def write_sequence(seq: SystemSequence, out_dir, name: str = "sequence") -> str:
             mmio.write_array(os.path.join(out_dir, guess_name), sys_spec.xbar)
             entry["guess"] = guess_name
         entries.append(entry)
-    manifest = {"n": seq.n, "name": name, "systems": entries, "metadata": seq.metadata}
+    manifest = {"n": seq.n, "name": "sequence", "systems": entries, "metadata": seq.metadata}
     if seq.C is not None:
         mmio.write_array(os.path.join(out_dir, "C.mtx"), seq.C)
         manifest["output_matrix"] = "C.mtx"

@@ -304,8 +304,7 @@ def solve_system(
 
     def record(stage, iteration, x):
         if marks is not None:
-            snap = sink.snapshot()
-            marks.append((stage, iteration, snap["matvecs"], snap["precond_applies"],
+            marks.append((stage, iteration, sink.matvecs, sink.precond_applies,
                           time.perf_counter() - t0, x))
 
     b = np.asarray(b, dtype=np.float64)
@@ -434,9 +433,8 @@ def solve_system(
         stage1_factor=factor.chol if factor is not None and len(idx) == y else None,
     )
     report.truncated = truncated
-    snap = sink.snapshot()
-    report.matvecs = snap["matvecs"]
-    report.precond_applies = snap["precond_applies"]
+    report.matvecs = sink.matvecs
+    report.precond_applies = sink.precond_applies
     report.wall_time = time.perf_counter() - t0
     if marks is not None:
         # one GEMM over the stacked iterates, not one GEMV per checkpoint;

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NoHistory
 from .krylov import direct_reduced_solve
-from .linalg import InstrumentationSink, SparseSpdMatrix, spmv
+from .linalg import SparseSpdMatrix, spmv
 
 
 def idw_weight(r: int) -> float:
@@ -61,13 +61,7 @@ class WeightHistory:
         return out
 
 
-def weights_ideal(
-    Z,
-    A: SparseSpdMatrix,
-    b,
-    xguess=None,
-    sink: InstrumentationSink | None = None,
-) -> np.ndarray:
+def weights_ideal(Z, A: SparseSpdMatrix, b, xguess=None) -> np.ndarray:
     """Galerkin coordinates of the current centered solution in range(Z).
 
     Oracle only: this is a full reduced solve with the current matrix, the
@@ -76,8 +70,8 @@ def weights_ideal(
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
-    rhs = b if xguess is None else b - spmv(A, xguess, sink)
-    return direct_reduced_solve(A, rhs, Z, sink).what
+    rhs = b if xguess is None else b - spmv(A, xguess)
+    return direct_reduced_solve(A, rhs, Z).what
 
 
 def weights_previous(history: WeightHistory) -> np.ndarray:

@@ -72,13 +72,9 @@ class TestMethodSpec:
 
 
 class TestRunMethods:
-    def test_threaded_matches_serial(self, small_seq):
-        methods = default_methods(storage_cap=16, precond="jacobi")[:4]
-        serial = run_methods(small_seq, methods, threads=1)
-        threaded = run_methods(small_seq, methods, threads=3)
-        for a, b in zip(serial, threaded):
-            assert [r.stage3_iters for r in a.reports] == [r.stage3_iters for r in b.reports]
-            assert [r.matvecs for r in a.reports] == [r.matvecs for r in b.reports]
+    def test_threads_other_than_one_rejected(self, small_seq):
+        with pytest.raises(RecyklError, match="threads must be 1"):
+            run_methods(small_seq, default_methods(storage_cap=16)[:2], threads=2)
 
     def test_tol_override(self, small_seq):
         methods = [default_methods(storage_cap=16)[0]]  # plain pcg
@@ -102,6 +98,11 @@ class TestRunMethods:
 
 
 class TestOutputErrorRun:
+    def test_threads_other_than_one_rejected(self, small_seq):
+        with pytest.raises(RecyklError, match="threads must be 1"):
+            output_error_run(small_seq, default_methods(storage_cap=16)[:2], [1e-3],
+                             threads=2)
+
     def test_reference_solutions_solve_each_system(self, small_seq):
         xstars = dense_solutions(small_seq)
         assert len(xstars) == small_seq.p
@@ -155,6 +156,21 @@ class TestWeightStudy:
         seq = gen_diffusion_sequence((5, 5), p=3, delta=0.0, seed=67)
         with pytest.raises(RecyklError):
             weight_study(seq, warmup=5)
+
+    @pytest.mark.parametrize("warmup", [0, -2])
+    def test_warmup_below_one_rejected(self, warmup):
+        # unchecked, a negative warmup would slice systems[:warmup] and pick
+        # its target from the end of the sequence
+        seq = gen_diffusion_sequence((5, 5), p=4, delta=0.0, seed=67)
+        with pytest.raises(RecyklError, match="warmup >= 1"):
+            weight_study(seq, warmup=warmup)
+
+    @pytest.mark.parametrize("dims", [[0], [3, -3]])
+    def test_dims_below_one_rejected(self, dims):
+        # unchecked, a negative dim would solve over pod.columns[:, :dim]
+        seq = gen_diffusion_sequence((5, 5), p=4, delta=0.0, seed=67)
+        with pytest.raises(RecyklError, match="dims must be >= 1"):
+            weight_study(seq, dims=dims, warmup=2)
 
     def test_write_rows(self, tmp_path):
         rows = [{"a": 1, "b": 2.5}]

@@ -183,6 +183,21 @@ class TestPrecondOverride:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["run", "output-error"])
+    def test_threads_flag_gone_exit_3(self, tmp_path, sequence_dir, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(sequence_dir / "manifest.json"),
+                  "--threads", "2", "--out-dir", str(tmp_path / "res")])
+        assert exc.value.code == 3
+
+    @pytest.mark.parametrize("flags", [["--warmup", "-2"], ["--dims", "-3"]])
+    def test_bad_weight_study_sizes_exit_3(self, tmp_path, sequence_dir, flags, capsys):
+        code = main(["weight-study", "--manifest", str(sequence_dir / "manifest.json"),
+                     *flags, "--out-dir", str(tmp_path / "ws")])
+        assert code == 3
+        assert ">= 1" in capsys.readouterr().err
+        assert not (tmp_path / "ws" / "weight_study.csv").exists()
+
     def test_malformed_ssor_spec_exit_3(self, tmp_path, sequence_dir, capsys):
         code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
                      "--precond", "ssor:abc", "--out-dir", str(tmp_path / "res")])
