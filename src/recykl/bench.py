@@ -36,6 +36,7 @@ from .truncation import TruncationConfig, parse_strategy
 from .weights import weights_ideal, weights_previous, weights_rbf
 
 TOL_SWEEP = tuple(10.0 ** (-k) for k in range(1, 7))
+WEIGHT_SCHEMES = ("ideal", "prev", "rbf")
 
 
 @dataclass
@@ -314,7 +315,7 @@ def weight_study(
     dims=None,
     warmup: int = 10,
     precond: str = "identity",
-    schemes=("ideal", "prev", "rbf"),
+    schemes=WEIGHT_SCHEMES,
 ) -> list[dict]:
     """Compare weight schemes by truncating after a warmup stretch.
 
@@ -323,8 +324,13 @@ def weight_study(
     solved matrix to each dimension in ``dims``, and the following system is
     solved from that basis: recorded are the residual after stages 1-2 and
     the stage-3 iteration count.  Every solve uses the ``fom`` recurrence.
-    ``warmup`` and each entry of ``dims`` must be at least 1.
+    ``warmup`` and each entry of ``dims`` must be at least 1, and every
+    scheme one of :data:`WEIGHT_SCHEMES`; all three are checked before any
+    solve.
     """
+    unknown = [scheme for scheme in schemes if scheme not in WEIGHT_SCHEMES]
+    if unknown:
+        raise RecyklError(f"unknown scheme {unknown[0]!r}")
     if warmup < 1:
         raise RecyklError(f"weight study needs warmup >= 1, got {warmup}")
     if dims is not None and any(k < 1 for k in dims):
@@ -350,10 +356,8 @@ def weight_study(
             weight_vectors[scheme] = weights_ideal(Z, target.A, target.b, target.xbar)
         elif scheme == "prev":
             weight_vectors[scheme] = weights_previous(state.history)
-        elif scheme == "rbf":
-            weight_vectors[scheme] = weights_rbf(state.history, len(state.history))
         else:
-            raise RecyklError(f"unknown scheme {scheme!r}")
+            weight_vectors[scheme] = weights_rbf(state.history, len(state.history))
 
     rows = []
     for scheme, gamma in weight_vectors.items():

@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     ws.add_argument("--manifest", required=True)
     ws.add_argument("--warmup", type=int, default=10)
     ws.add_argument("--dims", type=int, nargs="+", default=None)
-    ws.add_argument("--weights", nargs="+", default=("ideal", "prev", "rbf"),
-                    choices=("ideal", "prev", "rbf"))
+    ws.add_argument("--weights", nargs="+", default=bench.WEIGHT_SCHEMES,
+                    choices=bench.WEIGHT_SCHEMES)
     ws.add_argument("--precond", default="identity")
     ws.add_argument("--out-dir", default="results")
 

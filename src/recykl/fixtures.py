@@ -4,9 +4,11 @@ Each fixture pairs a deterministic problem with a solver configuration and
 freezes the integer counters of the run (iteration counts, matvecs) plus
 float quantities with tolerances.  Wall times are never frozen.  The
 fixture files are JSON produced from the same seeded generators the tests
-replay.  Regeneration reproduces the counters but not always the committed
-files byte for byte: the final residuals of some cases differ from a fresh
-run in their trailing digits, within the tolerance of :func:`verify_fixture`.
+replay, and the committed files are a regeneration by the current code, byte
+for byte.  A change that only moves rounding moves the trailing digits of
+the final residuals, within the tolerance of :func:`verify_fixture`, and
+leaves the files to be regenerated with it; ``tools/fixture_diff.py`` prints
+what a change moved before they are.
 """
 
 from __future__ import annotations
@@ -186,19 +188,21 @@ def regenerate_fixtures(out_dir) -> dict:
     return written
 
 
-def verify_fixture(path) -> dict:
-    """Re-run a fixture case and diff the counters against the frozen values.
-
-    Returns a dict of mismatches (empty when the fixture reproduces).
-    Counters must be identical; each final residual may differ from its
-    frozen value ``want`` by at most ``1e-12 + 1e-6 * |want|``.
-    """
+def replay_fixture(path) -> tuple[dict, dict]:
+    """The frozen values of a fixture file and a fresh run of its case."""
     with open(path) as fh:
         payload = json.load(fh)
     case = payload["case"]
     case["generator"]["grid"] = tuple(case["generator"]["grid"])
-    fresh = run_fixture_case(case)
-    frozen = payload["frozen"]
+    return payload["frozen"], run_fixture_case(case)
+
+
+def fixture_mismatches(frozen: dict, fresh: dict) -> dict:
+    """The counters and residuals in which ``fresh`` differs from ``frozen``.
+
+    Counters must be identical; each final residual may differ from its
+    frozen value ``want`` by at most ``1e-12 + 1e-6 * |want|``.
+    """
     mismatches = {}
     for key in ("stage3_iters", "stage2_iters", "stage1_dims", "matvecs", "converged"):
         if fresh[key] != frozen[key]:
@@ -209,3 +213,12 @@ def verify_fixture(path) -> dict:
         mismatches["final_residuals"] = {"frozen": frozen["final_residuals"],
                                          "fresh": fresh["final_residuals"]}
     return mismatches
+
+
+def verify_fixture(path) -> dict:
+    """Re-run a fixture case and diff the counters against the frozen values.
+
+    Returns a dict of mismatches (empty when the fixture reproduces), by
+    the rule of :func:`fixture_mismatches`.
+    """
+    return fixture_mismatches(*replay_fixture(path))

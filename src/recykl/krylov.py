@@ -25,10 +25,13 @@ twice (CGS2): two sweeps suffice to reach orthogonality at the level of
 round-off (Giraud, Langou & Rozloznik, "The loss of orthogonality in the
 Gram-Schmidt orthogonalization process", Comput. Math. Appl. 50, 2005), and
 each sweep is two matrix-vector products over the stored block.  The
-directions of a run live in one preallocated, Fortran-ordered store, so that
-block is a contiguous prefix BLAS reads without copying; the result gets it
-in the same layout, and a run told to keep no directions (plain PCG, whose
-caller recycles nothing) stores none.
+directions of a run and their operator products A p live in one
+preallocated, Fortran-ordered store, in both modes: ``fom`` reads the
+products in every sweep, and a caller that recycles the directions reuses
+them instead of multiplying by A again.  Each block is a contiguous prefix
+BLAS reads without copying; the result gets both in the same layout, and a
+run told to keep no directions (plain PCG, whose caller recycles nothing)
+stores neither.
 """
 
 from __future__ import annotations
@@ -132,20 +135,20 @@ class DirectReducedProjection:
 class _DirectionStore:
     """The directions of one augmented-PCG run, in preallocated blocks.
 
-    Column i of ``V`` (kept only when ``directions``) is direction p_i, with
-    step length ``alpha[i]`` and curvature ``gamma[i]`` = p_i'Ap_i; ``AV``
-    (kept only when ``products``, for ``mode="fom"``) holds A p_i.  The
-    blocks are Fortran-ordered, so the live prefix ``V[:, :k]`` is one
-    contiguous block.  Capacity starts at min(64, max_iter) columns and
-    doubles, capped at max_iter, when full.
+    Column i of ``V`` is direction p_i and column i of ``AV`` its product
+    A p_i, both kept only when ``directions``, in either mode; ``alpha[i]``
+    is its step length and ``gamma[i]`` = p_i'Ap_i its curvature.  The
+    blocks are Fortran-ordered, so the live prefixes ``V[:, :k]`` and
+    ``AV[:, :k]`` are contiguous blocks.  Capacity starts at
+    min(64, max_iter) columns and doubles, capped at max_iter, when full.
     """
 
-    def __init__(self, n: int, max_iter: int, products: bool, directions: bool = True):
+    def __init__(self, n: int, max_iter: int, directions: bool = True):
         cap = min(_STORE_INITIAL_COLS, max_iter)
         self.k = 0
         self.max_iter = max_iter
         self.V = np.empty((n, cap), order="F") if directions else None
-        self.AV = np.empty((n, cap), order="F") if products else None
+        self.AV = np.empty((n, cap), order="F") if directions else None
         self.alpha = np.empty(cap)
         self.gamma = np.empty(cap)
 
@@ -155,13 +158,11 @@ class _DirectionStore:
             cap = min(2 * k, self.max_iter)
             if self.V is not None:
                 self.V = _grown(self.V, k, cap)
-            if self.AV is not None:
                 self.AV = _grown(self.AV, k, cap)
             self.alpha = _grown(self.alpha, k, cap)
             self.gamma = _grown(self.gamma, k, cap)
         if self.V is not None:
             self.V[:, k] = p
-        if self.AV is not None:
             self.AV[:, k] = Ap
         self.alpha[k] = alpha
         self.gamma[k] = gamma
@@ -189,14 +190,16 @@ class AugmentedPcgResult:
 
     ``x`` is the final iterate in the run's own coordinates (the caller adds
     any outer centering); it equals Y @ yhat0 + V @ vhat.  ``gamma`` holds
-    the diagonal p'Ap values of the A-orthogonal direction block V, which
-    is Fortran-ordered.  A run that kept no directions returns V, vhat and
-    gamma with no columns; ``k`` still counts its iterations.
+    the diagonal p'Ap values of the A-orthogonal direction block V, and
+    ``AV`` the operator's products with it, both Fortran-ordered.  A run
+    that kept no directions returns V, AV, vhat and gamma with no columns;
+    ``k`` still counts its iterations.
     """
 
     k: int
     vhat: np.ndarray
     V: np.ndarray
+    AV: np.ndarray
     gamma: np.ndarray
     residual_history: np.ndarray
     x: np.ndarray
@@ -257,8 +260,8 @@ def augmented_pcg(
         x_k is the solver's own array, rebound (never mutated) afterwards.
     keep_directions : bool
         False for a caller that reads no direction block: the run then
-        stores no directions and returns none.  Only ``mode="cg"`` can run
-        without them.
+        stores no directions or products and returns none.  Only
+        ``mode="cg"`` can run without them.
 
     Raises
     ------
@@ -317,16 +320,21 @@ def augmented_pcg(
 
     if max_iter is None:
         max_iter = n
-    store = _DirectionStore(n, max_iter, products=mode == "fom", directions=keep_directions)
+    store = _DirectionStore(n, max_iter, directions=keep_directions)
 
     def result(converged):
         kept = store.k if keep_directions else 0
+        # each live prefix is contiguous, so each copy is one memcpy; it
+        # keeps the layout, and lets the store's spare columns go
+        if keep_directions:
+            V, AV = store.V[:, :kept].copy(order="F"), store.AV[:, :kept].copy(order="F")
+        else:
+            V = AV = np.zeros((n, 0))
         return AugmentedPcgResult(
             k=store.k,
             vhat=store.alpha[:kept],
-            # the live prefix is contiguous, so this copy is one memcpy; it
-            # keeps the layout, and lets the store's spare columns go
-            V=store.V[:, :kept].copy(order="F") if keep_directions else np.zeros((n, 0)),
+            V=V,
+            AV=AV,
             gamma=store.gamma[:kept],
             residual_history=np.asarray(history),
             x=x,

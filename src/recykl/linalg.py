@@ -134,15 +134,15 @@ class SparseSpdMatrix:
 
 
 def spmv(A: SparseSpdMatrix, x, sink: InstrumentationSink | None = None) -> np.ndarray:
-    """Sparse matrix-vector product A @ x.
+    """Sparse matrix-vector product A @ x, or A @ X for a block of columns.
 
-    Counts one matvec on ``sink`` when provided.
+    Counts one matvec per column on ``sink`` when provided.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != A.n:
         raise DimensionMismatch(f"matvec: matrix is {A.n}x{A.n}, vector has length {x.shape[0]}")
     if sink is not None:
-        sink.add_matvec()
+        sink.add_matvec(1 if x.ndim == 1 else x.shape[1])
     return A.to_scipy() @ x
 
 

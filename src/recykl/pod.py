@@ -35,6 +35,7 @@ class PodBasisResult:
     columns: np.ndarray  # Theta-orthonormal basis, n x y
     singular_values: np.ndarray  # full spectrum, descending, length = snapshot count
     y: int
+    coef: np.ndarray  # snapshot coefficients, s x y: columns = S @ coef
 
 
 def energy_truncation_dim(sigma_sq, eps: float) -> int:
@@ -71,7 +72,8 @@ def _finalize(S, gamma, sigma, V, eps):
     sigma_sq = np.maximum(sigma, 0.0) ** 2
     y = energy_truncation_dim(sigma_sq, eps)
     coef = (V[:, :y] / sigma[:y]) * gamma[:, None]
-    return PodBasisResult(columns=S @ coef, singular_values=np.maximum(sigma, 0.0), y=y)
+    return PodBasisResult(columns=S @ coef, singular_values=np.maximum(sigma, 0.0), y=y,
+                          coef=coef)
 
 
 def pod_evd(S, gamma, theta, eps: float) -> PodBasisResult:

@@ -23,7 +23,8 @@ system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
 Without recycling that PCG runs the two-term recurrence whatever ``mode``
 says, because nothing keeps its directions; only runs that keep them (every
 run of a recycling method, its first system and stage-1 fallbacks included)
-pay for ``fom``'s re-orthogonalization and stored A-products.
+store the directions with their A-products, in either mode, and pay for
+``fom``'s re-orthogonalization.
 A system whose stage-1 Gram matrix fails its Cholesky factorization is
 solved the same way, and its report sets ``stage1_fallback``; so is one whose
 stage-1 block has more columns than A has rows, without assembling the Gram
@@ -34,7 +35,9 @@ alone, and the report leaves ``stage2_converged`` false.
 After the solve, new search directions are appended to Y normalized to unit
 A-norm; once the block exceeds the storage cap it is compressed by
 :func:`~recykl.truncation.compress`, which alone reads the truncation
-strategy, and the stage-1 prefix is re-derived.
+strategy, and the stage-1 prefix is re-derived.  Truncation multiplies A
+only by the old columns outside the stage-1 block: the stage-1 products and
+the stage-3 products of the new directions are handed to it.
 
 A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
 preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
@@ -303,9 +306,8 @@ def solve_system(
     marks: list[tuple] | None = [] if track_iterates else None
 
     def record(stage, iteration, x):
-        if marks is not None:
-            marks.append((stage, iteration, sink.matvecs, sink.precond_applies,
-                          time.perf_counter() - t0, x))
+        marks.append((stage, iteration, sink.matvecs, sink.precond_applies,
+                      time.perf_counter() - t0, x))
 
     b = np.asarray(b, dtype=np.float64)
     if xbar is not None:
@@ -316,7 +318,8 @@ def solve_system(
     eps = float(eps)
     eps_hat = cfg.eps_hat_factor * eps
     eps_inner = cfg.eps_inner_factor * eps
-    record("start", 0, xbar if xbar is not None else np.zeros(A.n))
+    if track_iterates:
+        record("start", 0, xbar if xbar is not None else np.zeros(A.n))
 
     def add_center(x):
         return x if xbar is None else xbar + x
@@ -351,7 +354,8 @@ def solve_system(
         blocks.append(_Block(W, AW, what))
         factor = BlockDiagFactor(rhat)
         yhat_comb[idx] = what
-        record("stage1", 0, add_center(W @ what))
+        if track_iterates:
+            record("stage1", 0, add_center(W @ what))
 
         if cfg.diagnostics:
             gram_diag, _ = assemble_gram(A, Y, None)
@@ -384,7 +388,8 @@ def solve_system(
                     # fixtures pin it from a C copy
                     blocks.append(_Block(Y @ np.ascontiguousarray(stage2.V),
                                          np.column_stack(AV2), stage2.vhat))
-        record("stage2", 0, add_center(Y @ yhat_comb))
+        if track_iterates:
+            record("stage2", 0, add_center(Y @ yhat_comb))
 
     # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
     # New directions stay A-orthogonal to the stacked blocks, each
@@ -431,6 +436,7 @@ def solve_system(
     truncated = update_basis(
         state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
         stage1_factor=factor.chol if factor is not None and len(idx) == y else None,
+        stage1_products=stage1.aw if stage1 is not None else None,
     )
     report.truncated = truncated
     report.matvecs = sink.matvecs
@@ -470,6 +476,7 @@ def update_basis(
     chalf: np.ndarray | None = None,
     sink: InstrumentationSink | None = None,
     stage1_factor: DenseLowerTriangular | None = None,
+    stage1_products: np.ndarray | None = None,
 ) -> bool:
     """Fold the new directions into the recycled basis, truncating at the cap.
 
@@ -478,14 +485,20 @@ def update_basis(
     by sqrt(p'Ap)); with threshold 1 they all join the stage-1 block,
     otherwise only those whose share of the direction Gram trace exceeds
     the threshold.  The solution's coefficients in the grown block join the
-    weight history.  When the config says the grown block is to be
-    truncated, :func:`~recykl.truncation.compress` gets the block, the
-    just-solved matrix, the history and, for A-metric POD when this solve
-    already knows it blockwise, the Gram matrix Z'AZ; it picks the weights,
-    metric and method.  Z'AZ is known blockwise in ``fom`` mode when
-    ``stage1_factor``, the Cholesky factor of the stage-1 Gram matrix, is
-    passed: the caller passes it only when the stage-1 block spans the old
-    basis.  No other strategy reads Z'AZ, so none is given it.
+    weight history.  When the config says the grown block Z = [Y, V/sqrt(p'Ap)]
+    is to be truncated, :func:`~recykl.truncation.compress` gets the block,
+    the just-solved matrix, the history and what this solve already knows of
+    A on Z; it picks the weights, metric and method.
+
+    For A-metric POD in ``fom`` mode with ``stage1_factor`` passed (the
+    Cholesky factor of the stage-1 Gram matrix; the caller passes it only
+    when the stage-1 block spans the old basis), Z'AZ is known blockwise and
+    is given as ``gram``, which costs no product.  Every other truncation is
+    given the products AZ: ``stage1_products`` (A times the columns
+    ``state.stage1_idx`` of the old basis, passed by the caller when stage 1
+    ran) and the stage-3 products AV / sqrt(p'Ap) of the new directions are
+    copied in, and only the remaining old columns are multiplied by A, one
+    matvec each on ``sink``.
     The weight history is then reset and the stage-1 prefix is the one
     ``compress`` derived.
     """
@@ -495,9 +508,9 @@ def update_basis(
         return False
     tcfg = cfg.truncation
     k = stage3_res.k
+    y_old = state.Y.shape[1]
     if k > 0:
         sqrt_t = np.sqrt(stage3_res.gamma)
-        y_old = state.Y.shape[1]
         if tcfg.stage1_threshold >= 1.0:
             admitted = list(range(k))
         else:
@@ -519,7 +532,7 @@ def update_basis(
 
     truncated = tcfg.truncates(Y_grown.shape[1])
     if truncated:
-        gram = None
+        gram = products = None
         a_metric = tcfg.strategy.startswith("pod-a-")
         if a_metric and stage1_factor is not None and cfg.mode == "fom" and k > 0:
             # only A-metric POD reads Z'AZ, and here it is already known
@@ -528,11 +541,16 @@ def update_basis(
             # A-orthogonal to it.  Two copies of the factor keep numpy from
             # taking L @ L' as one symmetric rank-k update, which rounds
             # differently
-            y_old = state.Y.shape[1]
             gram = np.zeros((y_old + k, y_old + k))
             gram[:y_old, :y_old] = stage1_factor.full() @ stage1_factor.full().T
             gram[y_old:, y_old:] = np.eye(k)
-        out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, gram=gram, sink=sink)
+        else:
+            # after a stage-1 fallback no old column's product is held
+            idx = state.stage1_idx if stage1_products is not None else []
+            products = _grown_products(A, state.Y, idx, stage1_products, stage3_res.AV,
+                                       np.sqrt(stage3_res.gamma), sink)
+        out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, gram=gram,
+                       products=products, sink=sink)
         state.history.reset()
         state.Y = out.Y_new
         state.stage1_idx = list(range(out.stage1_width))
@@ -541,6 +559,27 @@ def update_basis(
         state.stage1_idx = stage1_idx
     state.systems_seen = j
     return truncated
+
+
+def _grown_products(A, Y_old, idx, AW, AV, sqrt_t, sink) -> np.ndarray:
+    """A @ [Y_old, V / sqrt_t], built from the products the solve holds.
+
+    The old columns ``idx`` take their stage-1 products ``AW`` and the new
+    directions ``AV / sqrt_t``; only the other old columns are multiplied
+    by A, one matvec each on ``sink``.  Fortran order, so that every block
+    lands in whole contiguous columns.
+    """
+    n, y_old = Y_old.shape
+    AZ = np.empty((n, y_old + AV.shape[1]), order="F")
+    outside = np.ones(y_old, dtype=bool)
+    if len(idx):
+        AZ[:, idx] = AW
+        outside[idx] = False
+    rest = np.flatnonzero(outside)
+    if rest.size:
+        AZ[:, rest] = spmv(A, Y_old[:, rest], sink)
+    np.divide(AV, sqrt_t, out=AZ[:, y_old:])
+    return AZ
 
 
 def run_sequence(

@@ -16,7 +16,10 @@ the one reader of the strategy name; the solver only asks
 - ``none``, which never truncates.
 
 Every outcome carries the retained A-orthonormal basis, the stage-1 prefix
-width, and the spectrum it was cut from.
+width, and the spectrum it was cut from.  Wherever a strategy needs the
+products AZ, a caller that already holds them (the staged solver keeps them
+from its solve) passes them as ``products`` and no matvec is spent; without
+them they are formed, one matvec per column.
 """
 
 from __future__ import annotations
@@ -102,12 +105,31 @@ def _cap(value: int, pin: int | None, hard: int) -> int:
     return max(1, min(out, hard))
 
 
+def _checked_products(products, Z: np.ndarray):
+    """The products AZ as a float array shaped like the block Z, or None."""
+    if products is None:
+        return None
+    products = np.asarray(products, dtype=np.float64)
+    if products.shape != Z.shape:
+        raise DimensionMismatch(f"products are {products.shape}, the block is {Z.shape}")
+    return products
+
+
+def _gram(A: SparseSpdMatrix, Z: np.ndarray, products, sink):
+    """Z'AZ and AZ: from the given products AZ, else assembled on the sink."""
+    products = _checked_products(products, Z)
+    if products is None:
+        return assemble_gram(A, Z, sink)
+    return Z.T @ products, products
+
+
 def deflation_compress(
     Z,
     A_prev: SparseSpdMatrix,
     m: int,
     *,
     stage1_dim: int | None = None,
+    products=None,
     sink: InstrumentationSink | None = None,
 ) -> TruncationOutcome:
     """Harmonic-Ritz truncation of the block Z against the previous matrix.
@@ -115,11 +137,13 @@ def deflation_compress(
     Solves the generalized eigenproblem (AZ)'(AZ) g = mu Z'AZ g whose
     eigenvalues approximate the spectrum of A restricted to range(Z), keeps
     the m pairs with smallest values, and A-orthonormalizes the result.
+    ``products``, when given, is AZ: both matrices are then dense products
+    of it, and A is not applied.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     z = Z.shape[1]
     m = min(int(m), z)
-    gram_az, AZ = assemble_gram(A_prev, Z, sink)
+    gram_az, AZ = _gram(A_prev, Z, products, sink)
     K = AZ.T @ AZ
     mu_desc, G = generalized_symmetric_evd(0.5 * (K + K.T), 0.5 * (gram_az + gram_az.T))
     # retain the m smallest harmonic Ritz values, ascending
@@ -132,13 +156,16 @@ def deflation_compress(
     return TruncationOutcome(Y_new=L.solve_lower(Y.T).T, stage1_width=w, spectrum=mu)
 
 
-def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, sink: InstrumentationSink | None = None):
+def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, products=None,
+                            sink: InstrumentationSink | None = None):
     """Rescale Y so that Y'AY = I, returning the new basis and the factor.
 
     The range is unchanged: with Y'AY = L L', the result is Y L^{-T}.
+    ``products``, when given, is AY, and Y'AY is formed from it without
+    applying A.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    gram, _ = assemble_gram(A, Y, sink)
+    gram, _ = _gram(A, Y, products, sink)
     L = dense_cholesky(0.5 * (gram + gram.T))
     return L.solve_lower(Y.T).T, L
 
@@ -151,6 +178,7 @@ def compress(
     *,
     chalf=None,
     gram=None,
+    products=None,
     sink: InstrumentationSink | None = None,
 ) -> TruncationOutcome:
     """Compress the block Z by the configured strategy.
@@ -161,15 +189,23 @@ def compress(
     vector (``-prev``) or their inverse-distance blend (``-rbf``) and
     measures energy in A (``pod-a-``), whose basis comes out A-orthonormal,
     or in C'C for the output matrix ``chalf`` (``pod-ctc-``), whose basis is
-    then A-orthonormalized.  ``gram``, when given, is Z'AZ; only A-metric
-    POD reads it, and assembles it otherwise.  The stage-1 width is read off
-    the POD spectrum with the smaller energy criterion nu_w.
+    then A-orthonormalized.  The stage-1 width is read off the POD spectrum
+    with the smaller energy criterion nu_w.
+
+    ``gram``, when given, is Z'AZ; only A-metric POD reads it.
+    ``products``, when given, is AZ, and every strategy takes what it needs
+    of A from it with dense products: A-metric POD (without ``gram``) the
+    Gram matrix Z'(AZ), deflation (AZ)'(AZ) and Z'(AZ), and output-metric
+    POD A Y_new = (AZ) coef for its A-orthonormalization.  What is given
+    neither is formed with A, one matvec per column, charged to ``sink``.
     """
     if cfg.strategy == "none":
         raise RecyklError("strategy 'none' keeps the whole block: nothing to compress")
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    products = _checked_products(products, Z)
     if cfg.strategy == "deflate":
-        return deflation_compress(Z, A, cfg.deflate_dim, stage1_dim=cfg.stage1_dim, sink=sink)
+        return deflation_compress(Z, A, cfg.deflate_dim, stage1_dim=cfg.stage1_dim,
+                                  products=products, sink=sink)
     if cfg.strategy.endswith("-rbf"):
         weights = weights_rbf(history, len(history))
     else:
@@ -181,11 +217,12 @@ def compress(
         res = pod_svd(Z, weights, chalf, cfg.nu_y)
     else:
         if gram is None:
-            gram, _ = assemble_gram(A, Z, sink)
+            gram, _ = _gram(A, Z, products, sink)
         res = pod_evd_from_gram(gram, Z, weights, cfg.nu_y)
     y = _cap(res.y, cfg.max_dim, res.y)
     w = _cap(energy_truncation_dim(res.singular_values**2, cfg.nu_w), cfg.stage1_dim, y)
     Y = res.columns[:, :y]
     if output_metric:
-        Y, _ = enforce_a_orthogonality(Y, A, sink=sink)
+        AY = None if products is None else products @ res.coef[:, :y]
+        Y, _ = enforce_a_orthogonality(Y, A, products=AY, sink=sink)
     return TruncationOutcome(Y_new=Y, stage1_width=w, spectrum=res.singular_values)

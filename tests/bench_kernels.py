@@ -61,7 +61,7 @@ def _filled_store(n, k, seed):
     # the step's cost depends only on n and k, not on A-orthogonality
     rng = np.random.default_rng(seed)
     diag = 1.0 + rng.random(n)
-    store = _DirectionStore(n, k, products=True)
+    store = _DirectionStore(n, k)
     for _ in range(k):
         p = rng.standard_normal(n)
         store.append(p, diag * p, float(p @ (diag * p)), 1.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from recykl import bench
 from recykl.bench import (
     MethodSpec,
     default_methods,
@@ -171,6 +172,20 @@ class TestWeightStudy:
         seq = gen_diffusion_sequence((5, 5), p=4, delta=0.0, seed=67)
         with pytest.raises(RecyklError, match="dims must be >= 1"):
             weight_study(seq, dims=dims, warmup=2)
+
+    def test_unknown_scheme_rejected_before_any_solve(self, monkeypatch):
+        # the schemes are checked up front, not after the warm-up solves
+        calls = []
+
+        def solve(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a system was solved")
+
+        monkeypatch.setattr(bench, "solve_system", solve)
+        seq = gen_diffusion_sequence((5, 5), p=4, delta=0.0, seed=67)
+        with pytest.raises(RecyklError, match="unknown scheme 'bogus'"):
+            weight_study(seq, warmup=2, schemes=("ideal", "bogus"))
+        assert calls == []
 
     def test_write_rows(self, tmp_path):
         rows = [{"a": 1, "b": 2.5}]

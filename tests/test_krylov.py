@@ -241,7 +241,7 @@ class TestDirectionStore:
         with pytest.raises(NotConverged) as info:
             augmented_pcg(A, rng.standard_normal(A.n), tol=0.0, mode="fom", max_iter=k)
         res = info.value.partial
-        store = _DirectionStore(A.n, k, products=True)
+        store = _DirectionStore(A.n, k)
         for i in range(k):
             store.append(res.V[:, i], A.to_scipy() @ res.V[:, i], res.gamma[i], res.vhat[i])
         p = rng.standard_normal(A.n)

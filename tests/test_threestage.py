@@ -11,7 +11,13 @@ from recykl.krylov import (
     DirectReducedProjection,
     augmented_pcg,
 )
-from recykl.linalg import InstrumentationSink, assemble_gram, dense_cholesky, spmv
+from recykl.linalg import (
+    InstrumentationSink,
+    SparseSpdMatrix,
+    assemble_gram,
+    dense_cholesky,
+    spmv,
+)
 from recykl.problems import LinearSystemSpec, gen_diffusion_sequence, gen_output_matrix
 from recykl.threestage import (
     InnerIterativeProjection,
@@ -22,7 +28,7 @@ from recykl.threestage import (
     summarize_reports,
     update_basis,
 )
-from recykl.truncation import TruncationConfig, compress
+from recykl.truncation import ALL_STRATEGIES, TruncationConfig, compress
 
 
 def solver_cfg(**kw):
@@ -185,6 +191,48 @@ class TestResidualsAndCounters:
             assert r.stage1_dim == 0
 
 
+class _CountingCsr:
+    """A CSR matrix that counts the columns of every product taken with it."""
+
+    def __init__(self, csr, counter):
+        self._csr, self._counter = csr, counter
+
+    def __matmul__(self, other):
+        self._counter[0] += 1 if np.ndim(other) == 1 else np.shape(other)[1]
+        return self._csr @ other
+
+    def __getattr__(self, name):
+        return getattr(self._csr, name)
+
+
+class TestMatvecAccounting:
+    @pytest.mark.parametrize("precond", ["identity", "jacobi", "ssor:1.7"])
+    @pytest.mark.parametrize("mode", ["fom", "cg"])
+    def test_every_sparse_product_is_counted(self, monkeypatch, mode, precond):
+        # every product with A anywhere in a solve, truncation included, is
+        # charged to the report: none is taken outside the counter
+        seq = gen_diffusion_sequence((10, 10), p=4, delta=0.05, seed=5, tol=1e-8)
+        seq.C = gen_output_matrix(20, seq.n, seed=6)
+        methods = default_methods(storage_cap=12, precond=precond, mode=mode,
+                                  include_output_metric=True)
+        cfgs = [m.config for m in methods] + [
+            solver_cfg(strategy=strategy, storage_cap=12, max_dim=6, stage1_dim=2,
+                       mode=mode, precond=precond)
+            for strategy in ("pod-a-prev", "pod-ctc-prev")
+        ]
+        counter = [0]
+        monkeypatch.setattr(SparseSpdMatrix, "to_scipy",
+                            lambda self: _CountingCsr(self._csr, counter))
+        charged = truncations = 0
+        for cfg in cfgs:
+            _, reports, _ = run_sequence(seq, cfg, stop_on_failure=False)
+            charged += sum(r.matvecs for r in reports)
+            truncations += sum(r.truncated for r in reports)
+        assert {cfg.truncation.strategy for cfg in cfgs} == set(ALL_STRATEGIES)
+        assert truncations >= len(cfgs) - 2  # every method but pcg and no-trunc
+        assert counter[0] == charged > 0
+
+
 class TestStage1Growth:
     def test_threshold_one_admits_all(self):
         seq = gen_diffusion_sequence((7, 7), p=2, delta=0.02, seed=28, tol=1e-8)
@@ -277,6 +325,54 @@ class TestTruncationFiring:
         assert all(r.converged for r in reports)
         assert len(grams) == len(reports)
         assert all(gram is None for gram in grams)
+
+    @pytest.mark.parametrize("strategy, stage1_dim", [
+        ("deflate", None), ("pod-a-rbf", 3), ("pod-ctc-rbf", None)])
+    def test_products_handed_to_compress_match(self, monkeypatch, strategy, stage1_dim):
+        # the products built from the solve's own A-products are A @ Z
+        errors = []
+
+        def spy(Z, cfg, A, history, **kw):
+            if kw["products"] is not None:
+                exact = A.to_scipy() @ Z
+                errors.append(np.linalg.norm(kw["products"] - exact) / np.linalg.norm(exact))
+            return compress(Z, cfg, A, history, **kw)
+
+        monkeypatch.setattr(threestage, "compress", spy)
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        seq.C = gen_output_matrix(20, seq.n, seed=6)
+        cfg = solver_cfg(strategy=strategy, deflate_dim=8, storage_cap=12, max_dim=8,
+                         stage1_dim=stage1_dim, precond="jacobi")
+        _, reports, _ = run_sequence(seq, cfg)
+        assert all(r.converged for r in reports)
+        assert len(errors) == len(reports)
+        assert max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["df(25,0)", "pod(5,20)"])
+    def test_truncation_multiplies_only_outside_stage1(self, monkeypatch, method):
+        # a truncating system multiplies A only by the old columns outside
+        # the stage-1 block: none for df(25,0), whose stage 1 spans Y
+        growth = []
+
+        def spy(state, yhat_comb, stage3_res, cfg, A, **kw):
+            outside = state.Y.shape[1] - len(state.stage1_idx)
+            before = kw["sink"].matvecs
+            truncated = update_basis(state, yhat_comb, stage3_res, cfg, A, **kw)
+            if truncated:
+                growth.append((kw["sink"].matvecs - before, outside))
+            return truncated
+
+        monkeypatch.setattr(threestage, "update_basis", spy)
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        spec = {m.name: m for m in default_methods(storage_cap=50, precond="jacobi")}[method]
+        _, reports, _ = run_sequence(seq, spec.config)
+        assert all(r.converged for r in reports)
+        assert len(growth) >= 3
+        assert all(grew == outside for grew, outside in growth)
+        if method == "df(25,0)":
+            assert all(grew == 0 for grew, _ in growth)
+        else:
+            assert all(grew > 0 for grew, _ in growth[1:])
 
 
 class TestNoCopies:

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import make_spd, random_basis
-from recykl.errors import RecyklError
-from recykl.linalg import SparseSpdMatrix, assemble_gram, principal_angle_distance
+from recykl.errors import DimensionMismatch, RecyklError
+from recykl.linalg import (
+    InstrumentationSink,
+    SparseSpdMatrix,
+    assemble_gram,
+    principal_angle_distance,
+)
 from recykl.pod import pod_evd
 from recykl.truncation import (
     TruncationConfig,
@@ -236,3 +241,20 @@ class TestCompressDispatch:
         plain = compress(Z, ctc_cfg, A, history, chalf=C)
         ignored = compress(Z, ctc_cfg, A, history, chalf=C, gram=np.full((6, 6), np.nan))
         assert np.array_equal(plain.Y_new, ignored.Y_new)
+
+    @pytest.mark.parametrize("strategy", ["pod-a-prev", "pod-ctc-prev", "deflate"])
+    def test_given_products_replace_every_matvec(self, strategy):
+        # with AZ given, every strategy reads A from it and applies A nowhere
+        A = make_spd(15, seed=130)
+        C = np.random.default_rng(131).random((5, 15))
+        Z = random_basis(15, 6, seed=132)
+        config = cfg(strategy=strategy, nu_y=0.9, deflate_dim=3)
+        formed, given = InstrumentationSink(), InstrumentationSink()
+        want = compress(Z, config, A, history_of(np.ones(6)), chalf=C, sink=formed)
+        got = compress(Z, config, A, history_of(np.ones(6)), chalf=C,
+                       products=A.to_scipy() @ Z, sink=given)
+        assert formed.matvecs > 0 and given.matvecs == 0
+        assert np.allclose(got.Y_new, want.Y_new, rtol=1e-10, atol=1e-12)
+        with pytest.raises(DimensionMismatch):
+            compress(Z, config, A, history_of(np.ones(6)), chalf=C,
+                     products=A.to_scipy() @ Z[:, :5])
