@@ -13,6 +13,7 @@ averages.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -48,22 +49,39 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MethodSpec":
-        """One methods-file entry; its ``precond`` and ``tolerances`` go into the config."""
+        """One methods-file entry; its ``precond`` and ``tolerances`` go into the config.
+
+        A key the entry, its ``truncation`` or its ``tolerances`` does not
+        know raises :class:`RecyklError` naming it.
+        """
         try:
             name = raw["name"]
         except KeyError as exc:
             raise RecyklError("method spec needs a 'name'") from exc
+        _check_keys(raw, _SOLVER_KEYS + ("name", "truncation", "tolerances"), name)
         tr_raw = dict(raw.get("truncation", {}))
+        _check_keys(tr_raw, _TRUNCATION_KEYS, f"{name}: truncation")
         if "strategy" in tr_raw:
             tr_raw.update(parse_strategy(tr_raw.pop("strategy")))
         # keys left out of the entry keep the SolverConfig defaults
         if "storage_cap" in tr_raw and tr_raw["storage_cap"] in ("inf", None):
             tr_raw["storage_cap"] = math.inf
         tols = raw.get("tolerances", {})
-        kw = {k: raw[k] for k in ("mode", "precond", "recycle", "diagnostics", "max_iter")
-              if k in raw}
-        kw.update({k: tols[k] for k in ("eps_hat_factor", "eps_inner_factor") if k in tols})
+        _check_keys(tols, _TOLERANCE_KEYS, f"{name}: tolerances")
+        kw = {k: raw[k] for k in _SOLVER_KEYS if k in raw}
+        kw.update(tols)
         return cls(name=name, config=SolverConfig(truncation=TruncationConfig(**tr_raw), **kw))
+
+
+_SOLVER_KEYS = ("mode", "precond", "recycle", "diagnostics", "max_iter")
+_TOLERANCE_KEYS = ("eps_hat_factor", "eps_inner_factor")
+_TRUNCATION_KEYS = tuple(f.name for f in dataclasses.fields(TruncationConfig))
+
+
+def _check_keys(raw: dict, known: tuple, where: str) -> None:
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise RecyklError(f"method spec {where}: unknown key {unknown[0]!r}")
 
 
 def default_methods(
@@ -269,8 +287,9 @@ def output_error_run(
     stage-3 iterate), from the output C x the checkpoint holds; per tau the
     first checkpoint meeting it is charged.
     Averages below one preconditioner application mean the threshold was
-    typically met before stage 3.  ``threads`` must be 1, as in
-    :func:`run_methods`.
+    typically met before stage 3.  Each row also counts the method's
+    solves that converged (``systems_converged``) out of ``systems``.
+    ``threads`` must be 1, as in :func:`run_methods`.
     """
     _check_serial(threads)
     if seq.C is None:
@@ -300,6 +319,7 @@ def output_error_run(
                 "avg_precond_apps": float(np.sum(bucket["precond"])) / count,
                 "avg_wall_ms": 1e3 * float(np.sum(bucket["wall"])) / count,
                 "systems_met": bucket["met"],
+                "systems_converged": sum(r.converged for r in run.reports),
                 "systems": len(run.reports),
             })
     return rows

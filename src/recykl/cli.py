@@ -172,7 +172,7 @@ def cmd_output_error(args) -> int:
     path = os.path.join(args.out_dir, "output_error.csv")
     bench.write_rows_csv(rows, path)
     print(f"wrote {path}")
-    return 0
+    return 2 if any(r["systems_converged"] < r["systems"] for r in rows) else 0
 
 
 def cmd_weight_study(args) -> int:

@@ -13,8 +13,12 @@ It is the one Krylov entry point, run in two spaces: over a
 :class:`~recykl.linalg.SparseSpdMatrix` in the full space (plain PCG is the
 empty-basis case) and over a :class:`ReducedSpdOperator`, the implicit Y'AY
 of the staged solver's reduced space.  The staged solver's direct
-projections, in either space, backsolve a :class:`BlockDiagFactor`: the
-stage-1 Cholesky factor followed by the diagonal of every nested run.
+projections, in either space, are :class:`DirectReducedProjection` handles,
+the one type that holds a set of mutually A-orthogonal augmenting blocks:
+their cached A-products and the block-diagonal Cholesky factor of their
+Gram matrix, the stage-1 factor followed by the diagonal of every direction
+block appended since.  :func:`stack_blocks` lays blocks side by side in the
+C order the frozen fixtures pin.
 
 Two direction updates are available.  ``mode="cg"`` keeps the classical
 two-term recurrence.  ``mode="fom"`` re-orthogonalizes each new direction
@@ -60,9 +64,9 @@ class ReducedSpdOperator:
 
     The reduced matrix Y'AY is never materialized; each application costs a
     single sparse matvec.  The operator keeps, for every application, the
-    full-space product A(Yp) and the reduced output Y'A(Yp), so the caller
-    can reuse them as cached cross terms; the owner of the operator drops
-    them once read.
+    full-space product A(Yp), so the caller can reuse it as a cached cross
+    term; the owner of the operator drops them once read.  The reduced
+    outputs are the run's own ``AV``.
     """
 
     def __init__(self, A: SparseSpdMatrix, Y: np.ndarray, sink=None):
@@ -71,54 +75,41 @@ class ReducedSpdOperator:
         self.sink = sink
         self.dim = self.Y.shape[1]
         self.full_products: list[np.ndarray] = []
-        self.reduced_products: list[np.ndarray] = []
 
     def apply(self, p):
         full = spmv(self.A, self.Y @ p, self.sink)
-        reduced = self.Y.T @ full
         self.full_products.append(full)
-        self.reduced_products.append(reduced)
-        return reduced
+        return self.Y.T @ full
 
 
-class BlockDiagFactor:
-    """Cholesky factor of the staged solver's block-diagonal Gram matrix.
+def stack_blocks(arrays: list[np.ndarray], rows: int) -> np.ndarray:
+    """The blocks side by side in one C-ordered array, written once.
 
-    The leading block is the dense stage-1 factor ``chol``; the tail is
-    diagonal, held as its square roots ``d``: those of the direction Gram
-    diagonal p'Ap of stage 2 and of every later nested run, in the order
-    the runs appended them.
+    C order whatever the blocks' order: the layout decides how BLAS rounds
+    products with the stacked basis, and the frozen fixtures pin that
+    rounding.  A single block already in C order is returned as it is.
     """
-
-    def __init__(self, chol: DenseLowerTriangular):
-        self.chol = chol
-        self.d = np.zeros(0)
-
-    @property
-    def size(self) -> int:
-        return self.chol.m + self.d.shape[0]
-
-    def append_sqrt_diag(self, sqrt_diag: np.ndarray):
-        self.d = np.concatenate([self.d, np.asarray(sqrt_diag, dtype=np.float64)])
-
-    def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape[0] != self.size:
-            raise DimensionMismatch("block factor: rhs length mismatch")
-        m = self.chol.m
-        return np.concatenate([self.chol.solve_spd(rhs[:m]), rhs[m:] / (self.d * self.d)])
+    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
+        return arrays[0]
+    out = np.empty((rows, sum(a.shape[1] for a in arrays)))
+    return np.concatenate(arrays, axis=1, out=out) if arrays else out
 
 
 class DirectReducedProjection:
-    """Reduced solves mu = (B'AB)^{-1} B'Az from cached products.
+    """Reduced solves mu = (B'AB)^{-1} B'Az over mutually A-orthogonal blocks.
 
-    ``cross`` holds A*B (in whatever space the operator acts), so B'Az is the
-    dense product cross' z and no operator application is needed; ``factor``
-    inverts the Gram matrix B'AB.
+    ``cross`` holds A*B (in whatever space the operator acts), C-ordered, so
+    B'Az is the dense product cross' z and no operator application is
+    needed.  The Gram matrix B'AB is block diagonal: the leading block is
+    the dense Cholesky ``factor`` of the first block of B, and every block
+    appended later is a direction block with diagonal Gram p'Ap, held as its
+    square roots ``d`` in the order the blocks were appended.
     """
 
-    def __init__(self, cross: np.ndarray, factor):
-        self.cross = np.asarray(cross, dtype=np.float64)
+    def __init__(self, cross: np.ndarray, factor: DenseLowerTriangular):
+        self.cross = np.ascontiguousarray(cross, dtype=np.float64)
         self.factor = factor
+        self.d = np.zeros(0)
 
     @classmethod
     def assemble(cls, apply, B: np.ndarray) -> "DirectReducedProjection":
@@ -128,8 +119,24 @@ class DirectReducedProjection:
         gram = B.T @ cross
         return cls(cross, dense_cholesky(0.5 * (gram + gram.T)))
 
+    def append(self, cross_block: np.ndarray, sqrt_diag: np.ndarray) -> None:
+        """Add a direction block, A-orthogonal to all before it.
+
+        ``cross_block`` is A times its columns and ``sqrt_diag`` the square
+        roots of their curvatures p'Ap.
+        """
+        self.cross = stack_blocks([self.cross, cross_block], self.cross.shape[0])
+        self.d = np.concatenate([self.d, np.asarray(sqrt_diag, dtype=np.float64)])
+
+    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (B'AB) mu = rhs with the block-diagonal factor."""
+        m = self.factor.m
+        if rhs.shape[0] != m + self.d.shape[0]:
+            raise DimensionMismatch("reduced projection: rhs length mismatch")
+        return np.concatenate([self.factor.solve_spd(rhs[:m]), rhs[m:] / (self.d * self.d)])
+
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.factor.solve_spd(self.cross.T @ z)
+        return self.solve_gram(self.cross.T @ z)
 
 
 class _DirectionStore:

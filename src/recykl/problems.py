@@ -60,37 +60,36 @@ class SystemSequence:
 
 
 def _diffusion_matrix(nx, ny, kappa):
-    """Five-point diffusion stencil with Dirichlet boundary, SPD."""
+    """Five-point diffusion stencil with Dirichlet boundary, SPD.
+
+    Node (i, j) is row j * nx + i.  An edge couples two neighbours with the
+    mean of their coefficients; a boundary edge only adds the node's own
+    coefficient to the diagonal, which keeps the operator strictly SPD.
+    Each diagonal entry sums, in this order, the edge from below, the edge
+    from the left, its own right edge (or right boundary), its own upper
+    edge (or top boundary), the left boundary and the bottom boundary;
+    absent terms are zeros, whose addition is exact.
+    """
     n = nx * ny
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-
-    def node(i, j):
-        return j * nx + i
-
-    for j in range(ny):
-        for i in range(nx):
-            k = node(i, j)
-            # horizontal and vertical couplings; boundary edges only add to
-            # the diagonal, which keeps the operator strictly SPD
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, j + dj
-                if i2 < nx and j2 < ny:
-                    edge = 0.5 * (kappa[k] + kappa[node(i2, j2)])
-                    k2 = node(i2, j2)
-                    rows.extend((k, k2))
-                    cols.extend((k2, k))
-                    vals.extend((-edge, -edge))
-                    diag[k] += edge
-                    diag[k2] += edge
-                else:
-                    diag[k] += kappa[k]
-            for di, dj in ((-1, 0), (0, -1)):
-                if i + di < 0 or j + dj < 0:
-                    diag[k] += kappa[k]
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
+    K = np.asarray(kappa, dtype=np.float64).reshape(ny, nx)
+    node = np.arange(n).reshape(ny, nx)
+    horiz = 0.5 * (K[:, :-1] + K[:, 1:])  # edge (i, j)-(i+1, j)
+    vert = 0.5 * (K[:-1, :] + K[1:, :])  # edge (i, j)-(i, j+1)
+    below, left, left_bd, bottom_bd = (np.zeros((ny, nx)) for _ in range(4))
+    right, up = K.copy(), K.copy()  # boundary terms where no edge replaces them
+    below[1:, :] = vert
+    left[:, 1:] = horiz
+    right[:, :-1] = horiz
+    up[:-1, :] = vert
+    left_bd[:, 0] = K[:, 0]
+    bottom_bd[0, :] = K[0, :]
+    diag = below + left + right + up + left_bd + bottom_bd
+    lo = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
+    hi = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
+    edge = np.concatenate([horiz.ravel(), vert.ravel()])
+    rows = np.concatenate([lo, hi, np.arange(n)])
+    cols = np.concatenate([hi, lo, np.arange(n)])
+    vals = np.concatenate([-edge, -edge, diag.ravel()])
     coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
     return SparseSpdMatrix.from_scipy(coo.tocsr())
 

@@ -11,12 +11,15 @@ across the sequence:
    reduced matrix is never formed), started from the stage-1 solution and
    augmented with W, so the stage-1 factor keeps doing the projections;
 3. one full-space augmented PCG run to the forcing tolerance.  Each stage
-   that ran contributes a block (full-space columns, cached A-products,
-   start coefficients, Gram factor); the run starts from the stacked blocks
-   and keeps new directions A-orthogonal either to them, backsolving the
-   block-diagonal factor, or (``full_orth``) to the entire Y, each
+   that ran contributes a block of columns and start coefficients, and its
+   A-products and Gram factor to one
+   :class:`~recykl.krylov.DirectReducedProjection`; the run starts from the
+   stacked blocks and keeps new directions A-orthogonal either to them,
+   backsolving that projection, or (``full_orth``) to the entire Y, each
    projection a further nested run of the same solver, augmented with the
-   stage-1 block and the direction block of every earlier run.
+   stage-1 block and the direction block of every earlier run.  The nested
+   solver holds a projection of its own over the same blocks in reduced
+   coordinates; the two share only the immutable stage-1 factor.
 
 Stages 1 and 2 run only over a non-empty basis; without one (the first
 system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
@@ -56,7 +59,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,14 +66,13 @@ from . import preconditioners
 from .errors import Breakdown, NotConverged, NotPositiveDefinite, RecyklError
 from .krylov import (
     AugmentedPcgResult,
-    BlockDiagFactor,
     DirectReducedProjection,
     ReducedSpdOperator,
     augmented_pcg,
     direct_reduced_solve,
+    stack_blocks,
 )
 from .linalg import (
-    DenseLowerTriangular,
     InstrumentationSink,
     SparseSpdMatrix,
     assemble_gram,
@@ -106,6 +107,10 @@ class SolverConfig:
     recycle: bool = True
     diagnostics: bool = False
     max_iter: int | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("cg", "fom"):
+            raise RecyklError(f"unknown mode {self.mode!r}; expected 'cg' or 'fom'")
 
 
 @dataclass
@@ -179,23 +184,14 @@ class InnerIterativeProjection:
     The one reduced-space solver: stage 2 is its first nested run and each
     ``full_orth`` projection a later one.  Every run is augmented with the
     blocks already understood in reduced coordinates: the stage-1 selection,
-    then the direction block of each earlier run, whose Gram factor is block
-    diagonal and grows by one sqrt-diagonal block per run.  ``basis`` stacks
-    those blocks, ``cross`` holds Y'AY times them, and ``factor`` factors
-    their Gram matrix; each run extends all three.
+    then the direction block of each earlier run.  ``basis`` stacks those
+    blocks, and ``proj``, a :class:`~recykl.krylov.DirectReducedProjection`
+    over them, holds Y'AY times them and their block-diagonal Gram factor;
+    each run extends both.
     """
 
-    def __init__(
-        self,
-        A: SparseSpdMatrix,
-        Y: np.ndarray,
-        sink: InstrumentationSink | None,
-        tol: float,
-        mode: str,
-        basis: np.ndarray,
-        cross: np.ndarray,
-        factor: BlockDiagFactor,
-    ):
+    def __init__(self, A: SparseSpdMatrix, Y: np.ndarray, sink: InstrumentationSink | None,
+                 tol: float, mode: str, basis: np.ndarray, proj: DirectReducedProjection):
         self.A = A
         self.Y = Y
         self.sink = sink
@@ -204,69 +200,37 @@ class InnerIterativeProjection:
         self.max_iter = 3 * Y.shape[1] + 10
         self.op = ReducedSpdOperator(A, Y, sink=sink)
         self.basis = basis
-        self.cross = cross
-        self.factor = factor
+        self.proj = proj
 
     def extend(self, bhat: np.ndarray, ybase: np.ndarray,
                tol: float) -> tuple[AugmentedPcgResult, list[np.ndarray]]:
         """One nested run on Y'AY v = bhat from ``ybase`` over the blocks.
 
-        The run's directions become the next block.  Returns the run's
-        result (partial when the budget ran out) and the full-space products
-        A(Yp) of its directions.  A run that raises adds no block, and its
-        products are dropped all the same.
+        The run's directions become the next block, with the run's own
+        products ``AV`` as its cross term.  Returns the run's result (partial
+        when the budget ran out) and the full-space products A(Yp) of its
+        directions.  A run that raises adds no block, and its products are
+        dropped all the same.
         """
         try:
-            res = augmented_pcg(
-                self.op,
-                bhat,
-                ybase,
-                self.basis,
-                DirectReducedProjection(self.cross, self.factor),
-                None,
-                tol,
-                mode=self.mode,
-                max_iter=self.max_iter,
-                r0=bhat - self.cross @ ybase,
-            )
+            res = augmented_pcg(self.op, bhat, ybase, self.basis, self.proj, None, tol,
+                                mode=self.mode, max_iter=self.max_iter,
+                                r0=bhat - self.proj.cross @ ybase)
         except NotConverged as exc:
             res = exc.partial
         finally:
-            products, reduced = self.op.full_products, self.op.reduced_products
-            self.op.full_products, self.op.reduced_products = [], []
+            products, self.op.full_products = self.op.full_products, []
         if res.k > 0:
-            self.basis = _stack([self.basis, res.V], self.basis.shape[0])
-            self.cross = np.hstack([self.cross, np.column_stack(reduced)])
-            self.factor.append_sqrt_diag(np.sqrt(res.gamma))
+            self.basis = stack_blocks([self.basis, res.V], self.basis.shape[0])
+            self.proj.append(res.AV, np.sqrt(res.gamma))
         return res, products
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         bhat = self.Y.T @ spmv(self.A, z, self.sink)
         tol = max(self.tol, 1e-13 * float(np.linalg.norm(bhat)))
-        ybase = self.factor.solve_spd(self.basis.T @ bhat)
+        ybase = self.proj.solve_gram(self.basis.T @ bhat)
         res, _ = self.extend(bhat, ybase, tol)
         return res.x
-
-
-class _Block(NamedTuple):
-    """One stage's share of the stage-3 augmenting block."""
-
-    cols: np.ndarray  # the block's columns in full space
-    products: np.ndarray  # A @ cols
-    start: np.ndarray  # Galerkin start coefficients over cols
-
-
-def _stack(arrays: list[np.ndarray], rows: int) -> np.ndarray:
-    """The blocks side by side in one C-ordered array, written once.
-
-    C order whatever the blocks' order: the layout decides how BLAS rounds
-    products with the stacked basis, and the frozen fixtures pin that
-    rounding.  A single block already in C order is returned as it is.
-    """
-    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
-        return arrays[0]
-    out = np.empty((rows, sum(a.shape[1] for a in arrays)))
-    return np.concatenate(arrays, axis=1, out=out) if arrays else out
 
 
 def solve_system(
@@ -330,8 +294,9 @@ def solve_system(
     y = Y.shape[1]
     idx = list(state.stage1_idx) if y else []
     yhat_comb = np.zeros(y)  # coefficients over the entry basis
-    blocks: list[_Block] = []
-    factor = None  # Gram factor of the blocks, one diagonal block each
+    cols: list[np.ndarray] = []  # each stage's block of the stage-3 basis
+    starts: list[np.ndarray] = []  # its Galerkin start coefficients
+    proj = None  # the stage-3 projection over those blocks
     stage1 = None
     stage2_broke = False
     if y and len(idx) <= A.n:
@@ -351,8 +316,9 @@ def solve_system(
         Y, y, idx = Y[:, :0], 0, []
     if y:
         what, rhat, AW = stage1.what, stage1.rhat, stage1.aw
-        blocks.append(_Block(W, AW, what))
-        factor = BlockDiagFactor(rhat)
+        cols.append(W)
+        starts.append(what)
+        proj = DirectReducedProjection(AW, rhat)
         yhat_comb[idx] = what
         if track_iterates:
             record("stage1", 0, add_center(W @ what))
@@ -365,7 +331,8 @@ def solve_system(
         # the reduced-space solver of stage 2 and the full_orth projections
         if y > len(idx) or cfg.truncation.full_orth:
             inner = InnerIterativeProjection(
-                A, Y, sink, eps_inner, cfg.mode, np.eye(y)[:, idx], Y.T @ AW, factor
+                A, Y, sink, eps_inner, cfg.mode, np.eye(y)[:, idx],
+                DirectReducedProjection(Y.T @ AW, rhat),
             )
         # stage 2: the first nested run, over all of Y from the stage-1
         # solution, augmented with the stage-1 selection block
@@ -386,32 +353,27 @@ def solve_system(
                 if stage2.k:
                     # V is Fortran-ordered; the product rounds as the
                     # fixtures pin it from a C copy
-                    blocks.append(_Block(Y @ np.ascontiguousarray(stage2.V),
-                                         np.column_stack(AV2), stage2.vhat))
+                    cols.append(Y @ np.ascontiguousarray(stage2.V))
+                    starts.append(stage2.vhat)
+                    proj.append(np.column_stack(AV2), np.sqrt(stage2.gamma))
         if track_iterates:
             record("stage2", 0, add_center(Y @ yhat_comb))
 
     # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
     # New directions stay A-orthogonal to the stacked blocks, each
-    # projection backsolving the cached block factor, or with ``full_orth``
-    # to all of Y, each projection a further nested run of ``inner``.
+    # projection backsolving their block factor, or with ``full_orth`` to
+    # all of Y, each projection a further nested run of ``inner``.
     full_orth = cfg.truncation.full_orth and y > 0 and not stage2_broke
-    stage3_basis = Y if full_orth else _stack([blk.cols for blk in blocks], A.n)
-    products = _stack([blk.products for blk in blocks], A.n)
-    block_start = np.concatenate([blk.start for blk in blocks]) if blocks else np.zeros(0)
-    stage3_start = yhat_comb if full_orth else block_start
-    if full_orth:
-        handle = inner
-    else:
-        handle = DirectReducedProjection(products, factor) if factor is not None else None
+    stage3_basis = Y if full_orth else stack_blocks(cols, A.n)
+    block_start = np.concatenate(starts) if starts else np.zeros(0)
     monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
     try:
         stage3_res = augmented_pcg(
             A,
             r0,
-            stage3_start,
+            yhat_comb if full_orth else block_start,
             stage3_basis,
-            handle,
+            inner if full_orth else proj,
             M,
             eps,
             # a run that keeps no directions has nothing to orthogonalize
@@ -420,7 +382,7 @@ def solve_system(
             keep_directions=cfg.recycle,
             sink=sink,
             max_iter=cfg.max_iter,
-            r0=r0 - products @ block_start,
+            r0=r0 - proj.cross @ block_start if proj is not None else r0,
             monitor=monitor,
         )
     except NotConverged as exc:
@@ -433,11 +395,8 @@ def solve_system(
     report.final_residual = stage3_res.final_residual
     report.residual_history = stage3_res.residual_history
 
-    truncated = update_basis(
-        state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
-        stage1_factor=factor.chol if factor is not None and len(idx) == y else None,
-        stage1_products=stage1.aw if stage1 is not None else None,
-    )
+    truncated = update_basis(state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
+                             stage1=proj)
     report.truncated = truncated
     report.matvecs = sink.matvecs
     report.precond_applies = sink.precond_applies
@@ -475,8 +434,7 @@ def update_basis(
     *,
     chalf: np.ndarray | None = None,
     sink: InstrumentationSink | None = None,
-    stage1_factor: DenseLowerTriangular | None = None,
-    stage1_products: np.ndarray | None = None,
+    stage1: DirectReducedProjection | None = None,
 ) -> bool:
     """Fold the new directions into the recycled basis, truncating at the cap.
 
@@ -490,15 +448,15 @@ def update_basis(
     the just-solved matrix, the history and what this solve already knows of
     A on Z; it picks the weights, metric and method.
 
-    For A-metric POD in ``fom`` mode with ``stage1_factor`` passed (the
-    Cholesky factor of the stage-1 Gram matrix; the caller passes it only
-    when the stage-1 block spans the old basis), Z'AZ is known blockwise and
-    is given as ``gram``, which costs no product.  Every other truncation is
-    given the products AZ: ``stage1_products`` (A times the columns
-    ``state.stage1_idx`` of the old basis, passed by the caller when stage 1
-    ran) and the stage-3 products AV / sqrt(p'Ap) of the new directions are
-    copied in, and only the remaining old columns are multiplied by A, one
-    matvec each on ``sink``.
+    ``stage1`` is the solve's stage-3 projection when stage 1 ran: its
+    leading factor is the Cholesky factor of the stage-1 Gram matrix and
+    its first products are A times the columns ``state.stage1_idx`` of the
+    old basis.  For A-metric POD in ``fom`` mode whose stage-1 block spans
+    the old basis, Z'AZ is known blockwise from that factor and is given as
+    ``gram``, which costs no product.  Every other truncation is given the
+    products AZ: the stage-1 products and the stage-3 products
+    AV / sqrt(p'Ap) of the new directions are copied in, and only the
+    remaining old columns are multiplied by A, one matvec each on ``sink``.
     The weight history is then reset and the stage-1 prefix is the one
     ``compress`` derived.
     """
@@ -534,7 +492,8 @@ def update_basis(
     if truncated:
         gram = products = None
         a_metric = tcfg.strategy.startswith("pod-a-")
-        if a_metric and stage1_factor is not None and cfg.mode == "fom" and k > 0:
+        spans_old = stage1 is not None and stage1.factor.m == y_old
+        if a_metric and spans_old and cfg.mode == "fom" and k > 0:
             # only A-metric POD reads Z'AZ, and here it is already known
             # blockwise: the stage-1 factor covers the old basis, the full
             # orthogonalization makes the new columns A-orthonormal and
@@ -542,12 +501,14 @@ def update_basis(
             # taking L @ L' as one symmetric rank-k update, which rounds
             # differently
             gram = np.zeros((y_old + k, y_old + k))
-            gram[:y_old, :y_old] = stage1_factor.full() @ stage1_factor.full().T
+            gram[:y_old, :y_old] = stage1.factor.full() @ stage1.factor.full().T
             gram[y_old:, y_old:] = np.eye(k)
         else:
             # after a stage-1 fallback no old column's product is held
-            idx = state.stage1_idx if stage1_products is not None else []
-            products = _grown_products(A, state.Y, idx, stage1_products, stage3_res.AV,
+            idx, AW = [], None
+            if stage1 is not None:
+                idx, AW = state.stage1_idx, stage1.cross[:, :stage1.factor.m]
+            products = _grown_products(A, state.Y, idx, AW, stage3_res.AV,
                                        np.sqrt(stage3_res.gamma), sink)
         out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, gram=gram,
                        products=products, sink=sink)

@@ -49,7 +49,9 @@ class TestMethodSpec:
         assert (plain.eps_hat_factor, plain.eps_inner_factor) == (1e-4, 1e-2)
 
     def test_name_only_entry_is_default_config(self):
-        assert MethodSpec.from_dict({"name": "plain", "unknown": 1}).config == SolverConfig()
+        assert MethodSpec.from_dict({"name": "plain"}).config == SolverConfig()
+        with pytest.raises(RecyklError, match="'unknown'"):
+            MethodSpec.from_dict({"name": "plain", "unknown": 1})
 
     def test_deflate_strategy_string(self):
         spec = MethodSpec.from_dict({"name": "df", "truncation": {"strategy": "deflate:7"}})

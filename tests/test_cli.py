@@ -214,3 +214,33 @@ class TestExitCodes:
         assert code == 2
         rows = list(csv.DictReader(open(out / "run_systems.csv")))
         assert len(rows) == 5  # flagged rows still written, run continued
+
+    def test_output_error_not_converged_exit_2(self, tmp_path):
+        seqdir = tmp_path / "seq10"
+        assert main(["generate", "--grid", "10", "10", "--systems", "3",
+                     "--outputs", "5", "--out-dir", str(seqdir)]) == 0
+        spec_path = tmp_path / "methods.json"
+        spec_path.write_text(json.dumps([{"name": "capped", "max_iter": 2,
+                                          "truncation": {"strategy": "none"}}]))
+        out = tmp_path / "oe"
+        code = main(["output-error", "--manifest", str(seqdir / "manifest.json"),
+                     "--methods", str(spec_path), "--out-dir", str(out)])
+        assert code == 2
+        rows = list(csv.DictReader(open(out / "output_error.csv")))
+        assert rows and all(int(r["systems_converged"]) < int(r["systems"]) for r in rows)
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"precondd": "ssor:1.7"}, "precondd"),
+        ({"tolerances": {"eps_hat": 1e-3}}, "eps_hat"),
+        ({"truncation": {"strategy": "none", "storage_capp": 10}}, "storage_capp"),
+        ({"mode": "gmres"}, "gmres"),
+    ])
+    def test_bad_methods_file_exit_3(self, tmp_path, sequence_dir, capsys, entry, key):
+        spec_path = tmp_path / "methods.json"
+        spec_path.write_text(json.dumps([{"name": "typo", **entry}]))
+        out = tmp_path / "res"
+        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--methods", str(spec_path), "--out-dir", str(out)])
+        assert code == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()

@@ -13,12 +13,12 @@ from recykl import preconditioners as pc
 from recykl.errors import Breakdown, DimensionMismatch, NotConverged
 from recykl.krylov import (
     _STORE_INITIAL_COLS,
-    BlockDiagFactor,
     DirectReducedProjection,
     ReducedSpdOperator,
     _DirectionStore,
     augmented_pcg,
     direct_reduced_solve,
+    stack_blocks,
 )
 from recykl.linalg import InstrumentationSink, SparseSpdMatrix, dense_cholesky, spmv
 from recykl.problems import gen_diffusion_sequence
@@ -345,8 +345,9 @@ class TestReducedOperator:
         op = ReducedSpdOperator(A, Y)
         p = np.random.default_rng(46).standard_normal(4)
         out = op.apply(p)
+        assert len(op.full_products) == 1
         assert np.allclose(op.full_products[0], A.to_dense() @ (Y @ p))
-        assert np.allclose(op.reduced_products[0], out)
+        assert np.array_equal(out, Y.T @ op.full_products[0])
 
     def test_augmented_pcg_on_reduced_operator(self):
         # solving the reduced system iteratively reproduces the dense solve
@@ -363,13 +364,30 @@ class TestProjectionHandles:
     def test_block_factor_matches_dense_oracle(self):
         L = dense_cholesky(make_spd_dense(4, seed=50))
         gamma = np.array([2.0, 5.0, 0.5])
-        factor = BlockDiagFactor(L)
-        factor.append_sqrt_diag(np.sqrt(gamma))
+        cross = np.random.default_rng(52).standard_normal((9, 7))
+        proj = DirectReducedProjection(cross[:, :4], L)
+        proj.append(cross[:, 4:6], np.sqrt(gamma[:2]))
+        proj.append(cross[:, 6:], np.sqrt(gamma[2:]))
         G = np.zeros((7, 7))
         G[:4, :4] = L.full() @ L.full().T
         G[4:, 4:] = np.diag(gamma)
         rhs = np.random.default_rng(51).standard_normal(7)
-        assert np.allclose(factor.solve_spd(rhs), np.linalg.solve(G, rhs), atol=1e-10)
+        assert np.allclose(proj.solve_gram(rhs), np.linalg.solve(G, rhs), atol=1e-10)
+        assert np.array_equal(proj.cross, cross) and proj.cross.flags.c_contiguous
+        z = np.random.default_rng(53).standard_normal(9)
+        assert np.allclose(proj(z), np.linalg.solve(G, cross.T @ z), atol=1e-10)
+        with pytest.raises(DimensionMismatch):
+            proj.solve_gram(rhs[:6])
+
+    def test_stack_returns_single_c_block(self):
+        B = np.arange(12.0).reshape(4, 3)
+        assert np.shares_memory(stack_blocks([B], 4), B)
+        F = np.asfortranarray(B)
+        for blocks in ([F], [B, F]):
+            out = stack_blocks(blocks, 4)
+            assert out.flags.c_contiguous and not np.shares_memory(out, F)
+            assert np.array_equal(out, np.hstack(blocks))
+        assert stack_blocks([], 4).shape == (4, 0)
 
     def test_direct_projection_assemble(self):
         A = make_spd(25, seed=52)

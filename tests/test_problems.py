@@ -3,11 +3,13 @@ import re
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 from recykl.errors import ManifestError
 from recykl.linalg import SparseSpdMatrix
 from recykl.mmio import read_array, read_matrix, write_array, write_symmetric_matrix
 from recykl.problems import (
+    _diffusion_matrix,
     gen_diffusion_sequence,
     gen_output_matrix,
     load_sequence_manifest,
@@ -75,6 +77,46 @@ class TestDiffusionSequence:
             gen_diffusion_sequence((0, 3), p=2, delta=0.1)
         with pytest.raises(RecyklError):
             gen_diffusion_sequence((3, 3), p=2, delta=1.0)
+
+
+def loop_diffusion_matrix(nx, ny, kappa):
+    """Node-by-node reference assembly of the five-point stencil."""
+    n = nx * ny
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    for j in range(ny):
+        for i in range(nx):
+            k = j * nx + i
+            for i2, j2 in ((i + 1, j), (i, j + 1)):
+                if i2 < nx and j2 < ny:
+                    k2 = j2 * nx + i2
+                    edge = 0.5 * (kappa[k] + kappa[k2])
+                    rows.extend((k, k2))
+                    cols.extend((k2, k))
+                    vals.extend((-edge, -edge))
+                    diag[k] += edge
+                    diag[k2] += edge
+                else:
+                    diag[k] += kappa[k]
+            if i == 0:
+                diag[k] += kappa[k]
+            if j == 0:
+                diag[k] += kappa[k]
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(diag)
+    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    return SparseSpdMatrix.from_scipy(coo.tocsr())
+
+
+class TestDiffusionMatrix:
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (7, 1), (7, 6), (13, 4), (10, 10)])
+    def test_matches_loop_reference_bit_for_bit(self, nx, ny):
+        kappa = 1.0 + 0.5 * np.random.default_rng(nx * 100 + ny).random(nx * ny)
+        got, ref = _diffusion_matrix(nx, ny, kappa), loop_diffusion_matrix(nx, ny, kappa)
+        for name in ("row_offsets", "col_indices", "values"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestOutputMatrix:

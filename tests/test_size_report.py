@@ -74,6 +74,7 @@ def test_counting_rule(tmp_path):
     (tmp_path / "notes.txt").write_text("def ignored(a=1): pass\n")
     assert report(str(tmp_path)) == {
         "lines": source.count("\n"),
+        "classes": 3,  # Thing, Config, Plain
         "options": 8,
         "defaulted_params": 4,  # b, c, nested's x, method's x
         "dataclass_fields": 2,  # size, names

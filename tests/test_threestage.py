@@ -6,11 +6,7 @@ from recykl import preconditioners as pc
 from recykl import threestage
 from recykl.bench import default_methods
 from recykl.errors import Breakdown, RecyklError
-from recykl.krylov import (
-    BlockDiagFactor,
-    DirectReducedProjection,
-    augmented_pcg,
-)
+from recykl.krylov import DirectReducedProjection, augmented_pcg
 from recykl.linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
@@ -49,6 +45,10 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.precond == "identity"
         assert (cfg.eps_hat_factor, cfg.eps_inner_factor) == (1e-4, 1e-2)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(RecyklError, match="gmres"):
+            SolverConfig(mode="gmres")
 
     def test_stage2_factor_sets_stage2_tolerance(self):
         # stage 2 stops at eps_hat_factor * tol: a looser factor ends it sooner
@@ -376,16 +376,6 @@ class TestTruncationFiring:
 
 
 class TestNoCopies:
-    def test_stack_returns_single_c_block(self):
-        B = np.arange(12.0).reshape(4, 3)
-        assert np.shares_memory(threestage._stack([B], 4), B)
-        F = np.asfortranarray(B)
-        for blocks in ([F], [B, F]):
-            out = threestage._stack(blocks, 4)
-            assert out.flags.c_contiguous and not np.shares_memory(out, F)
-            assert np.array_equal(out, np.hstack(blocks))
-        assert threestage._stack([], 4).shape == (4, 0)
-
     @pytest.mark.parametrize("mode, width", [("fom", 3), ("cg", 0)])
     def test_update_basis_appends_scaled_directions(self, mode, width):
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=35, tol=1e-8)
@@ -551,6 +541,58 @@ class TestStage1Fallback:
         assert wide == 10
 
 
+class TestReducedProjections:
+    def test_extend_appends_run_products(self):
+        # a nested run's block enters the projection with the run's own
+        # products, which are Y'A(YV); the operator keeps no copy of them
+        A = make_spd(12, seed=62)
+        Y = np.linalg.qr(random_basis(12, 5, seed=63))[0]
+        Ad, W = A.to_dense(), Y[:, :2]
+        proj = DirectReducedProjection(Y.T @ (Ad @ W), dense_cholesky(W.T @ Ad @ W))
+        inner = InnerIterativeProjection(A, Y, None, 1e-12, "fom", np.eye(5)[:, :2], proj)
+        bhat = np.random.default_rng(64).standard_normal(5)
+        res, products = inner.extend(bhat, proj.solve_gram(inner.basis.T @ bhat), 1e-12)
+        assert res.k > 0 and len(products) == res.k
+        expected = Y.T @ Ad @ Y @ res.V
+        got = proj.cross[:, 2:]
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert inner.op.full_products == []
+        assert np.array_equal(proj.d, np.sqrt(res.gamma))
+
+    def test_stage3_handle_matches_dense_oracle(self, monkeypatch):
+        # after a stage 2 that adds a block, the stage-3 handle projects onto
+        # B = [W, Y V2]: it returns (B'AB)^{-1} B'Az
+        real = threestage.augmented_pcg
+        runs = []
+
+        def spy(op, *args, **kwargs):
+            res = real(op, *args, **kwargs)
+            runs.append((op, args, res))
+            return res
+
+        monkeypatch.setattr(threestage, "augmented_pcg", spy)
+        seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(stage1_threshold=0.1, precond="ssor:1.7")
+        state = RecycleState.empty(seq.n)
+        rng = np.random.default_rng(65)
+        checked = 0
+        for spec in seq:
+            runs.clear()
+            solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
+            if len(runs) < 2 or runs[0][2].k == 0:
+                continue
+            (op2, args2, stage2), (_, args3, _) = runs
+            B = op2.Y @ np.hstack([args2[2], stage2.V])
+            handle = args3[3]
+            Ad = spec.A.to_dense()
+            z = rng.standard_normal(seq.n)
+            expected = np.linalg.solve(B.T @ Ad @ B, B.T @ Ad @ z)
+            assert np.linalg.norm(handle(z) - expected) <= 1e-10 * np.linalg.norm(expected)
+            checked += 1
+        assert checked == 3
+
+
 class TestStage2Breakdown:
     def test_overflowing_stage2_ends_typed(self):
         # with ssor:1.7 at tol 1e-9, stage 2 of pod(5,20) and pod(5,20)it
@@ -577,14 +619,13 @@ class TestStage2Breakdown:
         A = make_spd(8, seed=60)
         Y = np.linalg.qr(random_basis(8, 3, seed=61))[0]
         W = Y[:, :1]
-        factor = BlockDiagFactor(dense_cholesky(W.T @ A.to_dense() @ W))
-        inner = InnerIterativeProjection(
-            A, Y, None, 1e-10, "fom", np.eye(3)[:, :1], Y.T @ (A.to_dense() @ W), factor
-        )
+        proj = DirectReducedProjection(Y.T @ (A.to_dense() @ W),
+                                       dense_cholesky(W.T @ A.to_dense() @ W))
+        inner = InnerIterativeProjection(A, Y, None, 1e-10, "fom", np.eye(3)[:, :1], proj)
         with pytest.raises(Breakdown):
             inner.extend(np.ones(3), np.zeros(1), 1e-10)
-        assert inner.op.full_products == [] and inner.op.reduced_products == []
-        assert inner.basis.shape == (3, 1) and factor.size == 1
+        assert inner.op.full_products == []
+        assert inner.basis.shape == (3, 1) and proj.cross.shape == (3, 1) and proj.d.size == 0
 
     @pytest.mark.parametrize("full_orth", [False, True])
     def test_broken_stage2_contributes_nothing(self, monkeypatch, full_orth):

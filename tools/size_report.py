@@ -1,10 +1,12 @@
-"""Size of the library: source lines and the option count.
+"""Size of the library: source lines, class count and option count.
 
 Usage: python3 tools/size_report.py [SRC_DIR]   (default: src/recykl)
 
-Prints the total line count of ``SRC_DIR/*.py`` (what ``wc -l`` reports)
-and the option count, the number of independently settable values, read
-from the syntax tree under one fixed rule:
+Prints the total line count of ``SRC_DIR/*.py`` (what ``wc -l`` reports);
+``classes``, the number of class definitions in those files, nested ones
+included, so that merged types show beside lines and options; and the
+option count, the number of independently settable values, read from the
+syntax tree under one fixed rule:
 
 - ``defaulted_params``: parameters with a default value, positional or
   keyword-only, of every function or method whose name does not start with
@@ -47,7 +49,7 @@ def _flags(call: ast.Call) -> int:
 
 
 def size_report(src_dir: str) -> dict:
-    lines = params = fields = flags = 0
+    lines = classes = params = fields = flags = 0
     for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
         with open(path, "rb") as fh:
             source = fh.read()
@@ -56,13 +58,16 @@ def size_report(src_dir: str) -> dict:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not node.name.startswith("_"):
                     params += _defaulted(node)
-            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                fields += sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                              for s in node.body)
+            elif isinstance(node, ast.ClassDef):
+                classes += 1
+                if _is_dataclass(node):
+                    fields += sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                                  for s in node.body)
             elif isinstance(node, ast.Call):
                 flags += _flags(node)
     return {
         "lines": lines,
+        "classes": classes,
         "options": params + fields + flags,
         "defaulted_params": params,
         "dataclass_fields": fields,
