@@ -13,7 +13,6 @@ averages.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -51,37 +50,60 @@ class MethodSpec:
     def from_dict(cls, raw: dict) -> "MethodSpec":
         """One methods-file entry; its ``precond`` and ``tolerances`` go into the config.
 
-        A key the entry, its ``truncation`` or its ``tolerances`` does not
-        know raises :class:`RecyklError` naming it.
+        An entry, ``truncation`` or ``tolerances`` that is not a JSON object,
+        a key it does not know, or a value of the wrong JSON type raises
+        :class:`RecyklError` naming it.
         """
+        if not isinstance(raw, dict):
+            raise RecyklError(f"method spec {raw!r} must be a JSON object")
         try:
             name = raw["name"]
         except KeyError as exc:
             raise RecyklError("method spec needs a 'name'") from exc
-        _check_keys(raw, _SOLVER_KEYS + ("name", "truncation", "tolerances"), name)
+        _check_values(raw, _ENTRY_KEYS, name)
         tr_raw = dict(raw.get("truncation", {}))
-        _check_keys(tr_raw, _TRUNCATION_KEYS, f"{name}: truncation")
-        if "strategy" in tr_raw:
-            tr_raw.update(parse_strategy(tr_raw.pop("strategy")))
         # keys left out of the entry keep the SolverConfig defaults
         if "storage_cap" in tr_raw and tr_raw["storage_cap"] in ("inf", None):
             tr_raw["storage_cap"] = math.inf
+        _check_values(tr_raw, _TRUNCATION_KEYS, f"{name}: truncation")
+        if "strategy" in tr_raw:
+            tr_raw.update(parse_strategy(tr_raw.pop("strategy")))
         tols = raw.get("tolerances", {})
-        _check_keys(tols, _TOLERANCE_KEYS, f"{name}: tolerances")
+        _check_values(tols, _TOLERANCE_KEYS, f"{name}: tolerances")
         kw = {k: raw[k] for k in _SOLVER_KEYS if k in raw}
         kw.update(tols)
         return cls(name=name, config=SolverConfig(truncation=TruncationConfig(**tr_raw), **kw))
 
 
-_SOLVER_KEYS = ("mode", "precond", "recycle", "diagnostics", "max_iter")
-_TOLERANCE_KEYS = ("eps_hat_factor", "eps_inner_factor")
-_TRUNCATION_KEYS = tuple(f.name for f in dataclasses.fields(TruncationConfig))
+# the JSON type each methods-file key takes, by the Python types json.load
+# gives it; a boolean is an int to Python but only "true or false" here
+_JSON_TYPES = {
+    "a string": (str,),
+    "true or false": (bool,),
+    "a number": (int, float),
+    "an integer or null": (int, type(None)),
+    "an object": (dict,),
+}
+_SOLVER_KEYS = {"mode": "a string", "precond": "a string", "recycle": "true or false",
+                "diagnostics": "true or false", "max_iter": "an integer or null"}
+_ENTRY_KEYS = {"name": "a string", "truncation": "an object", "tolerances": "an object",
+               **_SOLVER_KEYS}
+_TOLERANCE_KEYS = {"eps_hat_factor": "a number", "eps_inner_factor": "a number"}
+_TRUNCATION_KEYS = {"strategy": "a string", "nu_y": "a number", "nu_w": "a number",
+                    "storage_cap": "a number", "full_orth": "true or false",
+                    "deflate_dim": "an integer or null", "max_dim": "an integer or null",
+                    "stage1_dim": "an integer or null"}
 
 
-def _check_keys(raw: dict, known: tuple, where: str) -> None:
-    unknown = [key for key in raw if key not in known]
-    if unknown:
-        raise RecyklError(f"method spec {where}: unknown key {unknown[0]!r}")
+def _check_values(raw: dict, known: dict, where: str) -> None:
+    for key, value in raw.items():
+        if key not in known:
+            raise RecyklError(f"method spec {where}: unknown key {key!r}")
+        kind = known[key]
+        if not isinstance(value, _JSON_TYPES[kind]) or (
+                isinstance(value, bool) and kind != "true or false"):
+            raise RecyklError(f"method spec {where}: {key!r} must be {kind}, "
+                              f"got {json.dumps(value)}")
 
 
 def default_methods(

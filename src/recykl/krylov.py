@@ -49,6 +49,7 @@ from .linalg import (
     DenseLowerTriangular,
     InstrumentationSink,
     SparseSpdMatrix,
+    assemble_gram,
     dense_cholesky,
     spmv,
 )
@@ -392,26 +393,17 @@ def augmented_pcg(
     )
 
 
-@dataclass
-class DirectSolveResult:
-    what: np.ndarray
-    rhat: DenseLowerTriangular
-    aw: np.ndarray  # cached product A @ W for downstream reuse
-
-
 def direct_reduced_solve(
     A: SparseSpdMatrix, b, W, sink: InstrumentationSink | None = None
-) -> DirectSolveResult:
+) -> tuple[np.ndarray, DirectReducedProjection]:
     """Galerkin solve over range(W) by dense Cholesky of W'AW.
 
-    Returns the reduced solution (W'AW)^{-1} W'b together with the factor and
-    the product A*W (one matvec per column, charged to the sink).
+    Returns the reduced solution (W'AW)^{-1} W'b and the projection over
+    W that holds the product A*W (one matvec per column, charged to the
+    sink) and the factor, so later solves over W apply A no more.
     """
-    from .linalg import assemble_gram
-
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
     gram, AW = assemble_gram(A, W, sink)
-    rhat = dense_cholesky(0.5 * (gram + gram.T))
-    what = rhat.solve_spd(W.T @ b)
-    return DirectSolveResult(what=what, rhat=rhat, aw=AW)
+    factor = dense_cholesky(0.5 * (gram + gram.T))
+    return factor.solve_spd(W.T @ b), DirectReducedProjection(AW, factor)

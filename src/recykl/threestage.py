@@ -36,11 +36,13 @@ nothing: stage 3 runs from the stage-1 solution over the stage-1 block
 alone, and the report leaves ``stage2_converged`` false.
 
 After the solve, new search directions are appended to Y normalized to unit
-A-norm; once the block exceeds the storage cap it is compressed by
-:func:`~recykl.truncation.compress`, which alone reads the truncation
-strategy, and the stage-1 prefix is re-derived.  Truncation multiplies A
-only by the old columns outside the stage-1 block: the stage-1 products and
-the stage-3 products of the new directions are handed to it.
+A-norm, and they join the stage-1 block; once the block exceeds the storage
+cap it is compressed by :func:`~recykl.truncation.compress`, which alone
+reads the truncation strategy, and the stage-1 prefix is re-derived.  Every
+truncation is handed the products AZ of the grown block, whatever the
+strategy and mode: the stage-1 products and the stage-3 products of the new
+directions are copied in, and A multiplies only the old columns outside the
+stage-1 block.
 
 A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
 preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
@@ -96,7 +98,8 @@ class SolverConfig:
     ``precond`` is ``identity`` (no preconditioner), ``jacobi``, ``ssor`` or
     ``ssor:<omega>``.  For a system with forcing tolerance eps, stage 2
     iterates to eps_hat = eps_hat_factor * eps and each nested projection of
-    ``full_orth`` to eps_inner = eps_inner_factor * eps.
+    ``full_orth`` to eps_inner = eps_inner_factor * eps.  ``max_iter``, at
+    least 1 when set, caps the iterations of stage 3 (default: n).
     """
 
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
@@ -111,6 +114,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("cg", "fom"):
             raise RecyklError(f"unknown mode {self.mode!r}; expected 'cg' or 'fom'")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise RecyklError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -297,7 +302,6 @@ def solve_system(
     cols: list[np.ndarray] = []  # each stage's block of the stage-3 basis
     starts: list[np.ndarray] = []  # its Galerkin start coefficients
     proj = None  # the stage-3 projection over those blocks
-    stage1 = None
     stage2_broke = False
     if y and len(idx) <= A.n:
         # stage 1: direct solve over W, factor cached for every later stage.
@@ -305,20 +309,18 @@ def solve_system(
         # differently and changed a stage-2 iteration count
         W = Y[:, idx]
         try:
-            stage1 = direct_reduced_solve(A, r0, W, sink)
+            what, proj = direct_reduced_solve(A, r0, W, sink)
         except NotPositiveDefinite:
             pass
-    if y and stage1 is None:
+    if y and proj is None:
         # the stage-1 Gram matrix W'AW is singular (W has more columns than
         # A has rows) or lost definiteness in round-off: solve this system
         # over an empty basis, as without recycling
         report.stage1_fallback = True
         Y, y, idx = Y[:, :0], 0, []
     if y:
-        what, rhat, AW = stage1.what, stage1.rhat, stage1.aw
         cols.append(W)
         starts.append(what)
-        proj = DirectReducedProjection(AW, rhat)
         yhat_comb[idx] = what
         if track_iterates:
             record("stage1", 0, add_center(W @ what))
@@ -332,7 +334,7 @@ def solve_system(
         if y > len(idx) or cfg.truncation.full_orth:
             inner = InnerIterativeProjection(
                 A, Y, sink, eps_inner, cfg.mode, np.eye(y)[:, idx],
-                DirectReducedProjection(Y.T @ AW, rhat),
+                DirectReducedProjection(Y.T @ proj.cross, proj.factor),
             )
         # stage 2: the first nested run, over all of Y from the stage-1
         # solution, augmented with the stage-1 selection block
@@ -440,25 +442,19 @@ def update_basis(
 
     ``state`` is updated in place; the return value tells whether truncation
     fired.  New directions enter normalized to unit A-norm (columns divided
-    by sqrt(p'Ap)); with threshold 1 they all join the stage-1 block,
-    otherwise only those whose share of the direction Gram trace exceeds
-    the threshold.  The solution's coefficients in the grown block join the
-    weight history.  When the config says the grown block Z = [Y, V/sqrt(p'Ap)]
-    is to be truncated, :func:`~recykl.truncation.compress` gets the block,
-    the just-solved matrix, the history and what this solve already knows of
-    A on Z; it picks the weights, metric and method.
+    by sqrt(p'Ap)) and all join the stage-1 block.  The solution's
+    coefficients in the grown block join the weight history.  When the
+    config says the grown block Z = [Y, V/sqrt(p'Ap)] is to be truncated,
+    :func:`~recykl.truncation.compress` gets the block, the just-solved
+    matrix, the history and the products AZ; it picks the weights, metric
+    and method, and reads A only from those products.
 
     ``stage1`` is the solve's stage-3 projection when stage 1 ran: its
-    leading factor is the Cholesky factor of the stage-1 Gram matrix and
-    its first products are A times the columns ``state.stage1_idx`` of the
-    old basis.  For A-metric POD in ``fom`` mode whose stage-1 block spans
-    the old basis, Z'AZ is known blockwise from that factor and is given as
-    ``gram``, which costs no product.  Every other truncation is given the
-    products AZ: the stage-1 products and the stage-3 products
-    AV / sqrt(p'Ap) of the new directions are copied in, and only the
-    remaining old columns are multiplied by A, one matvec each on ``sink``.
-    The weight history is then reset and the stage-1 prefix is the one
-    ``compress`` derived.
+    leading products are A times the columns ``state.stage1_idx`` of the
+    old basis.  They and the stage-3 products AV / sqrt(p'Ap) of the new
+    directions are copied into AZ, and only the remaining old columns are
+    multiplied by A, one matvec each on ``sink``.  The weight history is
+    then reset and the stage-1 prefix is the one ``compress`` derived.
     """
     j = state.systems_seen + 1
     if not cfg.recycle:
@@ -467,19 +463,14 @@ def update_basis(
     tcfg = cfg.truncation
     k = stage3_res.k
     y_old = state.Y.shape[1]
+    sqrt_t = np.sqrt(stage3_res.gamma)
     if k > 0:
-        sqrt_t = np.sqrt(stage3_res.gamma)
-        if tcfg.stage1_threshold >= 1.0:
-            admitted = list(range(k))
-        else:
-            shares = stage3_res.gamma / np.sum(stage3_res.gamma)
-            admitted = [i for i in range(k) if shares[i] > tcfg.stage1_threshold]
         # the grown block is allocated once, in C order, and the scaled
         # directions are written straight into its tail
         Y_grown = np.empty((state.Y.shape[0], y_old + k))
         Y_grown[:, :y_old] = state.Y
         np.divide(stage3_res.V, sqrt_t, out=Y_grown[:, y_old:])
-        stage1_idx = state.stage1_idx + [y_old + i for i in admitted]
+        stage1_idx = state.stage1_idx + list(range(y_old, y_old + k))
         eta = np.concatenate([yhat_comb, stage3_res.vhat * sqrt_t])
     else:
         Y_grown = state.Y
@@ -490,28 +481,13 @@ def update_basis(
 
     truncated = tcfg.truncates(Y_grown.shape[1])
     if truncated:
-        gram = products = None
-        a_metric = tcfg.strategy.startswith("pod-a-")
-        spans_old = stage1 is not None and stage1.factor.m == y_old
-        if a_metric and spans_old and cfg.mode == "fom" and k > 0:
-            # only A-metric POD reads Z'AZ, and here it is already known
-            # blockwise: the stage-1 factor covers the old basis, the full
-            # orthogonalization makes the new columns A-orthonormal and
-            # A-orthogonal to it.  Two copies of the factor keep numpy from
-            # taking L @ L' as one symmetric rank-k update, which rounds
-            # differently
-            gram = np.zeros((y_old + k, y_old + k))
-            gram[:y_old, :y_old] = stage1.factor.full() @ stage1.factor.full().T
-            gram[y_old:, y_old:] = np.eye(k)
-        else:
-            # after a stage-1 fallback no old column's product is held
-            idx, AW = [], None
-            if stage1 is not None:
-                idx, AW = state.stage1_idx, stage1.cross[:, :stage1.factor.m]
-            products = _grown_products(A, state.Y, idx, AW, stage3_res.AV,
-                                       np.sqrt(stage3_res.gamma), sink)
-        out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, gram=gram,
-                       products=products, sink=sink)
+        # after a stage-1 fallback no old column's product is held
+        idx, AW = [], None
+        if stage1 is not None:
+            idx, AW = state.stage1_idx, stage1.cross[:, :stage1.factor.m]
+        products = _grown_products(A, state.Y, idx, AW, stage3_res.AV, sqrt_t, sink)
+        out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, products=products,
+                       sink=sink)
         state.history.reset()
         state.Y = out.Y_new
         state.stage1_idx = list(range(out.stage1_width))

@@ -16,10 +16,11 @@ the one reader of the strategy name; the solver only asks
 - ``none``, which never truncates.
 
 Every outcome carries the retained A-orthonormal basis, the stage-1 prefix
-width, and the spectrum it was cut from.  Wherever a strategy needs the
-products AZ, a caller that already holds them (the staged solver keeps them
-from its solve) passes them as ``products`` and no matvec is spent; without
-them they are formed, one matvec per column.
+width, and the spectrum it was cut from.  Every strategy reads A only from
+the products AZ: a caller that already holds them (the staged solver keeps
+them from its solve) passes them as ``products`` and no matvec is spent;
+without them :func:`compress` forms them once, one block product charged at
+one matvec per column.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .errors import DimensionMismatch, RecyklError
 from .linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
-    assemble_gram,
     dense_cholesky,
     generalized_symmetric_evd,
+    spmv,
 )
 from .pod import energy_truncation_dim, pod_evd_from_gram, pod_svd
 from .weights import WeightHistory, weights_previous, weights_rbf
@@ -51,17 +52,16 @@ class TruncationConfig:
     dimension and the stage-1 prefix width for POD strategies; ``max_dim``
     and ``stage1_dim`` optionally pin them to fixed counts instead (the
     smaller of criterion and pin wins).  ``storage_cap`` is the accumulated
-    width that triggers truncation, ``stage1_threshold`` the per-direction
-    admission threshold for growing the stage-1 basis between truncations,
-    and ``full_orth`` selects the stage-3 variant that orthogonalizes
-    against the entire augmenting basis through inner iterations.
+    width that triggers truncation; between truncations every new direction
+    joins the stage-1 block.  ``full_orth`` selects the stage-3 variant that
+    orthogonalizes against the entire augmenting basis through inner
+    iterations.  ``deflate_dim``, the count deflation retains, is at least 1.
     """
 
     strategy: str = "pod-a-rbf"
     nu_y: float = 1.0
     nu_w: float = 0.5
     storage_cap: float = math.inf
-    stage1_threshold: float = 1.0
     full_orth: bool = False
     deflate_dim: int | None = None
     max_dim: int | None = None
@@ -74,10 +74,10 @@ class TruncationConfig:
             raise RecyklError("energy criteria must satisfy 0 <= nu_w <= nu_y <= 1")
         if self.storage_cap < 1:
             raise RecyklError("storage cap must be at least 1")
-        if not 0.0 <= self.stage1_threshold <= 1.0:
-            raise RecyklError("stage-1 threshold must lie in [0, 1]")
         if self.strategy == "deflate" and self.deflate_dim is None:
             raise RecyklError("deflation needs a retained count")
+        if self.deflate_dim is not None and self.deflate_dim < 1:
+            raise RecyklError(f"deflate_dim must be at least 1, got {self.deflate_dim}")
 
     def truncates(self, width: int) -> bool:
         """Whether a block of ``width`` columns is compressed."""
@@ -87,7 +87,10 @@ class TruncationConfig:
 def parse_strategy(text: str) -> dict:
     """Parse a CLI strategy string into TruncationConfig keyword arguments."""
     if text.startswith("deflate:"):
-        return {"strategy": "deflate", "deflate_dim": int(text.split(":", 1)[1])}
+        try:
+            return {"strategy": "deflate", "deflate_dim": int(text.split(":", 1)[1])}
+        except ValueError:
+            raise RecyklError(f"deflation strategy {text!r} needs an integer count") from None
     if text in ALL_STRATEGIES and text != "deflate":
         return {"strategy": text}
     raise RecyklError(f"unknown truncation strategy {text!r}")
@@ -105,22 +108,14 @@ def _cap(value: int, pin: int | None, hard: int) -> int:
     return max(1, min(out, hard))
 
 
-def _checked_products(products, Z: np.ndarray):
-    """The products AZ as a float array shaped like the block Z, or None."""
+def _products(A: SparseSpdMatrix, Z: np.ndarray, products, sink) -> np.ndarray:
+    """AZ: the given products, checked against the block, else formed on ``sink``."""
     if products is None:
-        return None
+        return spmv(A, Z, sink)
     products = np.asarray(products, dtype=np.float64)
     if products.shape != Z.shape:
         raise DimensionMismatch(f"products are {products.shape}, the block is {Z.shape}")
     return products
-
-
-def _gram(A: SparseSpdMatrix, Z: np.ndarray, products, sink):
-    """Z'AZ and AZ: from the given products AZ, else assembled on the sink."""
-    products = _checked_products(products, Z)
-    if products is None:
-        return assemble_gram(A, Z, sink)
-    return Z.T @ products, products
 
 
 def deflation_compress(
@@ -143,7 +138,8 @@ def deflation_compress(
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     z = Z.shape[1]
     m = min(int(m), z)
-    gram_az, AZ = _gram(A_prev, Z, products, sink)
+    AZ = _products(A_prev, Z, products, sink)
+    gram_az = Z.T @ AZ
     K = AZ.T @ AZ
     mu_desc, G = generalized_symmetric_evd(0.5 * (K + K.T), 0.5 * (gram_az + gram_az.T))
     # retain the m smallest harmonic Ritz values, ascending
@@ -165,7 +161,7 @@ def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, products=None,
     applying A.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    gram, _ = _gram(A, Y, products, sink)
+    gram = Y.T @ _products(A, Y, products, sink)
     L = dense_cholesky(0.5 * (gram + gram.T))
     return L.solve_lower(Y.T).T, L
 
@@ -177,7 +173,6 @@ def compress(
     history: WeightHistory,
     *,
     chalf=None,
-    gram=None,
     products=None,
     sink: InstrumentationSink | None = None,
 ) -> TruncationOutcome:
@@ -192,20 +187,20 @@ def compress(
     then A-orthonormalized.  The stage-1 width is read off the POD spectrum
     with the smaller energy criterion nu_w.
 
-    ``gram``, when given, is Z'AZ; only A-metric POD reads it.
-    ``products``, when given, is AZ, and every strategy takes what it needs
-    of A from it with dense products: A-metric POD (without ``gram``) the
-    Gram matrix Z'(AZ), deflation (AZ)'(AZ) and Z'(AZ), and output-metric
-    POD A Y_new = (AZ) coef for its A-orthonormalization.  What is given
-    neither is formed with A, one matvec per column, charged to ``sink``.
+    Every strategy takes what it needs of A from the products AZ with dense
+    products: A-metric POD the Gram matrix Z'(AZ), deflation (AZ)'(AZ) and
+    Z'(AZ), and output-metric POD A Y_new = (AZ) coef for its
+    A-orthonormalization.  ``products``, when given, is AZ; without it AZ is
+    formed once, one block product charged to ``sink`` at one matvec per
+    column.
     """
     if cfg.strategy == "none":
         raise RecyklError("strategy 'none' keeps the whole block: nothing to compress")
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    products = _checked_products(products, Z)
+    AZ = _products(A, Z, products, sink)
     if cfg.strategy == "deflate":
         return deflation_compress(Z, A, cfg.deflate_dim, stage1_dim=cfg.stage1_dim,
-                                  products=products, sink=sink)
+                                  products=AZ)
     if cfg.strategy.endswith("-rbf"):
         weights = weights_rbf(history, len(history))
     else:
@@ -216,13 +211,10 @@ def compress(
             raise DimensionMismatch("output-metric truncation needs the output matrix")
         res = pod_svd(Z, weights, chalf, cfg.nu_y)
     else:
-        if gram is None:
-            gram, _ = _gram(A, Z, products, sink)
-        res = pod_evd_from_gram(gram, Z, weights, cfg.nu_y)
+        res = pod_evd_from_gram(Z.T @ AZ, Z, weights, cfg.nu_y)
     y = _cap(res.y, cfg.max_dim, res.y)
     w = _cap(energy_truncation_dim(res.singular_values**2, cfg.nu_w), cfg.stage1_dim, y)
     Y = res.columns[:, :y]
     if output_metric:
-        AY = None if products is None else products @ res.coef[:, :y]
-        Y, _ = enforce_a_orthogonality(Y, A, products=AY, sink=sink)
+        Y, _ = enforce_a_orthogonality(Y, A, products=AZ @ res.coef[:, :y])
     return TruncationOutcome(Y_new=Y, stage1_width=w, spectrum=res.singular_values)

@@ -71,7 +71,8 @@ def weights_ideal(Z, A: SparseSpdMatrix, b, xguess=None) -> np.ndarray:
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
     rhs = b if xguess is None else b - spmv(A, xguess)
-    return direct_reduced_solve(A, rhs, Z).what
+    what, _ = direct_reduced_solve(A, rhs, Z)
+    return what
 
 
 def weights_previous(history: WeightHistory) -> np.ndarray:

@@ -206,7 +206,8 @@ class TestConditioningBound:
 
         seq = gen_diffusion_sequence((7, 7), p=4, delta=0.02, seed=146, tol=1e-8)
         cfg = SolverConfig(
-            truncation=TruncationConfig(strategy="pod-a-rbf", nu_y=1.0, nu_w=0.3, stage1_threshold=0.9)
+            truncation=TruncationConfig(strategy="pod-a-rbf", nu_y=1.0, nu_w=0.3, stage1_dim=2,
+                                        storage_cap=10)
         )
         _, _, traces = run_sequence(seq, cfg, keep_trace=True)
         with pytest.raises(RegimeInapplicable):

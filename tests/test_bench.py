@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from recykl.bench import (
 from recykl.errors import RecyklError
 from recykl.problems import gen_diffusion_sequence, gen_output_matrix
 from recykl.threestage import SolverConfig
+from recykl.truncation import TruncationConfig
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,10 @@ class TestMethodSpec:
         assert MethodSpec.from_dict({"name": "plain"}).config == SolverConfig()
         with pytest.raises(RecyklError, match="'unknown'"):
             MethodSpec.from_dict({"name": "plain", "unknown": 1})
+
+    def test_every_truncation_field_is_a_key(self):
+        fields = {f.name for f in dataclasses.fields(TruncationConfig)}
+        assert set(bench._TRUNCATION_KEYS) == fields
 
     def test_deflate_strategy_string(self):
         spec = MethodSpec.from_dict({"name": "df", "truncation": {"strategy": "deflate:7"}})

@@ -234,10 +234,21 @@ class TestExitCodes:
         ({"tolerances": {"eps_hat": 1e-3}}, "eps_hat"),
         ({"truncation": {"strategy": "none", "storage_capp": 10}}, "storage_capp"),
         ({"mode": "gmres"}, "gmres"),
+        ("pcg", "pcg"),
+        ({"truncation": "none"}, "truncation"),
+        ({"max_iter": "ten"}, "max_iter"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"truncation": {"strategy": "pod-a-rbf", "max_dim": "5", "storage_cap": 10}},
+         "max_dim"),
+        ({"recycle": "no"}, "recycle"),
+        ({"truncation": {"strategy": "deflate:0", "storage_cap": 10}}, "deflate_dim"),
+        ({"truncation": {"strategy": "deflate:five", "storage_cap": 10}}, "deflate:five"),
     ])
     def test_bad_methods_file_exit_3(self, tmp_path, sequence_dir, capsys, entry, key):
+        # an entry that is not an object is written as it is
         spec_path = tmp_path / "methods.json"
-        spec_path.write_text(json.dumps([{"name": "typo", **entry}]))
+        spec_path.write_text(json.dumps([{"name": "typo", **entry}
+                                         if isinstance(entry, dict) else entry]))
         out = tmp_path / "res"
         code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
                      "--methods", str(spec_path), "--out-dir", str(out)])

@@ -292,33 +292,36 @@ class TestPcg:
 class TestDirectReducedSolve:
     def test_diagonal_full_basis(self):
         A = SparseSpdMatrix.from_diagonal([4.0, 9.0])
-        out = direct_reduced_solve(A, np.array([4.0, 9.0]), np.eye(2))
-        assert np.allclose(out.what, [1.0, 1.0])
-        assert np.allclose(out.rhat.full(), np.diag([2.0, 3.0]))
+        what, proj = direct_reduced_solve(A, np.array([4.0, 9.0]), np.eye(2))
+        assert np.allclose(what, [1.0, 1.0])
+        assert np.allclose(proj.factor.full(), np.diag([2.0, 3.0]))
 
     def test_single_column_projection(self):
         A = SparseSpdMatrix.identity(2)
         W = np.array([[3.0], [4.0]]) / 5.0
-        out = direct_reduced_solve(A, np.array([3.0, 4.0]), W)
-        assert out.what[0] == pytest.approx(5.0)
+        what, _ = direct_reduced_solve(A, np.array([3.0, 4.0]), W)
+        assert what[0] == pytest.approx(5.0)
 
     def test_residual_orthogonality(self):
         A = make_spd(40, seed=35)
         rng = np.random.default_rng(36)
         b = rng.standard_normal(40)
         W = rng.standard_normal((40, 6))
-        out = direct_reduced_solve(A, b, W)
-        resid = b - A.to_dense() @ (W @ out.what)
+        what, _ = direct_reduced_solve(A, b, W)
+        resid = b - A.to_dense() @ (W @ what)
         assert np.linalg.norm(W.T @ resid) <= 1e-10 * np.linalg.norm(b)
 
     def test_factor_reconstructs_gram(self):
         A = make_spd(30, seed=37)
         W = np.random.default_rng(38).standard_normal((30, 5))
-        out = direct_reduced_solve(A, np.zeros(30), W)
-        L = out.rhat.full()
+        _, proj = direct_reduced_solve(A, np.zeros(30), W)
+        L = proj.factor.full()
         gram = W.T @ A.to_dense() @ W
         assert np.linalg.norm(L @ L.T - gram) <= 1e-12 * np.linalg.norm(gram)
-        assert np.allclose(out.aw, A.to_dense() @ W)
+        assert np.allclose(proj.cross, A.to_dense() @ W)
+        # the projection over W needs no further product with A
+        z = np.random.default_rng(39).standard_normal(30)
+        assert np.allclose(proj(z), np.linalg.solve(gram, W.T @ A.to_dense() @ z))
 
 
 class TestReducedOperator:

@@ -10,7 +10,6 @@ from recykl.krylov import DirectReducedProjection, augmented_pcg
 from recykl.linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
-    assemble_gram,
     dense_cholesky,
     spmv,
 )
@@ -32,7 +31,6 @@ def solver_cfg(**kw):
               nu_y=kw.pop("nu_y", 1.0),
               nu_w=kw.pop("nu_w", 1.0),
               storage_cap=kw.pop("storage_cap", float("inf")),
-              stage1_threshold=kw.pop("stage1_threshold", 1.0),
               full_orth=kw.pop("full_orth", False),
               deflate_dim=kw.pop("deflate_dim", None),
               max_dim=kw.pop("max_dim", None),
@@ -235,24 +233,11 @@ class TestMatvecAccounting:
 
 class TestStage1Growth:
     def test_threshold_one_admits_all(self):
+        # between truncations every new direction joins the stage-1 block
         seq = gen_diffusion_sequence((7, 7), p=2, delta=0.02, seed=28, tol=1e-8)
-        cfg = solver_cfg(stage1_threshold=1.0)
+        cfg = solver_cfg()
         _, reports, traces = run_sequence(seq, cfg, keep_trace=True)
         assert len(traces[1].stage1_idx) == traces[0].Y_exit.shape[1]
-
-    def test_threshold_zero_admits_positive_shares(self):
-        seq = gen_diffusion_sequence((7, 7), p=2, delta=0.02, seed=29, tol=1e-8)
-        cfg = solver_cfg(stage1_threshold=0.0)
-        _, _, traces = run_sequence(seq, cfg, keep_trace=True)
-        assert len(traces[1].stage1_idx) == traces[0].Y_exit.shape[1]
-
-    def test_intermediate_threshold_admits_subset(self):
-        seq = gen_diffusion_sequence((8, 8), p=2, delta=0.02, seed=30, tol=1e-8)
-        cfg = solver_cfg(stage1_threshold=0.05)
-        _, _, traces = run_sequence(seq, cfg, keep_trace=True)
-        admitted = len(traces[1].stage1_idx)
-        total = traces[0].Y_exit.shape[1]
-        assert 0 < admitted < total
 
 
 class TestTruncationFiring:
@@ -286,50 +271,11 @@ class TestTruncationFiring:
             G = t.Y_exit.T @ t.A.to_dense() @ t.Y_exit
             assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
-
-    def test_blockwise_gram_matches_assembled(self, monkeypatch):
-        # with stage 1 spanning Y, fom truncation hands compress Z'AZ formed
-        # from the stage-1 factor and the identity on the new directions
-        grams = []
-
-        def spy(Z, cfg, A, history, **kw):
-            if kw["gram"] is not None:
-                exact, _ = assemble_gram(A, Z)
-                grams.append(np.linalg.norm(kw["gram"] - exact) / np.linalg.norm(exact))
-            return compress(Z, cfg, A, history, **kw)
-
-        monkeypatch.setattr(threestage, "compress", spy)
-        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
-        cfg = solver_cfg(storage_cap=12, max_dim=8, mode="fom")
-        _, reports, _ = run_sequence(seq, cfg)
-        assert all(r.converged for r in reports)
-        assert len(grams) == len(reports) - 1
-        assert max(grams) <= 1e-10
-
-    @pytest.mark.parametrize("strategy", ["deflate", "pod-ctc-rbf"])
-    def test_gram_only_for_a_metric_pod(self, monkeypatch, strategy):
-        # deflation and output-metric POD never read Z'AZ, so fom truncation
-        # does not build it for them
-        grams = []
-
-        def spy(Z, cfg, A, history, **kw):
-            grams.append(kw["gram"])
-            return compress(Z, cfg, A, history, **kw)
-
-        monkeypatch.setattr(threestage, "compress", spy)
-        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
-        seq.C = gen_output_matrix(20, seq.n, seed=6)
-        cfg = solver_cfg(strategy=strategy, deflate_dim=8, storage_cap=12, max_dim=8,
-                         mode="fom")
-        _, reports, _ = run_sequence(seq, cfg)
-        assert all(r.converged for r in reports)
-        assert len(grams) == len(reports)
-        assert all(gram is None for gram in grams)
-
     @pytest.mark.parametrize("strategy, stage1_dim", [
-        ("deflate", None), ("pod-a-rbf", 3), ("pod-ctc-rbf", None)])
+        ("deflate", None), ("pod-a-rbf", 3), ("pod-ctc-rbf", None), ("pod-a-rbf", None)])
     def test_products_handed_to_compress_match(self, monkeypatch, strategy, stage1_dim):
-        # the products built from the solve's own A-products are A @ Z
+        # the products built from the solve's own A-products are A @ Z, in
+        # fom mode too, and for A-metric POD whose stage-1 block spans Y
         errors = []
 
         def spy(Z, cfg, A, history, **kw):
@@ -342,7 +288,7 @@ class TestTruncationFiring:
         seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
         seq.C = gen_output_matrix(20, seq.n, seed=6)
         cfg = solver_cfg(strategy=strategy, deflate_dim=8, storage_cap=12, max_dim=8,
-                         stage1_dim=stage1_dim, precond="jacobi")
+                         stage1_dim=stage1_dim, precond="jacobi", mode="fom")
         _, reports, _ = run_sequence(seq, cfg)
         assert all(r.converged for r in reports)
         assert len(errors) == len(reports)
@@ -573,7 +519,9 @@ class TestReducedProjections:
 
         monkeypatch.setattr(threestage, "augmented_pcg", spy)
         seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
-        cfg = solver_cfg(stage1_threshold=0.1, precond="ssor:1.7")
+        # truncation after every system keeps a 3-column stage-1 block
+        # narrower than Y, so systems 2 to 4 each run stage 2
+        cfg = solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7")
         state = RecycleState.empty(seq.n)
         rng = np.random.default_rng(65)
         checked = 0
@@ -637,7 +585,8 @@ class TestStage2Breakdown:
 
         monkeypatch.setattr(InnerIterativeProjection, "extend", break_stage2)
         seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
-        cfg = solver_cfg(stage1_threshold=0.1, precond="ssor:1.7", full_orth=full_orth)
+        cfg = solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7",
+                         full_orth=full_orth)
         state = RecycleState.empty(seq.n)
         ran_stage2 = 0
         for spec in seq:

@@ -6,7 +6,6 @@ from recykl.errors import DimensionMismatch, RecyklError
 from recykl.linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
-    assemble_gram,
     principal_angle_distance,
 )
 from recykl.pod import pod_evd
@@ -224,23 +223,6 @@ class TestCompressDispatch:
         assert out.Y_new.shape[1] == want.y
         assert np.allclose(out.spectrum, want.singular_values, rtol=1e-10, atol=1e-12)
         assert principal_angle_distance(out.Y_new, want.columns) <= 1e-8
-
-    def test_gram_read_by_matrix_metric_only(self):
-        A = make_spd(15, seed=127)
-        C = np.random.default_rng(128).random((5, 15))
-        Z = random_basis(15, 6, seed=129)
-        history = history_of(np.ones(6))
-        gram, _ = assemble_gram(A, Z)
-        a_cfg = cfg(strategy="pod-a-prev")
-        given = compress(Z, a_cfg, A, history, gram=gram).Y_new
-        assert np.array_equal(given, compress(Z, a_cfg, A, history).Y_new)
-        # a doubled Gram matrix shrinks the basis by sqrt(2): the block is read
-        doubled = compress(Z, a_cfg, A, history, gram=2.0 * gram).Y_new
-        assert np.allclose(np.sqrt(2.0) * doubled, given, rtol=1e-10, atol=1e-14)
-        ctc_cfg = cfg(strategy="pod-ctc-prev")
-        plain = compress(Z, ctc_cfg, A, history, chalf=C)
-        ignored = compress(Z, ctc_cfg, A, history, chalf=C, gram=np.full((6, 6), np.nan))
-        assert np.array_equal(plain.Y_new, ignored.Y_new)
 
     @pytest.mark.parametrize("strategy", ["pod-a-prev", "pod-ctc-prev", "deflate"])
     def test_given_products_replace_every_matvec(self, strategy):
