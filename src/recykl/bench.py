@@ -5,9 +5,10 @@ preconditioner, stage-tolerance factors).  Methods run over a shared
 immutable sequence one after another, so each ``wall_ms`` measures its
 solve alone, and their per-system reports land in CSV/JSON files: one row
 per (method, system) with the three cost metrics (``wall_ms`` includes the
-preconditioner build) and the solve's outcome flags (``reduced_condition``
-only under diagnostics), per-iteration residual histories, and per-method
-averages.
+preconditioner build) and the solve's outcome flags (the ``failure`` cause
+of a solve that did not converge, and whether its truncation stopped at
+the numerical rank; ``reduced_condition`` only under diagnostics),
+per-iteration residual histories, and per-method averages.
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ def run_methods(
 
 CSV_FIELDS = (
     "method", "j", "matvecs", "precond_apps", "stage1_dim", "stage2_iters",
-    "stage3_iters", "wall_ms", "final_residual", "converged", "stage2_converged",
-    "stage1_fallback", "reduced_condition",
+    "stage3_iters", "wall_ms", "final_residual", "converged", "failure", "stage2_converged",
+    "stage1_fallback", "rank_truncated", "reduced_condition",
 )
 
 
@@ -250,8 +251,10 @@ def write_run_outputs(runs: list[MethodRun], out_dir, label: str = "run") -> dic
                     "wall_ms": round(1e3 * r.wall_time, 3),
                     "final_residual": r.final_residual,
                     "converged": r.converged,
+                    "failure": r.failure or "",
                     "stage2_converged": r.stage2_converged,
                     "stage1_fallback": r.stage1_fallback,
+                    "rank_truncated": r.rank_truncated,
                     # computed only under diagnostics: blank otherwise
                     "reduced_condition": "" if r.reduced_condition is None
                     else r.reduced_condition,

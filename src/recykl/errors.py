@@ -34,7 +34,15 @@ class IterationLimit(RecyklError):
 
 
 class Breakdown(RecyklError):
-    """Conjugate-gradient breakdown: a direction with p'Ap <= 0 or a non-finite residual."""
+    """Conjugate-gradient breakdown: a direction with p'Ap <= 0 or a non-finite residual.
+
+    ``iterations`` counts the iterations the run spent, the broken one
+    included, when known, else None.
+    """
+
+    def __init__(self, message, iterations=None):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class NotConverged(RecyklError):

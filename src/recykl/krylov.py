@@ -11,8 +11,9 @@ sum of range(Y) and the generated Krylov directions.
 
 It is the one Krylov entry point, run in two spaces: over a
 :class:`~recykl.linalg.SparseSpdMatrix` in the full space (plain PCG is the
-empty-basis case) and over a :class:`ReducedSpdOperator`, the implicit Y'AY
-of the staged solver's reduced space.  The staged solver's direct
+empty-basis case) and over a :class:`ReducedSpdOperator`, the reduced matrix
+Y'AY of the staged solver's reduced space, which the solver forms once per
+system from the products AY.  The staged solver's direct
 projections, in either space, are :class:`DirectReducedProjection` handles,
 the one type that holds a set of mutually A-orthogonal augmenting blocks:
 their cached A-products and the block-diagonal Cholesky factor of their
@@ -61,26 +62,20 @@ _STORE_INITIAL_COLS = 64
 
 
 class ReducedSpdOperator:
-    """Implicit reduced operator p -> Y'(A(Yp)) on R^dim, dim = Y's width.
+    """Reduced operator p -> G p on R^dim for a formed reduced matrix G = Y'AY.
 
-    The reduced matrix Y'AY is never materialized; each application costs a
-    single sparse matvec.  The operator keeps, for every application, the
-    full-space product A(Yp), so the caller can reuse it as a cached cross
-    term; the owner of the operator drops them once read.  The reduced
-    outputs are the run's own ``AV``.
+    An application is one dense product with G and charges no matvec: the
+    sparse products behind G were charged when the caller formed AY.
     """
 
-    def __init__(self, A: SparseSpdMatrix, Y: np.ndarray, sink=None):
-        self.A = A
-        self.Y = np.asarray(Y, dtype=np.float64)
-        self.sink = sink
-        self.dim = self.Y.shape[1]
-        self.full_products: list[np.ndarray] = []
+    def __init__(self, G: np.ndarray):
+        self.G = np.asarray(G, dtype=np.float64)
+        self.dim = self.G.shape[0]
+        if self.G.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"reduced matrix must be square, got {self.G.shape}")
 
     def apply(self, p):
-        full = spmv(self.A, self.Y @ p, self.sink)
-        self.full_products.append(full)
-        return self.Y.T @ full
+        return self.G @ p
 
 
 def stack_blocks(arrays: list[np.ndarray], rows: int) -> np.ndarray:
@@ -240,8 +235,8 @@ def augmented_pcg(
     ----------
     op : SparseSpdMatrix or ReducedSpdOperator
         The SPD system operator: a matrix, whose products are counted on
-        ``sink``, or the reduced operator Y'AY of a nested run, which counts
-        its products on its own sink.  Anything else raises
+        ``sink``, or the formed reduced matrix Y'AY of a nested run, whose
+        dense products are not matvecs.  Anything else raises
         ``DimensionMismatch``.
     b : array
         Right-hand side (already centered by the caller when solving around
@@ -360,14 +355,15 @@ def augmented_pcg(
         Ap = apply(p)
         gamma = float(p @ Ap)
         if not np.isfinite(gamma) or gamma <= _BREAKDOWN_RTOL * float(p @ p):
-            raise Breakdown(f"direction curvature {gamma:.3e} at iteration {k}")
+            raise Breakdown(f"direction curvature {gamma:.3e} at iteration {k}",
+                            iterations=k + 1)
         alpha = rz / gamma
         x = x + alpha * p
         r = r - alpha * Ap
         store.append(p, Ap, gamma, alpha)
         history.append(float(np.linalg.norm(r)))
         if not np.isfinite(history[-1]):
-            raise Breakdown(f"residual norm {history[-1]} at iteration {k}")
+            raise Breakdown(f"residual norm {history[-1]} at iteration {k}", iterations=k + 1)
         if monitor is not None:
             monitor(k + 1, x)
         if history[-1] <= tol:

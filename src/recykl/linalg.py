@@ -149,9 +149,10 @@ def spmv(A: SparseSpdMatrix, x, sink: InstrumentationSink | None = None) -> np.n
 def assemble_gram(A: SparseSpdMatrix, B: np.ndarray, sink: InstrumentationSink | None = None):
     """Densely assemble the reduced matrix B'AB and the product AB.
 
-    This is the expensive materialization the staged solver avoids during
-    stage 2; every call is audited on the sink (one gram assembly plus one
-    matvec per column of B).
+    The staged solver calls it for the stage-1 block; it forms the reduced
+    matrix Y'AY of the whole basis itself, reusing these products.  Every
+    call is audited on the sink (one gram assembly plus one matvec per
+    column of B).
     """
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if B.shape[0] != A.n:

@@ -36,6 +36,7 @@ class PodBasisResult:
     singular_values: np.ndarray  # full spectrum, descending, length = snapshot count
     y: int
     coef: np.ndarray  # snapshot coefficients, s x y: columns = S @ coef
+    rank_truncated: bool = False  # the energy criterion was unreachable within the rank
 
 
 def energy_truncation_dim(sigma_sq, eps: float) -> int:
@@ -45,6 +46,22 @@ def energy_truncation_dim(sigma_sq, eps: float) -> int:
     tolerance 1e-12 * sigma_sq[0] are never selected; if the criterion cannot
     be met within the numerical rank (possible only through roundoff-level
     trailing energy), the rank is returned with a RankTruncatedWarning.
+    The POD routines report that case as ``rank_truncated`` instead.
+    """
+    dim, rank_truncated = energy_dim(sigma_sq, eps)
+    if rank_truncated:
+        warnings.warn(
+            "energy criterion unreachable within the numerical rank; truncating at the rank",
+            RankTruncatedWarning,
+        )
+    return dim
+
+
+def energy_dim(sigma_sq, eps: float) -> tuple[int, bool]:
+    """:func:`energy_truncation_dim` without the warning.
+
+    Returns the dimension and whether it was cut at the numerical rank
+    because the criterion was unreachable.
     """
     sigma_sq = np.asarray(sigma_sq, dtype=np.float64)
     if sigma_sq.size == 0:
@@ -58,22 +75,18 @@ def energy_truncation_dim(sigma_sq, eps: float) -> int:
     ratios = np.cumsum(sigma_sq) / total
     admissible = np.where(ratios[:rank] >= eps)[0]
     if admissible.size == 0:
-        warnings.warn(
-            "energy criterion unreachable within the numerical rank; truncating at the rank",
-            RankTruncatedWarning,
-        )
-        return rank
-    return int(admissible[0]) + 1
+        return rank, True
+    return int(admissible[0]) + 1, False
 
 
 def _finalize(S, gamma, sigma, V, eps):
     if np.all(gamma == 0.0):
         raise EmptyBasis("all snapshot weights are zero")
     sigma_sq = np.maximum(sigma, 0.0) ** 2
-    y = energy_truncation_dim(sigma_sq, eps)
+    y, rank_truncated = energy_dim(sigma_sq, eps)
     coef = (V[:, :y] / sigma[:y]) * gamma[:, None]
     return PodBasisResult(columns=S @ coef, singular_values=np.maximum(sigma, 0.0), y=y,
-                          coef=coef)
+                          coef=coef, rank_truncated=rank_truncated)
 
 
 def pod_evd(S, gamma, theta, eps: float) -> PodBasisResult:

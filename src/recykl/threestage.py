@@ -7,9 +7,13 @@ across the sequence:
    expected to capture most of the solution), factored once and reused;
 2. the first nested run of the reduced-space solver
    (:class:`InnerIterativeProjection`): unpreconditioned augmented CG over
-   all of Y through the implicit reduced operator p -> Y'(A(Yp)) (the
-   reduced matrix is never formed), started from the stage-1 solution and
-   augmented with W, so the stage-1 factor keeps doing the projections;
+   all of Y on the reduced matrix G = Y'AY, started from the stage-1
+   solution and augmented with W, so the stage-1 factor keeps doing the
+   projections.  G is formed once per system, with the products AY, when
+   this solver is built (Y wider than W, or ``full_orth``): the stage-1
+   products A W are reused and the other columns of Y take one block
+   product, one matvec each.  Stage 2, every ``full_orth`` projection and
+   the truncation after the solve then read A only from AY and G;
 3. one full-space augmented PCG run to the forcing tolerance.  Each stage
    that ran contributes a block of columns and start coefficients, and its
    A-products and Gram factor to one
@@ -33,16 +37,20 @@ solved the same way, and its report sets ``stage1_fallback``; so is one whose
 stage-1 block has more columns than A has rows, without assembling the Gram
 matrix, which is then singular.  A stage 2 that breaks down contributes
 nothing: stage 3 runs from the stage-1 solution over the stage-1 block
-alone, and the report leaves ``stage2_converged`` false.
+alone, and the report leaves ``stage2_converged`` false.  A stage 3 that
+runs out of iterations or breaks down ends in a report with ``converged``
+false and its ``failure`` cause, never an exception; a broken run returns
+its start iterate and adds no direction to Y.
 
 After the solve, new search directions are appended to Y normalized to unit
 A-norm, and they join the stage-1 block; once the block exceeds the storage
 cap it is compressed by :func:`~recykl.truncation.compress`, which alone
 reads the truncation strategy, and the stage-1 prefix is re-derived.  Every
 truncation is handed the products AZ of the grown block, whatever the
-strategy and mode: the stage-1 products and the stage-3 products of the new
-directions are copied in, and A multiplies only the old columns outside the
-stage-1 block.
+strategy and mode: the solve's products AY of the old basis and the
+stage-3 products of the new directions are copied in, so truncation costs
+no matvec; only after a stage-1 fallback, when the solve holds no product
+of the old basis, does A multiply every old column.
 
 A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
 preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
@@ -59,6 +67,7 @@ stops, by one product over the stacked iterates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -74,14 +83,8 @@ from .krylov import (
     direct_reduced_solve,
     stack_blocks,
 )
-from .linalg import (
-    InstrumentationSink,
-    SparseSpdMatrix,
-    assemble_gram,
-    spmv,
-    symmetric_evd,
-)
-from .truncation import TruncationConfig, compress
+from .linalg import InstrumentationSink, SparseSpdMatrix, spmv, symmetric_evd
+from .truncation import TruncationConfig, TruncationOutcome, compress
 from .weights import WeightHistory
 
 
@@ -98,8 +101,9 @@ class SolverConfig:
     ``precond`` is ``identity`` (no preconditioner), ``jacobi``, ``ssor`` or
     ``ssor:<omega>``.  For a system with forcing tolerance eps, stage 2
     iterates to eps_hat = eps_hat_factor * eps and each nested projection of
-    ``full_orth`` to eps_inner = eps_inner_factor * eps.  ``max_iter``, at
-    least 1 when set, caps the iterations of stage 3 (default: n).
+    ``full_orth`` to eps_inner = eps_inner_factor * eps; both factors are
+    positive and finite.  ``max_iter``, at least 1 when set, caps the
+    iterations of stage 3 (default: n).
     """
 
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
@@ -116,6 +120,10 @@ class SolverConfig:
             raise RecyklError(f"unknown mode {self.mode!r}; expected 'cg' or 'fom'")
         if self.max_iter is not None and self.max_iter < 1:
             raise RecyklError(f"max_iter must be at least 1, got {self.max_iter}")
+        for key in ("eps_hat_factor", "eps_inner_factor"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise RecyklError(f"{key} must be a positive finite number, got {value}")
 
 
 @dataclass
@@ -163,6 +171,8 @@ class SolveReport:
     converged: bool = True
     stage2_converged: bool = True
     stage1_fallback: bool = False  # stage-1 factor failed or was skipped; solved without basis
+    failure: str | None = None  # why a solve did not converge: "budget" or "breakdown"
+    rank_truncated: bool = False  # truncation stopped at the numerical rank of the block
     reduced_condition: float | None = None
     checkpoints: list[Checkpoint] | None = None
 
@@ -187,35 +197,32 @@ class InnerIterativeProjection:
     """Reduced solves Y'AY mu = Y'Az by nested augmented CG.
 
     The one reduced-space solver: stage 2 is its first nested run and each
-    ``full_orth`` projection a later one.  Every run is augmented with the
-    blocks already understood in reduced coordinates: the stage-1 selection,
-    then the direction block of each earlier run.  ``basis`` stacks those
-    blocks, and ``proj``, a :class:`~recykl.krylov.DirectReducedProjection`
-    over them, holds Y'AY times them and their block-diagonal Gram factor;
-    each run extends both.
+    ``full_orth`` projection a later one.  It reads A only through the
+    products ``AY`` and the reduced matrix ``G`` = Y'AY the solve formed
+    from them, so no run and no right-hand side Y'Az = (AY)'z costs a
+    matvec.  Every run is augmented with the blocks already understood in
+    reduced coordinates: the stage-1 selection, then the direction block of
+    each earlier run.  ``basis`` stacks those blocks, and ``proj``, a
+    :class:`~recykl.krylov.DirectReducedProjection` over them, holds G
+    times them and their block-diagonal Gram factor; each run extends both.
     """
 
-    def __init__(self, A: SparseSpdMatrix, Y: np.ndarray, sink: InstrumentationSink | None,
-                 tol: float, mode: str, basis: np.ndarray, proj: DirectReducedProjection):
-        self.A = A
-        self.Y = Y
-        self.sink = sink
+    def __init__(self, G: np.ndarray, AY: np.ndarray, tol: float, mode: str,
+                 basis: np.ndarray, proj: DirectReducedProjection):
+        self.AY = AY
         self.tol = tol
         self.mode = mode
-        self.max_iter = 3 * Y.shape[1] + 10
-        self.op = ReducedSpdOperator(A, Y, sink=sink)
+        self.max_iter = 3 * G.shape[0] + 10
+        self.op = ReducedSpdOperator(G)
         self.basis = basis
         self.proj = proj
 
-    def extend(self, bhat: np.ndarray, ybase: np.ndarray,
-               tol: float) -> tuple[AugmentedPcgResult, list[np.ndarray]]:
+    def extend(self, bhat: np.ndarray, ybase: np.ndarray, tol: float) -> AugmentedPcgResult:
         """One nested run on Y'AY v = bhat from ``ybase`` over the blocks.
 
         The run's directions become the next block, with the run's own
-        products ``AV`` as its cross term.  Returns the run's result (partial
-        when the budget ran out) and the full-space products A(Yp) of its
-        directions.  A run that raises adds no block, and its products are
-        dropped all the same.
+        products ``AV`` = G V as its cross term.  Returns the run's result
+        (partial when the budget ran out); a run that raises adds no block.
         """
         try:
             res = augmented_pcg(self.op, bhat, ybase, self.basis, self.proj, None, tol,
@@ -223,19 +230,17 @@ class InnerIterativeProjection:
                                 r0=bhat - self.proj.cross @ ybase)
         except NotConverged as exc:
             res = exc.partial
-        finally:
-            products, self.op.full_products = self.op.full_products, []
         if res.k > 0:
             self.basis = stack_blocks([self.basis, res.V], self.basis.shape[0])
             self.proj.append(res.AV, np.sqrt(res.gamma))
-        return res, products
+        return res
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        bhat = self.Y.T @ spmv(self.A, z, self.sink)
+        # A is symmetric, so Y'(Az) = (AY)'z
+        bhat = self.AY.T @ z
         tol = max(self.tol, 1e-13 * float(np.linalg.norm(bhat)))
         ybase = self.proj.solve_gram(self.basis.T @ bhat)
-        res, _ = self.extend(bhat, ybase, tol)
-        return res.x
+        return self.extend(bhat, ybase, tol).x
 
 
 def solve_system(
@@ -258,8 +263,10 @@ def solve_system(
     ``report.wall_time`` includes it.  ``chalf`` is the output matrix C: the
     output-metric truncation strategies need it, and ``track_iterates``
     records C @ x at every checkpoint.  When stage 3 runs out of iterations
-    a NotConverged report is produced (never an exception); the partial
-    solution still updates the state so the sequence can continue.
+    or breaks down, the report says ``converged=False`` with the ``failure``
+    cause (never an exception): a run out of budget returns its partial
+    solution and keeps its directions, a broken one returns its start and
+    keeps none, and either way the state stays usable for the next system.
     """
     if track_iterates and chalf is None:
         raise RecyklError("tracking iterates needs the output matrix")
@@ -318,29 +325,36 @@ def solve_system(
         # over an empty basis, as without recycling
         report.stage1_fallback = True
         Y, y, idx = Y[:, :0], 0, []
+    AY = None  # A times the entry basis, once stage 1 has run
     if y:
         cols.append(W)
         starts.append(what)
         yhat_comb[idx] = what
         if track_iterates:
             record("stage1", 0, add_center(W @ what))
-
+        AY = _basis_products(A, Y, idx, proj.cross, sink)
+        inner_needed = y > len(idx) or cfg.truncation.full_orth
+        if inner_needed or cfg.diagnostics:
+            # the reduced matrix, formed once from the products; symmetric
+            # by construction, as the nested runs' CG assumes
+            G = Y.T @ AY
+            G = 0.5 * (G + G.T)
+            sink.add_gram()
         if cfg.diagnostics:
-            gram_diag, _ = assemble_gram(A, Y, None)
-            eigs, _ = symmetric_evd(0.5 * (gram_diag + gram_diag.T))
+            eigs, _ = symmetric_evd(G)
             report.reduced_condition = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("inf")
 
         # the reduced-space solver of stage 2 and the full_orth projections
-        if y > len(idx) or cfg.truncation.full_orth:
+        if inner_needed:
             inner = InnerIterativeProjection(
-                A, Y, sink, eps_inner, cfg.mode, np.eye(y)[:, idx],
+                G, AY, eps_inner, cfg.mode, np.eye(y)[:, idx],
                 DirectReducedProjection(Y.T @ proj.cross, proj.factor),
             )
         # stage 2: the first nested run, over all of Y from the stage-1
         # solution, augmented with the stage-1 selection block
         if y > len(idx):
             try:
-                stage2, AV2 = inner.extend(Y.T @ r0, what, eps_hat)
+                stage2 = inner.extend(Y.T @ r0, what, eps_hat)
             except Breakdown:
                 # stage 2 contributes nothing: stage 3 starts from the
                 # stage-1 solution, which is Galerkin over W only, so even
@@ -355,9 +369,10 @@ def solve_system(
                 if stage2.k:
                     # V is Fortran-ordered; the product rounds as the
                     # fixtures pin it from a C copy
-                    cols.append(Y @ np.ascontiguousarray(stage2.V))
+                    V2 = np.ascontiguousarray(stage2.V)
+                    cols.append(Y @ V2)
                     starts.append(stage2.vhat)
-                    proj.append(np.column_stack(AV2), np.sqrt(stage2.gamma))
+                    proj.append(AY @ V2, np.sqrt(stage2.gamma))
         if track_iterates:
             record("stage2", 0, add_center(Y @ yhat_comb))
 
@@ -368,12 +383,14 @@ def solve_system(
     full_orth = cfg.truncation.full_orth and y > 0 and not stage2_broke
     stage3_basis = Y if full_orth else stack_blocks(cols, A.n)
     block_start = np.concatenate(starts) if starts else np.zeros(0)
+    stage3_start = yhat_comb if full_orth else block_start
+    stage3_r0 = r0 - proj.cross @ block_start if proj is not None else r0
     monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
     try:
         stage3_res = augmented_pcg(
             A,
             r0,
-            yhat_comb if full_orth else block_start,
+            stage3_start,
             stage3_basis,
             inner if full_orth else proj,
             M,
@@ -384,12 +401,19 @@ def solve_system(
             keep_directions=cfg.recycle,
             sink=sink,
             max_iter=cfg.max_iter,
-            r0=r0 - proj.cross @ block_start if proj is not None else r0,
+            r0=stage3_r0,
             monitor=monitor,
         )
     except NotConverged as exc:
         stage3_res = exc.partial
         report.converged = False
+        report.failure = "budget"
+    except Breakdown as exc:
+        # the run's iterate and directions are not trusted: the solve
+        # returns the stage-3 start and adds no direction to the basis
+        stage3_res = _entry_result(stage3_basis, stage3_start, stage3_r0, exc.iterations)
+        report.converged = False
+        report.failure = "breakdown"
 
     x = add_center(stage3_res.x)
     report.stage1_dim = len(idx)
@@ -397,9 +421,10 @@ def solve_system(
     report.final_residual = stage3_res.final_residual
     report.residual_history = stage3_res.residual_history
 
-    truncated = update_basis(state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
-                             stage1=proj)
-    report.truncated = truncated
+    outcome = update_basis(state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
+                           products=AY)
+    report.truncated = outcome is not None
+    report.rank_truncated = report.truncated and outcome.rank_truncated
     report.matvecs = sink.matvecs
     report.precond_applies = sink.precond_applies
     report.wall_time = time.perf_counter() - t0
@@ -421,7 +446,7 @@ def solve_system(
                 stage1_idx=list(idx),
                 stage3_basis=stage3_basis.copy(),
                 Y_exit=state.Y.copy(),
-                truncated=truncated,
+                truncated=report.truncated,
             )
         )
     return x, report
@@ -436,32 +461,33 @@ def update_basis(
     *,
     chalf: np.ndarray | None = None,
     sink: InstrumentationSink | None = None,
-    stage1: DirectReducedProjection | None = None,
-) -> bool:
+    products: np.ndarray | None = None,
+) -> TruncationOutcome | None:
     """Fold the new directions into the recycled basis, truncating at the cap.
 
-    ``state`` is updated in place; the return value tells whether truncation
-    fired.  New directions enter normalized to unit A-norm (columns divided
-    by sqrt(p'Ap)) and all join the stage-1 block.  The solution's
-    coefficients in the grown block join the weight history.  When the
-    config says the grown block Z = [Y, V/sqrt(p'Ap)] is to be truncated,
-    :func:`~recykl.truncation.compress` gets the block, the just-solved
-    matrix, the history and the products AZ; it picks the weights, metric
-    and method, and reads A only from those products.
+    ``state`` is updated in place; the truncation's outcome is returned
+    when it fired, else None.  New directions enter normalized to unit
+    A-norm (columns divided by sqrt(p'Ap)) and all join the stage-1 block.
+    The solution's coefficients in the grown block join the weight history.
+    When the config says the grown block Z = [Y, V/sqrt(p'Ap)] is to be
+    truncated, :func:`~recykl.truncation.compress` gets the block, the
+    just-solved matrix, the history and the products AZ; it picks the
+    weights, metric and method, and reads A only from those products.
 
-    ``stage1`` is the solve's stage-3 projection when stage 1 ran: its
-    leading products are A times the columns ``state.stage1_idx`` of the
-    old basis.  They and the stage-3 products AV / sqrt(p'Ap) of the new
-    directions are copied into AZ, and only the remaining old columns are
-    multiplied by A, one matvec each on ``sink``.  The weight history is
-    then reset and the stage-1 prefix is the one ``compress`` derived.
+    ``products`` is A times the old basis, as the solve formed it; it and
+    the stage-3 products AV / sqrt(p'Ap) of the new directions are copied
+    into AZ.  Without it (after a stage-1 fallback, when the solve held no
+    product of the old basis) A multiplies every old column, one matvec
+    each on ``sink``.  The weight history is then reset and the stage-1
+    prefix is the one ``compress`` derived.
     """
     j = state.systems_seen + 1
     if not cfg.recycle:
         state.systems_seen = j
-        return False
+        return None
     tcfg = cfg.truncation
-    k = stage3_res.k
+    # a broken run keeps no directions, whatever its iteration count
+    k = stage3_res.V.shape[1]
     y_old = state.Y.shape[1]
     sqrt_t = np.sqrt(stage3_res.gamma)
     if k > 0:
@@ -479,44 +505,58 @@ def update_basis(
     if eta.size:
         state.history.push(eta)
 
-    truncated = tcfg.truncates(Y_grown.shape[1])
-    if truncated:
-        # after a stage-1 fallback no old column's product is held
-        idx, AW = [], None
-        if stage1 is not None:
-            idx, AW = state.stage1_idx, stage1.cross[:, :stage1.factor.m]
-        products = _grown_products(A, state.Y, idx, AW, stage3_res.AV, sqrt_t, sink)
-        out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, products=products,
-                       sink=sink)
-        state.history.reset()
-        state.Y = out.Y_new
-        state.stage1_idx = list(range(out.stage1_width))
-    else:
+    if not tcfg.truncates(Y_grown.shape[1]):
         state.Y = Y_grown
         state.stage1_idx = stage1_idx
+        state.systems_seen = j
+        return None
+    if products is None:
+        # after a stage-1 fallback (or over an empty basis) the solve holds
+        # no product of the old columns
+        products = spmv(A, state.Y, sink) if y_old else state.Y
+    # Fortran order, so that both blocks land in whole contiguous columns
+    AZ = np.empty(Y_grown.shape, order="F")
+    AZ[:, :y_old] = products
+    np.divide(stage3_res.AV, sqrt_t, out=AZ[:, y_old:])
+    out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, products=AZ, sink=sink)
+    state.history.reset()
+    state.Y = out.Y_new
+    state.stage1_idx = list(range(out.stage1_width))
     state.systems_seen = j
-    return truncated
+    return out
 
 
-def _grown_products(A, Y_old, idx, AW, AV, sqrt_t, sink) -> np.ndarray:
-    """A @ [Y_old, V / sqrt_t], built from the products the solve holds.
+def _basis_products(A, Y, idx, AW, sink) -> np.ndarray:
+    """A @ Y, given the stage-1 products AW = A @ Y[:, idx].
 
-    The old columns ``idx`` take their stage-1 products ``AW`` and the new
-    directions ``AV / sqrt_t``; only the other old columns are multiplied
-    by A, one matvec each on ``sink``.  Fortran order, so that every block
-    lands in whole contiguous columns.
+    The columns outside ``idx`` take one block product, one matvec each on
+    ``sink``.  When the stage-1 block is Y in order, AW is returned as it
+    is.  Otherwise the result is Fortran-ordered, so that every column is
+    written whole.
     """
-    n, y_old = Y_old.shape
-    AZ = np.empty((n, y_old + AV.shape[1]), order="F")
-    outside = np.ones(y_old, dtype=bool)
-    if len(idx):
-        AZ[:, idx] = AW
-        outside[idx] = False
-    rest = np.flatnonzero(outside)
+    y = Y.shape[1]
+    if list(idx) == list(range(y)):
+        return AW
+    AY = np.empty(Y.shape, order="F")
+    AY[:, idx] = AW
+    rest = np.setdiff1d(np.arange(y), idx)
     if rest.size:
-        AZ[:, rest] = spmv(A, Y_old[:, rest], sink)
-    np.divide(AV, sqrt_t, out=AZ[:, y_old:])
-    return AZ
+        AY[:, rest] = spmv(A, Y[:, rest], sink)
+    return AY
+
+
+def _entry_result(basis, start, r, iterations) -> AugmentedPcgResult:
+    """The result of a stage-3 run that broke down: its start, no directions.
+
+    ``r`` is the residual at the start and ``iterations`` the iterations
+    the run spent.
+    """
+    n = basis.shape[0]
+    return AugmentedPcgResult(
+        k=iterations or 0, vhat=np.zeros(0), V=np.zeros((n, 0)), AV=np.zeros((n, 0)),
+        gamma=np.zeros(0), residual_history=np.array([np.linalg.norm(r)]),
+        x=basis @ start, converged=False,
+    )
 
 
 def run_sequence(

@@ -38,7 +38,7 @@ from .linalg import (
     generalized_symmetric_evd,
     spmv,
 )
-from .pod import energy_truncation_dim, pod_evd_from_gram, pod_svd
+from .pod import energy_dim, pod_evd_from_gram, pod_svd
 from .weights import WeightHistory, weights_previous, weights_rbf
 
 ALL_STRATEGIES = ("pod-a-prev", "pod-a-rbf", "pod-ctc-prev", "pod-ctc-rbf", "deflate", "none")
@@ -55,7 +55,8 @@ class TruncationConfig:
     width that triggers truncation; between truncations every new direction
     joins the stage-1 block.  ``full_orth`` selects the stage-3 variant that
     orthogonalizes against the entire augmenting basis through inner
-    iterations.  ``deflate_dim``, the count deflation retains, is at least 1.
+    iterations.  ``deflate_dim``, the count deflation retains, and the pins
+    ``max_dim`` and ``stage1_dim``, when set, are at least 1.
     """
 
     strategy: str = "pod-a-rbf"
@@ -76,8 +77,10 @@ class TruncationConfig:
             raise RecyklError("storage cap must be at least 1")
         if self.strategy == "deflate" and self.deflate_dim is None:
             raise RecyklError("deflation needs a retained count")
-        if self.deflate_dim is not None and self.deflate_dim < 1:
-            raise RecyklError(f"deflate_dim must be at least 1, got {self.deflate_dim}")
+        for key in ("deflate_dim", "max_dim", "stage1_dim"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise RecyklError(f"{key} must be at least 1, got {value}")
 
     def truncates(self, width: int) -> bool:
         """Whether a block of ``width`` columns is compressed."""
@@ -101,6 +104,9 @@ class TruncationOutcome:
     Y_new: np.ndarray  # the retained basis, A-orthonormal
     stage1_width: int
     spectrum: np.ndarray  # POD singular values, or retained harmonic Ritz values
+    # POD only: the energy criterion was unreachable within the numerical
+    # rank, so the retained dimension stopped at the rank
+    rank_truncated: bool = False
 
 
 def _cap(value: int, pin: int | None, hard: int) -> int:
@@ -213,8 +219,11 @@ def compress(
     else:
         res = pod_evd_from_gram(Z.T @ AZ, Z, weights, cfg.nu_y)
     y = _cap(res.y, cfg.max_dim, res.y)
-    w = _cap(energy_truncation_dim(res.singular_values**2, cfg.nu_w), cfg.stage1_dim, y)
+    # nu_w <= nu_y, so a rank-cut stage-1 width implies a rank-cut res.y
+    w, _ = energy_dim(res.singular_values**2, cfg.nu_w)
+    w = _cap(w, cfg.stage1_dim, y)
     Y = res.columns[:, :y]
     if output_metric:
         Y, _ = enforce_a_orthogonality(Y, A, products=AZ @ res.coef[:, :y])
-    return TruncationOutcome(Y_new=Y, stage1_width=w, spectrum=res.singular_values)
+    return TruncationOutcome(Y_new=Y, stage1_width=w, spectrum=res.singular_values,
+                             rank_truncated=res.rank_truncated)

@@ -243,6 +243,12 @@ class TestExitCodes:
         ({"recycle": "no"}, "recycle"),
         ({"truncation": {"strategy": "deflate:0", "storage_cap": 10}}, "deflate_dim"),
         ({"truncation": {"strategy": "deflate:five", "storage_cap": 10}}, "deflate:five"),
+        ({"truncation": {"strategy": "pod-a-rbf", "max_dim": 0, "storage_cap": 10}},
+         "max_dim"),
+        ({"truncation": {"strategy": "pod-a-rbf", "stage1_dim": -2, "storage_cap": 10}},
+         "stage1_dim"),
+        ({"tolerances": {"eps_hat_factor": -1}}, "eps_hat_factor"),
+        ({"tolerances": {"eps_inner_factor": float("nan")}}, "eps_inner_factor"),
     ])
     def test_bad_methods_file_exit_3(self, tmp_path, sequence_dir, capsys, entry, key):
         # an entry that is not an object is written as it is

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import make_spd, random_basis
 from recykl import preconditioners as pc
 from recykl import threestage
-from recykl.bench import default_methods
-from recykl.errors import Breakdown, RecyklError
+from recykl.bench import default_methods, run_methods
+from recykl.errors import Breakdown, NotPositiveDefinite, RecyklError
 from recykl.krylov import DirectReducedProjection, augmented_pcg
 from recykl.linalg import (
     InstrumentationSink,
@@ -230,6 +232,65 @@ class TestMatvecAccounting:
         assert truncations >= len(cfgs) - 2  # every method but pcg and no-trunc
         assert counter[0] == charged > 0
 
+    @pytest.mark.parametrize("method", ["df(25,0)", "pod(25,0)", "pod(5,20)", "pod(5,20)it"])
+    def test_solve_charges_width_and_stage3(self, monkeypatch, method):
+        # stage 1 and the products AY take one matvec per column of the
+        # entry basis; stage 2, every full_orth projection and truncation
+        # read A from AY and take none; a nonzero xbar costs one more
+        truncation_cost = []
+
+        def spy(state, yhat_comb, stage3_res, cfg, A, **kw):
+            before = kw["sink"].matvecs
+            outcome = update_basis(state, yhat_comb, stage3_res, cfg, A, **kw)
+            if outcome is not None:
+                truncation_cost.append(kw["sink"].matvecs - before)
+            return outcome
+
+        monkeypatch.setattr(threestage, "update_basis", spy)
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        third = seq.systems[2]
+        xbar = 1e-3 * np.random.default_rng(7).standard_normal(seq.n)
+        seq.systems[2] = LinearSystemSpec(third.A, third.b, xbar, third.tol)
+        spec = {m.name: m for m in default_methods(storage_cap=50, precond="jacobi")}[method]
+        state = RecycleState.empty(seq.n)
+        stage2_runs = 0
+        for system in seq:
+            width = state.basis_dim
+            _, report = solve_system(system.A, system.b, system.xbar, state, system.tol,
+                                     spec.config)
+            assert report.converged and not report.stage1_fallback
+            centered = int(system.xbar is not None)
+            assert report.matvecs == width + report.stage3_iters + centered
+            stage2_runs += report.stage2_iters > 0
+        assert len(truncation_cost) >= 3 and set(truncation_cost) == {0}
+        assert (stage2_runs > 0) == method.startswith("pod(5,")
+
+    def test_truncation_after_fallback_multiplies_all(self, monkeypatch):
+        # a stage-1 fallback leaves no product of the old basis, so the
+        # truncation after it multiplies all of its columns
+        def failing_stage1(*args, **kwargs):
+            raise NotPositiveDefinite("injected")
+
+        truncation_cost = []
+
+        def spy(state, yhat_comb, stage3_res, cfg, A, **kw):
+            width, before = state.basis_dim, kw["sink"].matvecs
+            outcome = update_basis(state, yhat_comb, stage3_res, cfg, A, **kw)
+            if outcome is not None:
+                truncation_cost.append((kw["sink"].matvecs - before, width))
+            return outcome
+
+        monkeypatch.setattr(threestage, "direct_reduced_solve", failing_stage1)
+        monkeypatch.setattr(threestage, "update_basis", spy)
+        seq = gen_diffusion_sequence((10, 10), p=4, delta=0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(storage_cap=12, max_dim=6, precond="jacobi")
+        _, reports, _ = run_sequence(seq, cfg)
+        assert all(r.converged for r in reports)
+        assert all(r.stage1_fallback for r in reports[1:])
+        fallbacks = [cost for cost in truncation_cost if cost[1] > 0]
+        assert len(fallbacks) == 3
+        assert all(grew == width for grew, width in fallbacks)
+
 
 class TestStage1Growth:
     def test_threshold_one_admits_all(self):
@@ -271,6 +332,17 @@ class TestTruncationFiring:
             G = t.Y_exit.T @ t.A.to_dense() @ t.Y_exit
             assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
+    def test_rank_truncation_is_reported_not_warned(self):
+        # the default roster's POD truncation keeps nu_y = 1, which the
+        # numerical rank of the block cuts short: each report says so
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        spec = {m.name: m for m in default_methods(storage_cap=50, precond="jacobi")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, reports, _ = run_sequence(seq, spec["pod(25,0)"].config)
+        assert any(r.rank_truncated for r in reports)
+        assert all(r.truncated for r in reports if r.rank_truncated)
+
     @pytest.mark.parametrize("strategy, stage1_dim", [
         ("deflate", None), ("pod-a-rbf", 3), ("pod-ctc-rbf", None), ("pod-a-rbf", None)])
     def test_products_handed_to_compress_match(self, monkeypatch, strategy, stage1_dim):
@@ -293,32 +365,6 @@ class TestTruncationFiring:
         assert all(r.converged for r in reports)
         assert len(errors) == len(reports)
         assert max(errors) <= 1e-12
-
-    @pytest.mark.parametrize("method", ["df(25,0)", "pod(5,20)"])
-    def test_truncation_multiplies_only_outside_stage1(self, monkeypatch, method):
-        # a truncating system multiplies A only by the old columns outside
-        # the stage-1 block: none for df(25,0), whose stage 1 spans Y
-        growth = []
-
-        def spy(state, yhat_comb, stage3_res, cfg, A, **kw):
-            outside = state.Y.shape[1] - len(state.stage1_idx)
-            before = kw["sink"].matvecs
-            truncated = update_basis(state, yhat_comb, stage3_res, cfg, A, **kw)
-            if truncated:
-                growth.append((kw["sink"].matvecs - before, outside))
-            return truncated
-
-        monkeypatch.setattr(threestage, "update_basis", spy)
-        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
-        spec = {m.name: m for m in default_methods(storage_cap=50, precond="jacobi")}[method]
-        _, reports, _ = run_sequence(seq, spec.config)
-        assert all(r.converged for r in reports)
-        assert len(growth) >= 3
-        assert all(grew == outside for grew, outside in growth)
-        if method == "df(25,0)":
-            assert all(grew == 0 for grew, _ in growth)
-        else:
-            assert all(grew > 0 for grew, _ in growth[1:])
 
 
 class TestNoCopies:
@@ -490,21 +536,38 @@ class TestStage1Fallback:
 class TestReducedProjections:
     def test_extend_appends_run_products(self):
         # a nested run's block enters the projection with the run's own
-        # products, which are Y'A(YV); the operator keeps no copy of them
+        # products, which are G V = Y'A(YV)
         A = make_spd(12, seed=62)
         Y = np.linalg.qr(random_basis(12, 5, seed=63))[0]
         Ad, W = A.to_dense(), Y[:, :2]
-        proj = DirectReducedProjection(Y.T @ (Ad @ W), dense_cholesky(W.T @ Ad @ W))
-        inner = InnerIterativeProjection(A, Y, None, 1e-12, "fom", np.eye(5)[:, :2], proj)
+        AY = Ad @ Y
+        G = Y.T @ AY
+        proj = DirectReducedProjection(G[:, :2], dense_cholesky(W.T @ Ad @ W))
+        inner = InnerIterativeProjection(G, AY, 1e-12, "fom", np.eye(5)[:, :2], proj)
         bhat = np.random.default_rng(64).standard_normal(5)
-        res, products = inner.extend(bhat, proj.solve_gram(inner.basis.T @ bhat), 1e-12)
-        assert res.k > 0 and len(products) == res.k
+        res = inner.extend(bhat, proj.solve_gram(inner.basis.T @ bhat), 1e-12)
+        assert res.k > 0
         expected = Y.T @ Ad @ Y @ res.V
         got = proj.cross[:, 2:]
-        assert got.shape == expected.shape
+        assert np.array_equal(got, res.AV)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert inner.op.full_products == []
         assert np.array_equal(proj.d, np.sqrt(res.gamma))
+
+    def test_projection_right_hand_side_reads_products(self):
+        # a full_orth projection forms Y'Az as (AY)'z: no matvec, and the
+        # result solves the reduced system G mu = Y'Az
+        A = make_spd(12, seed=66)
+        Y = np.linalg.qr(random_basis(12, 5, seed=67))[0]
+        Ad = A.to_dense()
+        AY = Ad @ Y
+        G = Y.T @ AY
+        W = Y[:, :2]
+        proj = DirectReducedProjection(G[:, :2], dense_cholesky(W.T @ Ad @ W))
+        inner = InnerIterativeProjection(G, AY, 1e-13, "fom", np.eye(5)[:, :2], proj)
+        z = np.random.default_rng(68).standard_normal(12)
+        mu = inner(z)
+        expected = np.linalg.solve(G, Y.T @ Ad @ z)
+        assert np.linalg.norm(mu - expected) <= 1e-9 * np.linalg.norm(expected)
 
     def test_stage3_handle_matches_dense_oracle(self, monkeypatch):
         # after a stage 2 that adds a block, the stage-3 handle projects onto
@@ -527,11 +590,12 @@ class TestReducedProjections:
         checked = 0
         for spec in seq:
             runs.clear()
+            Y = state.Y
             solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
             if len(runs) < 2 or runs[0][2].k == 0:
                 continue
-            (op2, args2, stage2), (_, args3, _) = runs
-            B = op2.Y @ np.hstack([args2[2], stage2.V])
+            (_, args2, stage2), (_, args3, _) = runs
+            B = Y @ np.hstack([args2[2], stage2.V])
             handle = args3[3]
             Ad = spec.A.to_dense()
             z = rng.standard_normal(seq.n)
@@ -544,19 +608,21 @@ class TestReducedProjections:
 class TestStage2Breakdown:
     def test_overflowing_stage2_ends_typed(self):
         # with ssor:1.7 at tol 1e-9, stage 2 of pod(5,20) and pod(5,20)it
-        # overflows on some systems; each solve must either converge to its
-        # tolerance or end in a typed error, never a raw ValueError
+        # overflows on some systems, and the stage 3 after it can break
+        # down; the roster still runs every method over every system, and
+        # each solve either converges to its tolerance or reports a cause
         seq = gen_diffusion_sequence((30, 30), 20, 0.05, seed=1, tol=1e-9)
-        for method in default_methods(storage_cap=50, precond="ssor:1.7"):
-            state = RecycleState.empty(seq.n)
-            for spec in seq:
-                try:
-                    x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol,
-                                             method.config)
-                except RecyklError:
-                    break
+        runs = run_methods(seq, default_methods(storage_cap=50, precond="ssor:1.7"),
+                           keep_solutions=True)
+        for run in runs:
+            assert len(run.reports) == seq.p
+            for spec, report, x in zip(seq.systems, run.reports, run.solutions):
+                assert np.all(np.isfinite(x))
                 if report.converged:
+                    assert report.failure is None
                     assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol
+                else:
+                    assert report.failure in ("budget", "breakdown")
 
     def test_broken_run_drops_its_products(self, monkeypatch):
         def broken(op, bhat, *args, **kwargs):
@@ -566,13 +632,12 @@ class TestStage2Breakdown:
         monkeypatch.setattr(threestage, "augmented_pcg", broken)
         A = make_spd(8, seed=60)
         Y = np.linalg.qr(random_basis(8, 3, seed=61))[0]
-        W = Y[:, :1]
-        proj = DirectReducedProjection(Y.T @ (A.to_dense() @ W),
-                                       dense_cholesky(W.T @ A.to_dense() @ W))
-        inner = InnerIterativeProjection(A, Y, None, 1e-10, "fom", np.eye(3)[:, :1], proj)
+        AY = A.to_dense() @ Y
+        G = Y.T @ AY
+        proj = DirectReducedProjection(G[:, :1], dense_cholesky(G[:1, :1]))
+        inner = InnerIterativeProjection(G, AY, 1e-10, "fom", np.eye(3)[:, :1], proj)
         with pytest.raises(Breakdown):
             inner.extend(np.ones(3), np.zeros(1), 1e-10)
-        assert inner.op.full_products == []
         assert inner.basis.shape == (3, 1) and proj.cross.shape == (3, 1) and proj.d.size == 0
 
     @pytest.mark.parametrize("full_orth", [False, True])
@@ -602,6 +667,47 @@ class TestStage2Breakdown:
         assert ran_stage2 == 3
 
 
+class TestStage3Breakdown:
+    def test_breakdown_is_reported_and_adds_no_directions(self, monkeypatch):
+        # system 2's stage 3 breaks down after three iterations: the solve
+        # reports it, returns the stage-1 solution, keeps the basis as it
+        # was, and system 3 solves from that basis
+        real = threestage.augmented_pcg
+        state = RecycleState.empty(64)
+
+        def breaking(op, *args, **kwargs):
+            if isinstance(op, SparseSpdMatrix) and state.systems_seen == 1:
+                kwargs["sink"].add_matvec(3)
+                raise Breakdown("injected", iterations=3)
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(threestage, "augmented_pcg", breaking)
+        seq = gen_diffusion_sequence((8, 8), p=3, delta=0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(precond="jacobi")
+        reports = []
+        for spec in seq:
+            Y = state.Y
+            x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
+            reports.append(report)
+            if report.j == 2:
+                assert not report.converged and report.failure == "breakdown"
+                assert report.stage3_iters == 3
+                assert report.matvecs == Y.shape[1] + 3
+                assert state.Y is Y
+                Ad = spec.A.to_dense()
+                galerkin = Y @ np.linalg.solve(Y.T @ Ad @ Y, Y.T @ spec.b)
+                assert np.allclose(x, galerkin, rtol=1e-8, atol=0)
+                residual = np.linalg.norm(spec.b - Ad @ x)
+                assert report.final_residual == pytest.approx(residual, rel=1e-6)
+        assert reports[0].converged and reports[0].failure is None
+        assert reports[2].converged and reports[2].failure is None
+
+    def test_exhausted_budget_reports_its_cause(self):
+        seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=5, tol=1e-12)
+        _, reports, _ = run_sequence(seq, solver_cfg(max_iter=2))
+        assert not reports[0].converged and reports[0].failure == "budget"
+
+
 class TestDiagnostics:
     def test_reduced_condition_reported(self):
         seq = gen_diffusion_sequence((7, 7), p=3, delta=0.02, seed=41, tol=1e-8)
@@ -611,6 +717,22 @@ class TestDiagnostics:
         for r in reports[1:]:
             assert r.reduced_condition is not None
             assert r.reduced_condition < 2.0  # invariant-ish sequence
+
+    @pytest.mark.parametrize("stage1_dim", [None, 3])
+    def test_reduced_condition_costs_nothing(self, stage1_dim):
+        # the condition number comes from the G = Y'AY the solve formed (or,
+        # when stage 1 spans Y, from its products): no matvec is added
+        seq = gen_diffusion_sequence((8, 8), p=4, delta=0.05, seed=5, tol=1e-8)
+        runs = {}
+        for diagnostics in (False, True):
+            cfg = solver_cfg(stage1_dim=stage1_dim, storage_cap=10, precond="jacobi",
+                             diagnostics=diagnostics)
+            runs[diagnostics] = run_sequence(seq, cfg, keep_trace=True)
+        (_, plain, _), (_, diag, traces) = runs[False], runs[True]
+        assert [r.matvecs for r in plain] == [r.matvecs for r in diag]
+        for r, t in zip(diag[1:], traces[1:]):
+            G = t.Y_entry.T @ t.A.to_dense() @ t.Y_entry
+            assert r.reduced_condition == pytest.approx(np.linalg.cond(G), rel=1e-8)
 
     def test_checkpoints_track_iterates(self):
         seq = gen_diffusion_sequence((7, 7), p=2, delta=0.02, seed=42, tol=1e-8)

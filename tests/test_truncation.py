@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,21 @@ class TestPodCompress:
         W = out.Y_new[:, : out.stage1_width]
         assert np.array_equal(W, out.Y_new[:, : out.stage1_width])
         assert 1 <= out.stage1_width <= out.Y_new.shape[1]
+
+
+    def test_unreachable_energy_is_flagged_not_warned(self):
+        # a block of numerical rank 2 whose third mode holds about 1e-14 of
+        # the energy cannot reach nu_y = 1 within its rank: the outcome says
+        # so, and no warning is raised
+        A = make_spd(10, seed=90)
+        B = random_basis(10, 3, seed=91)
+        Z = np.column_stack([B[:, :2], B[:, 0] + B[:, 1] + 1e-7 * B[:, 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pod_a_prev(Z, np.ones(3), A, cfg(nu_y=1.0, nu_w=1.0))
+        assert out.rank_truncated and out.Y_new.shape[1] == 2
+        reachable = pod_a_prev(random_basis(10, 3, seed=92), np.ones(3), A, cfg(nu_y=0.5))
+        assert not reachable.rank_truncated
 
 
 class TestDeflationCompress:
