@@ -354,11 +354,11 @@ def check_conditioning_bound(traces) -> list[BoundCheckReport]:
     ``traces`` is the list of per-system records from a sequence run.  The
     bound telescopes matrix drift from the latest truncation (or the start):
     ||Y_j' A_j Y_j - I|| <= sum over k since then of ||Y_k||^2 ||A_k - A_{k-1}||.
-    It presumes the run kept every basis column in the stage-1 block, and
-    raises :class:`RegimeInapplicable` on a trace where it did not.
+    It presumes every basis column in the stage-1 block (``stage1_start``
+    0), and raises :class:`RegimeInapplicable` on a trace where it is not.
     """
     for t in traces:
-        if t.Y_entry.shape[1] and len(t.stage1_idx) != t.Y_entry.shape[1]:
+        if t.stage1_start != 0:
             raise RegimeInapplicable(
                 "conditioning bound requires the stage-1 block to span the whole basis"
             )

@@ -158,8 +158,14 @@ def default_methods(
 
 
 def load_methods_file(path) -> list[MethodSpec]:
-    with open(path) as fh:
-        raw = json.load(fh)
+    """The specs of a methods file; an unreadable or invalid file raises RecyklError."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise RecyklError(f"{path}: cannot read methods file ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise RecyklError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(raw, list):
         raise RecyklError(f"{path}: methods file must hold a JSON list")
     return [MethodSpec.from_dict(entry) for entry in raw]
@@ -410,8 +416,7 @@ def weight_study(
         for k in dims:
             k_eff = min(k, pod.columns.shape[1])
             basis = pod.columns[:, :k_eff]
-            trial = RecycleState(n=seq.n, Y=basis, stage1_idx=list(range(k_eff)),
-                                 systems_seen=warmup)
+            trial = RecycleState(n=seq.n, Y=basis, systems_seen=warmup)
             _, report = solve_system(target.A, target.b, target.xbar, trial, target.tol, cfg)
             rows.append({
                 "scheme": scheme,

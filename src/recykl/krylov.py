@@ -107,14 +107,6 @@ class DirectReducedProjection:
         self.factor = factor
         self.d = np.zeros(0)
 
-    @classmethod
-    def assemble(cls, apply, B: np.ndarray) -> "DirectReducedProjection":
-        """Form A*B column by column with ``apply`` and factorize B'AB."""
-        B = np.asarray(B, dtype=np.float64)
-        cross = np.column_stack([apply(B[:, i]) for i in range(B.shape[1])]) if B.shape[1] else np.zeros((B.shape[0], 0))
-        gram = B.T @ cross
-        return cls(cross, dense_cholesky(0.5 * (gram + gram.T)))
-
     def append(self, cross_block: np.ndarray, sqrt_diag: np.ndarray) -> None:
         """Add a direction block, A-orthogonal to all before it.
 
@@ -249,7 +241,8 @@ def augmented_pcg(
         Augmenting basis Y.  New directions are kept A-orthogonal to it.
     reduced_solver : callable or None
         Handle solving Y'AY mu = Y'Az given z.  Defaults to a direct
-        factorization assembled with m operator applications.
+        factorization of Y'AY formed from one block product A*Y, charged as
+        m operator applications.
     precond : Preconditioner or None
         Applied as z = M^{-1} r; None means unpreconditioned (and charges no
         preconditioner applications).
@@ -306,7 +299,10 @@ def augmented_pcg(
             raise DimensionMismatch("augmented_pcg: yhat0 length mismatch")
         x = Y @ yhat0
         if reduced_solver is None:
-            reduced_solver = DirectReducedProjection.assemble(apply, Y)
+            # one block product A*Y, one operator application per column
+            cross = apply(Y)
+            gram = Y.T @ cross
+            reduced_solver = DirectReducedProjection(cross, dense_cholesky(0.5 * (gram + gram.T)))
     else:
         x = np.zeros(n)
 

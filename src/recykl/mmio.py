@@ -11,7 +11,8 @@ body in one C-level pass (``np.loadtxt``) and checks the entry count and,
 for coordinate files, the index range on the resulting arrays.  When the
 parse or a check fails, one diagnostic rescan walks the body line by line
 to name the first offending line, so every parse failure reports the file
-and line number.
+and line number.  A file that cannot be opened raises
+:class:`~recykl.errors.ManifestError` naming it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ def write_array(path, values: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{arr.shape[0]} {arr.shape[1]}\n"
                  + "".join(f"{v!r}\n" for v in arr.T.ravel().tolist()))
+
+
+def _open(path):
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
 def _parse_header(path, line):
@@ -137,7 +145,7 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 def read_matrix(path) -> SparseSpdMatrix:
     """Read a sparse symmetric matrix in coordinate format."""
-    with open(path) as fh:
+    with _open(path) as fh:
         fmt, symmetry, (rows, cols, nnz), after = _read_head(path, fh, 3)
         if fmt != "coordinate":
             raise ManifestError(f"{path}:1: expected coordinate format, got {fmt!r}")
@@ -180,7 +188,7 @@ def read_matrix(path) -> SparseSpdMatrix:
 
 def read_array(path) -> np.ndarray:
     """Read a dense vector or matrix in array format."""
-    with open(path) as fh:
+    with _open(path) as fh:
         fmt, symmetry, (rows, cols), after = _read_head(path, fh, 2)
         if fmt != "array" or symmetry != "general":
             raise ManifestError(f"{path}:1: expected 'array real general'")

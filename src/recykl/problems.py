@@ -192,6 +192,8 @@ def load_sequence_manifest(path) -> SystemSequence:
     try:
         with open(path) as fh:
             manifest = json.load(fh)
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot read manifest ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     base = os.path.dirname(os.path.abspath(path))

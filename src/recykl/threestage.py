@@ -45,12 +45,14 @@ its start iterate and adds no direction to Y.
 After the solve, new search directions are appended to Y normalized to unit
 A-norm, and they join the stage-1 block; once the block exceeds the storage
 cap it is compressed by :func:`~recykl.truncation.compress`, which alone
-reads the truncation strategy, and the stage-1 prefix is re-derived.  Every
-truncation is handed the products AZ of the grown block, whatever the
-strategy and mode: the solve's products AY of the old basis and the
-stage-3 products of the new directions are copied in, so truncation costs
-no matvec; only after a stage-1 fallback, when the solve holds no product
-of the old basis, does A multiply every old column.
+reads the truncation strategy.  The stage-1 block is always the trailing
+columns ``Y[:, stage1_start:]``, read as a view: truncation stores the
+retained basis with its stage-1 prefix moved to the tail, and appended
+directions land behind it.  Every truncation is handed the products AZ of
+the grown block, whatever the strategy and mode: the solve's products AY
+of the old basis and the stage-3 products of the new directions are copied
+in, so truncation costs no matvec; only after a stage-1 fallback, when the
+solve holds no product of the old basis, does A multiply every old column.
 
 A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
 preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
@@ -132,7 +134,7 @@ class RecycleState:
 
     n: int
     Y: np.ndarray
-    stage1_idx: list[int] = field(default_factory=list)
+    stage1_start: int = 0  # the stage-1 block is Y[:, stage1_start:]
     systems_seen: int = 0
     history: WeightHistory = field(default_factory=WeightHistory)
 
@@ -187,7 +189,7 @@ class SystemTrace:
     xbar: np.ndarray | None
     eps: float
     Y_entry: np.ndarray
-    stage1_idx: list[int]
+    stage1_start: int  # the stage-1 block is Y_entry[:, stage1_start:]
     stage3_basis: np.ndarray
     Y_exit: np.ndarray
     truncated: bool
@@ -221,9 +223,12 @@ class InnerIterativeProjection:
         """One nested run on Y'AY v = bhat from ``ybase`` over the blocks.
 
         The run's directions become the next block, with the run's own
-        products ``AV`` = G V as its cross term.  Returns the run's result
-        (partial when the budget ran out); a run that raises adds no block.
+        products ``AV`` = G V as its cross term.  ``tol`` is floored at
+        1e-13 ||bhat||, the accuracy round-off leaves attainable.  Returns
+        the run's result (partial when the budget ran out); a run that
+        raises adds no block.
         """
+        tol = max(tol, 1e-13 * float(np.linalg.norm(bhat)))
         try:
             res = augmented_pcg(self.op, bhat, ybase, self.basis, self.proj, None, tol,
                                 mode=self.mode, max_iter=self.max_iter,
@@ -238,9 +243,8 @@ class InnerIterativeProjection:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         # A is symmetric, so Y'(Az) = (AY)'z
         bhat = self.AY.T @ z
-        tol = max(self.tol, 1e-13 * float(np.linalg.norm(bhat)))
         ybase = self.proj.solve_gram(self.basis.T @ bhat)
-        return self.extend(bhat, ybase, tol).x
+        return self.extend(bhat, ybase, self.tol).x
 
 
 def solve_system(
@@ -304,17 +308,15 @@ def solve_system(
     # skipped and stage 3 is plain PCG
     Y = state.Y if cfg.recycle else state.Y[:, :0]
     y = Y.shape[1]
-    idx = list(state.stage1_idx) if y else []
+    s = state.stage1_start if y else 0  # the stage-1 block is Y[:, s:]
     yhat_comb = np.zeros(y)  # coefficients over the entry basis
     cols: list[np.ndarray] = []  # each stage's block of the stage-3 basis
     starts: list[np.ndarray] = []  # its Galerkin start coefficients
     proj = None  # the stage-3 projection over those blocks
     stage2_broke = False
-    if y and len(idx) <= A.n:
-        # stage 1: direct solve over W, factor cached for every later stage.
-        # A prefix of Y taken as a view instead of this copy rounds
-        # differently and changed a stage-2 iteration count
-        W = Y[:, idx]
+    if y and y - s <= A.n:
+        # stage 1: direct solve over W, factor cached for every later stage
+        W = Y[:, s:]
         try:
             what, proj = direct_reduced_solve(A, r0, W, sink)
         except NotPositiveDefinite:
@@ -324,16 +326,17 @@ def solve_system(
         # A has rows) or lost definiteness in round-off: solve this system
         # over an empty basis, as without recycling
         report.stage1_fallback = True
-        Y, y, idx = Y[:, :0], 0, []
+        Y, y, s = Y[:, :0], 0, 0
     AY = None  # A times the entry basis, once stage 1 has run
     if y:
         cols.append(W)
         starts.append(what)
-        yhat_comb[idx] = what
+        yhat_comb[s:] = what
         if track_iterates:
             record("stage1", 0, add_center(W @ what))
-        AY = _basis_products(A, Y, idx, proj.cross, sink)
-        inner_needed = y > len(idx) or cfg.truncation.full_orth
+        # the columns in front of W take one block product, one matvec each
+        AY = np.concatenate([spmv(A, Y[:, :s], sink), proj.cross], axis=1) if s else proj.cross
+        inner_needed = s > 0 or cfg.truncation.full_orth
         if inner_needed or cfg.diagnostics:
             # the reduced matrix, formed once from the products; symmetric
             # by construction, as the nested runs' CG assumes
@@ -347,12 +350,12 @@ def solve_system(
         # the reduced-space solver of stage 2 and the full_orth projections
         if inner_needed:
             inner = InnerIterativeProjection(
-                G, AY, eps_inner, cfg.mode, np.eye(y)[:, idx],
+                G, AY, eps_inner, cfg.mode, np.eye(y)[:, s:],
                 DirectReducedProjection(Y.T @ proj.cross, proj.factor),
             )
         # stage 2: the first nested run, over all of Y from the stage-1
         # solution, augmented with the stage-1 selection block
-        if y > len(idx):
+        if s > 0:
             try:
                 stage2 = inner.extend(Y.T @ r0, what, eps_hat)
             except Breakdown:
@@ -416,7 +419,7 @@ def solve_system(
         report.failure = "breakdown"
 
     x = add_center(stage3_res.x)
-    report.stage1_dim = len(idx)
+    report.stage1_dim = y - s
     report.stage3_iters = stage3_res.k
     report.final_residual = stage3_res.final_residual
     report.residual_history = stage3_res.residual_history
@@ -443,7 +446,7 @@ def solve_system(
                 xbar=xbar,
                 eps=eps,
                 Y_entry=Y.copy(),
-                stage1_idx=list(idx),
+                stage1_start=s,
                 stage3_basis=stage3_basis.copy(),
                 Y_exit=state.Y.copy(),
                 truncated=report.truncated,
@@ -478,8 +481,10 @@ def update_basis(
     the stage-3 products AV / sqrt(p'Ap) of the new directions are copied
     into AZ.  Without it (after a stage-1 fallback, when the solve held no
     product of the old basis) A multiplies every old column, one matvec
-    each on ``sink``.  The weight history is then reset and the stage-1
-    prefix is the one ``compress`` derived.
+    each on ``sink``.  The weight history is then reset, and the retained
+    basis is stored with the stage-1 prefix ``compress`` derived moved to
+    its tail, where ``stage1_start`` marks it; appended directions leave
+    ``stage1_start`` as it is.
     """
     j = state.systems_seen + 1
     if not cfg.recycle:
@@ -496,18 +501,15 @@ def update_basis(
         Y_grown = np.empty((state.Y.shape[0], y_old + k))
         Y_grown[:, :y_old] = state.Y
         np.divide(stage3_res.V, sqrt_t, out=Y_grown[:, y_old:])
-        stage1_idx = state.stage1_idx + list(range(y_old, y_old + k))
         eta = np.concatenate([yhat_comb, stage3_res.vhat * sqrt_t])
     else:
         Y_grown = state.Y
-        stage1_idx = list(state.stage1_idx)
         eta = yhat_comb.copy()
     if eta.size:
         state.history.push(eta)
 
     if not tcfg.truncates(Y_grown.shape[1]):
         state.Y = Y_grown
-        state.stage1_idx = stage1_idx
         state.systems_seen = j
         return None
     if products is None:
@@ -520,29 +522,13 @@ def update_basis(
     np.divide(stage3_res.AV, sqrt_t, out=AZ[:, y_old:])
     out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, products=AZ, sink=sink)
     state.history.reset()
+    w, y_new = out.stage1_width, out.Y_new.shape[1]
     state.Y = out.Y_new
-    state.stage1_idx = list(range(out.stage1_width))
+    if w < y_new:
+        state.Y = np.concatenate([out.Y_new[:, w:], out.Y_new[:, :w]], axis=1)
+    state.stage1_start = y_new - w
     state.systems_seen = j
     return out
-
-
-def _basis_products(A, Y, idx, AW, sink) -> np.ndarray:
-    """A @ Y, given the stage-1 products AW = A @ Y[:, idx].
-
-    The columns outside ``idx`` take one block product, one matvec each on
-    ``sink``.  When the stage-1 block is Y in order, AW is returned as it
-    is.  Otherwise the result is Fortran-ordered, so that every column is
-    written whole.
-    """
-    y = Y.shape[1]
-    if list(idx) == list(range(y)):
-        return AW
-    AY = np.empty(Y.shape, order="F")
-    AY[:, idx] = AW
-    rest = np.setdiff1d(np.arange(y), idx)
-    if rest.size:
-        AY[:, rest] = spmv(A, Y[:, rest], sink)
-    return AY
 
 
 def _entry_result(basis, start, r, iterations) -> AugmentedPcgResult:

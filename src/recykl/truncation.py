@@ -73,8 +73,8 @@ class TruncationConfig:
             raise RecyklError(f"unknown truncation strategy {self.strategy!r}")
         if not 0.0 <= self.nu_w <= self.nu_y <= 1.0:
             raise RecyklError("energy criteria must satisfy 0 <= nu_w <= nu_y <= 1")
-        if self.storage_cap < 1:
-            raise RecyklError("storage cap must be at least 1")
+        if not self.storage_cap >= 1:  # NaN fails too
+            raise RecyklError(f"storage cap must be at least 1, got {self.storage_cap}")
         if self.strategy == "deflate" and self.deflate_dim is None:
             raise RecyklError("deflation needs a retained count")
         for key in ("deflate_dim", "max_dim", "stage1_dim"):

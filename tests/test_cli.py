@@ -89,11 +89,19 @@ class TestRun:
         sweep = json.loads((out / "sweep_summary.json").read_text())
         assert len(sweep) == 6  # tolerances 1e-1 .. 1e-6
 
-    def test_bad_manifest_exit_code(self, tmp_path):
+    def test_bad_manifest_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
-        with pytest.raises((SystemExit, FileNotFoundError)):
-            code = main(["run", "--manifest", str(missing)])
-            raise SystemExit(code)
+        assert main(["run", "--manifest", str(missing)]) == 3
+        assert "nope.json" in capsys.readouterr().err
+
+    def test_missing_matrix_file_exit_3(self, sequence_dir, tmp_path, capsys):
+        (sequence_dir / "A_002.mtx").unlink()
+        out = tmp_path / "res"
+        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--out-dir", str(out)])
+        assert code == 3
+        assert "A_002.mtx" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_3(self):
         with pytest.raises(SystemExit) as exc:
@@ -249,12 +257,20 @@ class TestExitCodes:
          "stage1_dim"),
         ({"tolerances": {"eps_hat_factor": -1}}, "eps_hat_factor"),
         ({"tolerances": {"eps_inner_factor": float("nan")}}, "eps_inner_factor"),
+        pytest.param({"truncation": {"strategy": "pod-a-rbf", "storage_cap": float("nan")}},
+                     "storage cap", id="nan-storage-cap"),
+        pytest.param(b'[{"name": "unclosed"', "methods.json:1: invalid JSON", id="invalid-json"),
+        pytest.param(None, "methods.json: cannot read methods file", id="missing-file"),
     ])
     def test_bad_methods_file_exit_3(self, tmp_path, sequence_dir, capsys, entry, key):
-        # an entry that is not an object is written as it is
+        # an entry that is not an object is written as it is, bytes are the
+        # whole file, and None leaves the file missing
         spec_path = tmp_path / "methods.json"
-        spec_path.write_text(json.dumps([{"name": "typo", **entry}
-                                         if isinstance(entry, dict) else entry]))
+        if isinstance(entry, bytes):
+            spec_path.write_bytes(entry)
+        elif entry is not None:
+            spec_path.write_text(json.dumps([{"name": "typo", **entry}
+                                             if isinstance(entry, dict) else entry]))
         out = tmp_path / "res"
         code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
                      "--methods", str(spec_path), "--out-dir", str(out)])

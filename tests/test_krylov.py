@@ -20,7 +20,7 @@ from recykl.krylov import (
     direct_reduced_solve,
     stack_blocks,
 )
-from recykl.linalg import InstrumentationSink, SparseSpdMatrix, dense_cholesky, spmv
+from recykl.linalg import InstrumentationSink, SparseSpdMatrix, dense_cholesky
 from recykl.problems import gen_diffusion_sequence
 
 
@@ -387,11 +387,21 @@ class TestProjectionHandles:
             assert np.array_equal(out, np.hstack(blocks))
         assert stack_blocks([], 4).shape == (4, 0)
 
-    def test_direct_projection_assemble(self):
+    def test_default_projection_is_one_block_product(self):
+        # without a handle, augmented_pcg factors B'AB from one block
+        # product A*B, charged one matvec per column: the run equals one
+        # handed the projection direct_reduced_solve builds over B
         A = make_spd(25, seed=52)
         B = random_basis(25, 5, seed=53)
-        proj = DirectReducedProjection.assemble(lambda v: spmv(A, v), B)
-        z = np.random.default_rng(54).standard_normal(25)
+        b = np.random.default_rng(54).standard_normal(25)
+        yhat0, proj = direct_reduced_solve(A, b, B)
+        runs = []
+        for handle in (None, proj):
+            sink = InstrumentationSink()
+            runs.append((augmented_pcg(A, b, yhat0, B, handle, None, 1e-10, mode="fom",
+                                       sink=sink), sink.matvecs))
+        (default, default_mv), (given, given_mv) = runs
+        assert default_mv == given_mv + B.shape[1]
+        assert np.array_equal(default.x, given.x) and np.array_equal(default.V, given.V)
         Ad = A.to_dense()
-        expected = np.linalg.solve(B.T @ Ad @ B, B.T @ Ad @ z)
-        assert np.allclose(proj(z), expected, atol=1e-9)
+        assert np.max(np.abs(B.T @ Ad @ default.V)) <= 1e-10 * np.linalg.norm(Ad, 2)
