@@ -8,7 +8,7 @@ replay, and the committed files are a regeneration by the current code, byte
 for byte, at the BLAS threading they were made with (OpenBLAS's default, two
 threads on a 2-vCPU machine).  Under ``OPENBLAS_NUM_THREADS=1`` every
 counter still reproduces, but the final residuals of ``split_pod_it_unprec``
-move by up to 2.3e-8 relative, because BLAS sums products in another
+move by up to 4.7e-8 relative, because BLAS sums products in another
 order.  A change that only moves rounding moves the trailing digits of
 the final residuals, within the tolerance of :func:`verify_fixture`, and
 leaves the files to be regenerated with it; ``tools/fixture_diff.py`` prints

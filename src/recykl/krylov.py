@@ -16,27 +16,27 @@ Y'AY of the staged solver's reduced space, which the solver forms once per
 system from the products AY.  The staged solver's direct
 projections, in either space, are :class:`DirectReducedProjection` handles,
 the one type that holds a set of mutually A-orthogonal augmenting blocks:
-their cached A-products and the block-diagonal Cholesky factor of their
-Gram matrix, the stage-1 factor followed by the diagonal of every direction
-block appended since.  :func:`stack_blocks` lays blocks side by side in the
-C order the frozen fixtures pin.
+their cached A-products and the Cholesky factor of the leading block's Gram
+matrix; every block appended after it is A-orthonormal.  :func:`stack_blocks`
+lays blocks side by side in the C order the frozen fixtures pin.
 
+Every run hands its directions out at unit A-norm, p / sqrt(p'Ap), with
+their products and the steps along them, so a returned block has V'AV = I.
 Two direction updates are available.  ``mode="cg"`` keeps the classical
 two-term recurrence.  ``mode="fom"`` re-orthogonalizes each new direction
 against all previous ones, which guarantees a full-rank direction block in
-finite precision; its coefficients are the explicit projections
--(p_i'Az)/gamma_i.  The projection is block classical Gram-Schmidt applied
-twice (CGS2): two sweeps suffice to reach orthogonality at the level of
-round-off (Giraud, Langou & Rozloznik, "The loss of orthogonality in the
-Gram-Schmidt orthogonalization process", Comput. Math. Appl. 50, 2005), and
-each sweep is two matrix-vector products over the stored block.  The
-directions of a run and their operator products A p live in one
-preallocated, Fortran-ordered store, in both modes: ``fom`` reads the
-products in every sweep, and a caller that recycles the directions reuses
-them instead of multiplying by A again.  Each block is a contiguous prefix
-BLAS reads without copying; the result gets both in the same layout, and a
-run told to keep no directions (plain PCG, whose caller recycles nothing)
-stores neither.
+finite precision; its coefficients are the explicit projections -(V'Az).
+The projection is block classical Gram-Schmidt applied twice (CGS2): two
+sweeps suffice to reach orthogonality at the level of round-off (Giraud,
+Langou & Rozloznik, "The loss of orthogonality in the Gram-Schmidt
+orthogonalization process", Comput. Math. Appl. 50, 2005), and each sweep
+is two matrix-vector products over the stored block.  The directions of a
+run and their operator products live in one preallocated, Fortran-ordered
+store, in both modes: ``fom`` reads the products in every sweep, and a
+caller that recycles the directions reuses them instead of multiplying by A
+again.  Each block is a contiguous prefix BLAS reads without copying; the
+result gets both in the same layout, and a run told to keep no directions
+(plain PCG, whose caller recycles nothing) stores neither.
 """
 
 from __future__ import annotations
@@ -98,30 +98,23 @@ class DirectReducedProjection:
     B'Az is the dense product cross' z and no operator application is
     needed.  The Gram matrix B'AB is block diagonal: the leading block is
     the dense Cholesky ``factor`` of the first block of B, and every block
-    appended later is a direction block with diagonal Gram p'Ap, held as its
-    square roots ``d`` in the order the blocks were appended.
+    appended later is an A-orthonormal direction block (Gram block I).
     """
 
     def __init__(self, cross: np.ndarray, factor: DenseLowerTriangular):
         self.cross = np.ascontiguousarray(cross, dtype=np.float64)
         self.factor = factor
-        self.d = np.zeros(0)
 
-    def append(self, cross_block: np.ndarray, sqrt_diag: np.ndarray) -> None:
-        """Add a direction block, A-orthogonal to all before it.
-
-        ``cross_block`` is A times its columns and ``sqrt_diag`` the square
-        roots of their curvatures p'Ap.
-        """
+    def append(self, cross_block: np.ndarray) -> None:
+        """Add an A-orthonormal block, A-orthogonal to those before, by A times it."""
         self.cross = stack_blocks([self.cross, cross_block], self.cross.shape[0])
-        self.d = np.concatenate([self.d, np.asarray(sqrt_diag, dtype=np.float64)])
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (B'AB) mu = rhs with the block-diagonal factor."""
+        """Solve (B'AB) mu = rhs: backsolve the leading block, keep the rest."""
         m = self.factor.m
-        if rhs.shape[0] != m + self.d.shape[0]:
+        if rhs.shape[0] != self.cross.shape[1]:
             raise DimensionMismatch("reduced projection: rhs length mismatch")
-        return np.concatenate([self.factor.solve_spd(rhs[:m]), rhs[m:] / (self.d * self.d)])
+        return np.concatenate([self.factor.solve_spd(rhs[:m]), rhs[m:]])
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.solve_gram(self.cross.T @ z)
@@ -130,9 +123,9 @@ class DirectReducedProjection:
 class _DirectionStore:
     """The directions of one augmented-PCG run, in preallocated blocks.
 
-    Column i of ``V`` is direction p_i and column i of ``AV`` its product
-    A p_i, both kept only when ``directions``, in either mode; ``alpha[i]``
-    is its step length and ``gamma[i]`` = p_i'Ap_i its curvature.  The
+    Column i of ``V`` is direction p_i at unit A-norm, p_i / sqrt(p_i'Ap_i),
+    and column i of ``AV`` its product, both kept only when ``directions``,
+    in either mode; ``alpha[i]`` is the step along that unit column.  The
     blocks are Fortran-ordered, so the live prefixes ``V[:, :k]`` and
     ``AV[:, :k]`` are contiguous blocks.  Capacity starts at
     min(64, max_iter) columns and doubles, capped at max_iter, when full.
@@ -145,7 +138,6 @@ class _DirectionStore:
         self.V = np.empty((n, cap), order="F") if directions else None
         self.AV = np.empty((n, cap), order="F") if directions else None
         self.alpha = np.empty(cap)
-        self.gamma = np.empty(cap)
 
     def append(self, p: np.ndarray, Ap: np.ndarray, gamma: float, alpha: float) -> None:
         k = self.k
@@ -155,20 +147,18 @@ class _DirectionStore:
                 self.V = _grown(self.V, k, cap)
                 self.AV = _grown(self.AV, k, cap)
             self.alpha = _grown(self.alpha, k, cap)
-            self.gamma = _grown(self.gamma, k, cap)
+        norm = np.sqrt(gamma)
         if self.V is not None:
-            self.V[:, k] = p
-            self.AV[:, k] = Ap
-        self.alpha[k] = alpha
-        self.gamma[k] = gamma
+            np.divide(p, norm, out=self.V[:, k])
+            np.divide(Ap, norm, out=self.AV[:, k])
+        self.alpha[k] = alpha * norm
         self.k = k + 1
 
     def a_orthogonalize(self, p: np.ndarray) -> np.ndarray:
         """p minus its A-projection onto every stored direction, by CGS2."""
-        k = self.k
-        V, AV, gamma = self.V[:, :k], self.AV[:, :k], self.gamma[:k]
+        V, AV = self.V[:, :self.k], self.AV[:, :self.k]
         for _ in range(2):
-            p = p - V @ ((p @ AV) / gamma)
+            p = p - V @ (p @ AV)
         return p
 
 
@@ -184,18 +174,17 @@ class AugmentedPcgResult:
     """Outputs of one augmented-PCG run.
 
     ``x`` is the final iterate in the run's own coordinates (the caller adds
-    any outer centering); it equals Y @ yhat0 + V @ vhat.  ``gamma`` holds
-    the diagonal p'Ap values of the A-orthogonal direction block V, and
-    ``AV`` the operator's products with it, both Fortran-ordered.  A run
-    that kept no directions returns V, AV, vhat and gamma with no columns;
-    ``k`` still counts its iterations.
+    any outer centering); it equals Y @ yhat0 + V @ vhat.  The direction
+    block V is A-orthonormal (up to round-off, and ``cg``'s loss of
+    orthogonality), ``AV`` holds the operator's products with it, both
+    Fortran-ordered.  A run that kept no directions returns V, AV and vhat
+    with no columns; ``k`` still counts its iterations.
     """
 
     k: int
     vhat: np.ndarray
     V: np.ndarray
     AV: np.ndarray
-    gamma: np.ndarray
     residual_history: np.ndarray
     x: np.ndarray
     converged: bool = True
@@ -334,7 +323,6 @@ def augmented_pcg(
             vhat=store.alpha[:kept],
             V=V,
             AV=AV,
-            gamma=store.gamma[:kept],
             residual_history=np.asarray(history),
             x=x,
             converged=converged,

@@ -23,7 +23,8 @@ across the sequence:
    projection a further nested run of the same solver, augmented with the
    stage-1 block and the direction block of every earlier run.  The nested
    solver holds a projection of its own over the same blocks in reduced
-   coordinates; the two share only the immutable stage-1 factor.
+   coordinates, seeded with G's stage-1 columns; the two share only the
+   immutable stage-1 factor.  Every later block is A-orthonormal.
 
 Stages 1 and 2 run only over a non-empty basis; without one (the first
 system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
@@ -40,10 +41,10 @@ nothing: stage 3 runs from the stage-1 solution over the stage-1 block
 alone, and the report leaves ``stage2_converged`` false.  A stage 3 that
 runs out of iterations or breaks down ends in a report with ``converged``
 false and its ``failure`` cause, never an exception; a broken run returns
-its start iterate and adds no direction to Y.
+its start iterate and adds no direction to Y and no weight snapshot.
 
-After the solve, new search directions are appended to Y normalized to unit
-A-norm, and they join the stage-1 block; once the block exceeds the storage
+After the solve, new search directions are appended to Y at unit A-norm,
+and they join the stage-1 block; once the block exceeds the storage
 cap it is compressed by :func:`~recykl.truncation.compress`, which alone
 reads the truncation strategy.  The stage-1 block is always the trailing
 columns ``Y[:, stage1_start:]``, read as a view: truncation stores the
@@ -170,13 +171,16 @@ class SolveReport:
     residual_history: np.ndarray | None = None
     stage2_residual_history: np.ndarray | None = None
     truncated: bool = False
-    converged: bool = True
     stage2_converged: bool = True
     stage1_fallback: bool = False  # stage-1 factor failed or was skipped; solved without basis
     failure: str | None = None  # why a solve did not converge: "budget" or "breakdown"
     rank_truncated: bool = False  # truncation stopped at the numerical rank of the block
     reduced_condition: float | None = None
     checkpoints: list[Checkpoint] | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
 
 @dataclass
@@ -206,7 +210,7 @@ class InnerIterativeProjection:
     reduced coordinates: the stage-1 selection, then the direction block of
     each earlier run.  ``basis`` stacks those blocks, and ``proj``, a
     :class:`~recykl.krylov.DirectReducedProjection` over them, holds G
-    times them and their block-diagonal Gram factor; each run extends both.
+    times them and the stage-1 Gram factor; each run extends both.
     """
 
     def __init__(self, G: np.ndarray, AY: np.ndarray, tol: float, mode: str,
@@ -237,7 +241,7 @@ class InnerIterativeProjection:
             res = exc.partial
         if res.k > 0:
             self.basis = stack_blocks([self.basis, res.V], self.basis.shape[0])
-            self.proj.append(res.AV, np.sqrt(res.gamma))
+            self.proj.append(res.AV)
         return res
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -270,7 +274,8 @@ def solve_system(
     or breaks down, the report says ``converged=False`` with the ``failure``
     cause (never an exception): a run out of budget returns its partial
     solution and keeps its directions, a broken one returns its start and
-    keeps none, and either way the state stays usable for the next system.
+    leaves Y and the weight history as they were; either way the state
+    stays usable for the next system.
     """
     if track_iterates and chalf is None:
         raise RecyklError("tracking iterates needs the output matrix")
@@ -351,7 +356,7 @@ def solve_system(
         if inner_needed:
             inner = InnerIterativeProjection(
                 G, AY, eps_inner, cfg.mode, np.eye(y)[:, s:],
-                DirectReducedProjection(Y.T @ proj.cross, proj.factor),
+                DirectReducedProjection(G[:, s:], proj.factor),
             )
         # stage 2: the first nested run, over all of Y from the stage-1
         # solution, augmented with the stage-1 selection block
@@ -369,25 +374,29 @@ def solve_system(
                 report.stage2_iters = stage2.k
                 report.stage2_converged = stage2.converged
                 report.stage2_residual_history = stage2.residual_history
-                if stage2.k:
+                if stage2.k and not cfg.truncation.full_orth:
+                    # read only by the stage-3 projection, not full_orth's.
                     # V is Fortran-ordered; the product rounds as the
                     # fixtures pin it from a C copy
                     V2 = np.ascontiguousarray(stage2.V)
                     cols.append(Y @ V2)
                     starts.append(stage2.vhat)
-                    proj.append(AY @ V2, np.sqrt(stage2.gamma))
+                    proj.append(AY @ V2)
         if track_iterates:
             record("stage2", 0, add_center(Y @ yhat_comb))
 
     # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
     # New directions stay A-orthogonal to the stacked blocks, each
-    # projection backsolving their block factor, or with ``full_orth`` to
-    # all of Y, each projection a further nested run of ``inner``.
+    # projection backsolving the stage-1 factor, or with ``full_orth`` to
+    # all of Y, each projection a further nested run of ``inner``.  Both
+    # start from the iterate Y yhat_comb.
     full_orth = cfg.truncation.full_orth and y > 0 and not stage2_broke
-    stage3_basis = Y if full_orth else stack_blocks(cols, A.n)
-    block_start = np.concatenate(starts) if starts else np.zeros(0)
-    stage3_start = yhat_comb if full_orth else block_start
-    stage3_r0 = r0 - proj.cross @ block_start if proj is not None else r0
+    if full_orth:
+        stage3_basis, stage3_start = Y, yhat_comb
+    else:
+        stage3_basis = stack_blocks(cols, A.n)
+        stage3_start = np.concatenate(starts) if starts else np.zeros(0)
+    stage3_r0 = r0 - AY @ yhat_comb if y else r0
     monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
     try:
         stage3_res = augmented_pcg(
@@ -409,13 +418,11 @@ def solve_system(
         )
     except NotConverged as exc:
         stage3_res = exc.partial
-        report.converged = False
         report.failure = "budget"
     except Breakdown as exc:
         # the run's iterate and directions are not trusted: the solve
         # returns the stage-3 start and adds no direction to the basis
         stage3_res = _entry_result(stage3_basis, stage3_start, stage3_r0, exc.iterations)
-        report.converged = False
         report.failure = "breakdown"
 
     x = add_center(stage3_res.x)
@@ -424,8 +431,13 @@ def solve_system(
     report.final_residual = stage3_res.final_residual
     report.residual_history = stage3_res.residual_history
 
-    outcome = update_basis(state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
-                           products=AY)
+    if report.failure == "breakdown":
+        # a broken run adds neither directions nor a weight snapshot
+        state.systems_seen = j
+        outcome = None
+    else:
+        outcome = update_basis(state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
+                               products=AY)
     report.truncated = outcome is not None
     report.rank_truncated = report.truncated and outcome.rank_truncated
     report.matvecs = sink.matvecs
@@ -469,39 +481,34 @@ def update_basis(
     """Fold the new directions into the recycled basis, truncating at the cap.
 
     ``state`` is updated in place; the truncation's outcome is returned
-    when it fired, else None.  New directions enter normalized to unit
-    A-norm (columns divided by sqrt(p'Ap)) and all join the stage-1 block.
-    The solution's coefficients in the grown block join the weight history.
-    When the config says the grown block Z = [Y, V/sqrt(p'Ap)] is to be
-    truncated, :func:`~recykl.truncation.compress` gets the block, the
-    just-solved matrix, the history and the products AZ; it picks the
-    weights, metric and method, and reads A only from those products.
+    when it fired, else None.  New directions enter as the stage-3 run
+    hands them out, at unit A-norm, and all join the stage-1 block.  The
+    solution's coefficients in the grown block join the weight history.
+    When the config says the grown block Z = [Y, V] is to be truncated,
+    :func:`~recykl.truncation.compress` gets the block, the just-solved
+    matrix, the history and the products AZ; it picks the weights, metric
+    and method, and reads A only from those products.
 
     ``products`` is A times the old basis, as the solve formed it; it and
-    the stage-3 products AV / sqrt(p'Ap) of the new directions are copied
-    into AZ.  Without it (after a stage-1 fallback, when the solve held no
-    product of the old basis) A multiplies every old column, one matvec
-    each on ``sink``.  The weight history is then reset, and the retained
-    basis is stored with the stage-1 prefix ``compress`` derived moved to
-    its tail, where ``stage1_start`` marks it; appended directions leave
-    ``stage1_start`` as it is.
+    the stage-3 products AV are copied into AZ.  Without it (after a
+    stage-1 fallback, when the solve held no product of the old basis) A
+    multiplies every old column, one matvec each on ``sink``.  The weight
+    history is then reset, and the retained basis is stored with the
+    stage-1 prefix ``compress`` derived moved to its tail, where
+    ``stage1_start`` marks it; appended directions leave ``stage1_start`` as
+    it is.
     """
     j = state.systems_seen + 1
     if not cfg.recycle:
         state.systems_seen = j
         return None
     tcfg = cfg.truncation
-    # a broken run keeps no directions, whatever its iteration count
     k = stage3_res.V.shape[1]
     y_old = state.Y.shape[1]
-    sqrt_t = np.sqrt(stage3_res.gamma)
     if k > 0:
-        # the grown block is allocated once, in C order, and the scaled
-        # directions are written straight into its tail
-        Y_grown = np.empty((state.Y.shape[0], y_old + k))
-        Y_grown[:, :y_old] = state.Y
-        np.divide(stage3_res.V, sqrt_t, out=Y_grown[:, y_old:])
-        eta = np.concatenate([yhat_comb, stage3_res.vhat * sqrt_t])
+        # the grown block is allocated once, in C order
+        Y_grown = stack_blocks([state.Y, stage3_res.V], state.n)
+        eta = np.concatenate([yhat_comb, stage3_res.vhat])
     else:
         Y_grown = state.Y
         eta = yhat_comb.copy()
@@ -519,7 +526,7 @@ def update_basis(
     # Fortran order, so that both blocks land in whole contiguous columns
     AZ = np.empty(Y_grown.shape, order="F")
     AZ[:, :y_old] = products
-    np.divide(stage3_res.AV, sqrt_t, out=AZ[:, y_old:])
+    AZ[:, y_old:] = stage3_res.AV
     out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, products=AZ, sink=sink)
     state.history.reset()
     w, y_new = out.stage1_width, out.Y_new.shape[1]
@@ -540,8 +547,7 @@ def _entry_result(basis, start, r, iterations) -> AugmentedPcgResult:
     n = basis.shape[0]
     return AugmentedPcgResult(
         k=iterations or 0, vhat=np.zeros(0), V=np.zeros((n, 0)), AV=np.zeros((n, 0)),
-        gamma=np.zeros(0), residual_history=np.array([np.linalg.norm(r)]),
-        x=basis @ start, converged=False,
+        residual_history=np.array([np.linalg.norm(r)]), x=basis @ start, converged=False,
     )
 
 

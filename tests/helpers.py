@@ -32,14 +32,14 @@ def random_basis(n, m, seed):
     return rng.standard_normal((n, m))
 
 
-def mgs2_a_orthogonalize(p, V, AV, gamma):
+def mgs2_a_orthogonalize(p, V, AV):
     """Reference re-orthogonalization: two modified Gram-Schmidt sweeps.
 
-    Projects the A-components along the columns of V out of p one column at
-    a time, p <- p - (AV_i'p / gamma_i) V_i, the loop that block CGS2 in
-    the solver replaces.
+    Projects the A-components along the A-orthonormal columns of V out of p
+    one column at a time, p <- p - (AV_i'p) V_i, the loop that block CGS2
+    in the solver replaces.
     """
     for _ in range(2):
         for i in range(V.shape[1]):
-            p = p - (float(AV[:, i] @ p) / gamma[i]) * V[:, i]
+            p = p - float(AV[:, i] @ p) * V[:, i]
     return p

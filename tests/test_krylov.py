@@ -85,9 +85,10 @@ class TestAugmentedPcgBasics:
         res = augmented_pcg(A, b, yhat0, Y, tol=1e-9, max_iter=120)
         rebuilt = Y @ yhat0 + res.V @ res.vhat
         assert np.allclose(rebuilt, res.x, atol=1e-12)
+        # every direction is handed out at unit A-norm
         for i in range(res.k):
             p = res.V[:, i]
-            assert res.gamma[i] == pytest.approx(p @ A.to_dense() @ p, rel=1e-8)
+            assert p @ A.to_dense() @ p == pytest.approx(1.0, rel=1e-8)
 
     def test_directions_a_orthogonal_to_basis(self):
         A = make_spd(40, seed=11, cond=1e4)
@@ -169,8 +170,9 @@ class TestFomMode:
         b = np.random.default_rng(22).standard_normal(40)
         res = augmented_pcg(A, b, tol=1e-4 * np.linalg.norm(b), mode="fom", max_iter=160)
         G = res.V.T @ A.to_dense() @ res.V
-        off = G - np.diag(np.diag(G))
-        assert np.max(np.abs(off)) <= 1e-8 * np.max(np.diag(G))
+        # the columns have unit A-norm, so forming V'AV itself rounds at
+        # about u * cond(A) = 2e-6 here
+        assert np.max(np.abs(G - np.eye(res.k))) <= 1e-6
 
     def test_fom_and_cg_agree_on_well_conditioned(self):
         A = make_spd(30, seed=23, cond=50.0)
@@ -194,15 +196,15 @@ class TestDirectionStore:
         b = np.random.default_rng(35).standard_normal(A.n)
         res = augmented_pcg(A, b, tol=1e-10 * np.linalg.norm(b), mode=mode)
         assert res.k > _STORE_INITIAL_COLS
-        assert res.V.shape == (A.n, res.k)
-        assert res.gamma.shape == res.vhat.shape == (res.k,)
+        assert res.V.shape == res.AV.shape == (A.n, res.k)
+        assert res.vhat.shape == (res.k,)
         assert np.allclose(res.x, res.V @ res.vhat, rtol=0.0,
                            atol=1e-12 * np.linalg.norm(res.x))
+        assert np.allclose(res.AV, A.to_scipy() @ res.V, rtol=0.0, atol=1e-12)
         G = res.V.T @ A.to_dense() @ res.V
-        assert np.allclose(res.gamma, np.diag(G), rtol=1e-12, atol=0.0)
+        assert np.allclose(np.diag(G), 1.0, rtol=0.0, atol=1e-12)
         if mode == "fom":
-            off = G - np.diag(np.diag(G))
-            assert np.max(np.abs(off)) <= 1e-8 * np.max(np.diag(G))
+            assert np.max(np.abs(G - np.eye(res.k))) <= 1e-8
 
     @pytest.mark.parametrize("mode", ["fom", "cg"])
     def test_budget_caps_the_store(self, mode):
@@ -226,8 +228,8 @@ class TestDirectionStore:
         assert bare.k == kept.k > _STORE_INITIAL_COLS
         assert np.array_equal(bare.x, kept.x)
         assert np.array_equal(bare.residual_history, kept.residual_history)
-        assert bare.V.shape == (A.n, 0)
-        assert bare.vhat.shape == bare.gamma.shape == (0,)
+        assert bare.V.shape == bare.AV.shape == (A.n, 0)
+        assert bare.vhat.shape == (0,)
 
     def test_fom_needs_its_directions(self):
         A = laplacian_2d(5)
@@ -241,12 +243,15 @@ class TestDirectionStore:
         with pytest.raises(NotConverged) as info:
             augmented_pcg(A, rng.standard_normal(A.n), tol=0.0, mode="fom", max_iter=k)
         res = info.value.partial
+        # the run's directions are already at unit A-norm: each is stored
+        # with its own curvature, which leaves it at unit A-norm
         store = _DirectionStore(A.n, k)
         for i in range(k):
-            store.append(res.V[:, i], A.to_scipy() @ res.V[:, i], res.gamma[i], res.vhat[i])
+            Av = A.to_scipy() @ res.V[:, i]
+            store.append(res.V[:, i], Av, float(res.V[:, i] @ Av), res.vhat[i])
         p = rng.standard_normal(A.n)
         got = store.a_orthogonalize(p)
-        want = mgs2_a_orthogonalize(p, store.V[:, :k], store.AV[:, :k], store.gamma[:k])
+        want = mgs2_a_orthogonalize(p, store.V[:, :k], store.AV[:, :k])
         # classical and modified sweeps sum in different orders
         assert np.linalg.norm(got - want) <= 10 * k * np.finfo(float).eps * np.linalg.norm(p)
 
@@ -360,15 +365,14 @@ class TestReducedOperator:
 
 class TestProjectionHandles:
     def test_block_factor_matches_dense_oracle(self):
+        # appended direction blocks are A-orthonormal: their Gram block is I
         L = dense_cholesky(make_spd_dense(4, seed=50))
-        gamma = np.array([2.0, 5.0, 0.5])
         cross = np.random.default_rng(52).standard_normal((9, 7))
         proj = DirectReducedProjection(cross[:, :4], L)
-        proj.append(cross[:, 4:6], np.sqrt(gamma[:2]))
-        proj.append(cross[:, 6:], np.sqrt(gamma[2:]))
-        G = np.zeros((7, 7))
+        proj.append(cross[:, 4:6])
+        proj.append(cross[:, 6:])
+        G = np.eye(7)
         G[:4, :4] = L.full() @ L.full().T
-        G[4:, 4:] = np.diag(gamma)
         rhs = np.random.default_rng(51).standard_normal(7)
         assert np.allclose(proj.solve_gram(rhs), np.linalg.solve(G, rhs), atol=1e-10)
         assert np.array_equal(proj.cross, cross) and proj.cross.flags.c_contiguous

@@ -1,0 +1,51 @@
+"""tools/method_counters.py: per-method counters of the benchmark workloads."""
+
+import os
+import subprocess
+import sys
+
+from recykl import bench, problems
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "tools", "method_counters.py")
+WORKLOADS = ("roster-ssor", "krylov-unprec", "output-error")
+
+
+def parse(stdout: str) -> dict:
+    """{workload: ({method: [matvecs, precond, stage2, stage3]}, per_solve)}."""
+    tables, name = {}, None
+    for line in stdout.splitlines():
+        if not line.startswith(" "):
+            name = line.split(" (")[0]
+            tables[name] = ({}, None)
+        elif line.strip().startswith("roster matvecs/solve"):
+            tables[name] = (tables[name][0], float(line.split()[-1]))
+        elif not line.strip().startswith("method"):
+            method, *counts = line.split()
+            tables[name][0][method] = [int(c) for c in counts]
+    return tables
+
+
+def test_tiny_workloads_match_an_in_process_roster(tmp_path):
+    proc = subprocess.run([sys.executable, SCRIPT, "--tiny", "--seed", "2"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    tables = parse(proc.stdout)
+    assert tuple(tables) == WORKLOADS
+    for name, (sums, per_solve) in tables.items():
+        assert sums["pcg"][2] == 0 and sums["pcg"][0] == sums["pcg"][3]
+        total = sum(counts[0] for counts in sums.values())
+        assert per_solve == round(total / (3 * len(sums)), 3), name
+    assert len(tables["output-error"][0]) == 9 and len(tables["roster-ssor"][0]) == 6
+
+    # the unpreconditioned workload at smoke size, through the same
+    # manifest round trip
+    seq = problems.gen_diffusion_sequence((10, 10), 3, 0.05, seed=2, tol=1e-6,
+                                          load_scale=1e-4)
+    seq = problems.load_sequence_manifest(problems.write_sequence(seq, tmp_path))
+    runs = bench.run_methods(seq, bench.default_methods(storage_cap=50, mode="fom"))
+    want = {run.method.name: [sum(r.matvecs for r in run.reports),
+                              sum(r.precond_applies for r in run.reports),
+                              sum(r.stage2_iters for r in run.reports),
+                              sum(r.stage3_iters for r in run.reports)] for run in runs}
+    assert tables["krylov-unprec"][0] == want

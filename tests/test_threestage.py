@@ -7,7 +7,7 @@ from helpers import make_spd, random_basis
 from recykl import preconditioners as pc
 from recykl import threestage
 from recykl.bench import default_methods, run_methods
-from recykl.errors import Breakdown, NotPositiveDefinite, RecyklError
+from recykl.errors import Breakdown, DimensionMismatch, NotPositiveDefinite, RecyklError
 from recykl.krylov import DirectReducedProjection, augmented_pcg
 from recykl.linalg import (
     InstrumentationSink,
@@ -419,7 +419,9 @@ class TestNoCopies:
         state = RecycleState(n=seq.n, Y=Y.copy(), stage1_start=width // 2)
         res = augmented_pcg(A, b, tol=1e-8, mode=mode)
         update_basis(state, np.zeros(width), res, solver_cfg(strategy="none", mode=mode), A)
-        assert np.array_equal(state.Y, np.hstack([Y, res.V / np.sqrt(res.gamma)]))
+        # the run hands its directions out at unit A-norm; they are copied as
+        # they come
+        assert np.array_equal(state.Y, np.hstack([Y, res.V]))
         assert state.Y.flags.c_contiguous
         assert state.stage1_start == width // 2
 
@@ -593,7 +595,11 @@ class TestReducedProjections:
         got = proj.cross[:, 2:]
         assert np.array_equal(got, res.AV)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert np.array_equal(proj.d, np.sqrt(res.gamma))
+        # the block is G-orthonormal, so the projection backsolves only the
+        # stage-1 factor
+        assert np.linalg.norm(res.V.T @ got - np.eye(res.k)) <= 1e-12
+        rhs = np.arange(2.0 + res.k)
+        assert np.array_equal(proj.solve_gram(rhs)[2:], rhs[2:])
 
     def test_projection_right_hand_side_reads_products(self):
         # a full_orth projection forms Y'Az as (AY)'z: no matvec, and the
@@ -647,6 +653,51 @@ class TestReducedProjections:
         assert checked == 3
 
 
+class TestAOrthonormalBlocks:
+    def test_stage3_blocks_and_appended_directions(self, monkeypatch):
+        # every block after the stage-1 one is A-orthonormal: the stage-3
+        # projection's Gram matrix is blockdiag(W'AW, I), and the directions
+        # a solve appends to Y have V'AV = I
+        real = threestage.augmented_pcg
+        stage3_args = []
+
+        def spy(op, *args, **kwargs):
+            if isinstance(op, SparseSpdMatrix):
+                stage3_args.append(args)
+            return real(op, *args, **kwargs)
+
+        def rel(got, want):
+            return np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+
+        monkeypatch.setattr(threestage, "augmented_pcg", spy)
+        seq = gen_diffusion_sequence((10, 10), p=6, delta=0.05, seed=5, tol=1e-8)
+        # a cap that some split solves stay under, so their directions stay
+        cfg = solver_cfg(storage_cap=40, max_dim=10, stage1_dim=5, precond="jacobi")
+        state = RecycleState.empty(seq.n)
+        split = appended = 0
+        for spec in seq:
+            stage3_args.clear()
+            entry_width = state.basis_dim
+            _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
+            assert report.converged
+            Ad = spec.A.to_dense()
+            (args,) = stage3_args
+            basis, proj = args[2], args[3]
+            if report.stage2_iters:
+                w = report.stage1_dim
+                want = np.eye(basis.shape[1])
+                want[:w, :w] = basis[:, :w].T @ Ad @ basis[:, :w]
+                assert basis.shape[1] == w + report.stage2_iters
+                assert rel(proj.cross.T @ basis, want) <= 1e-10
+                split += 1
+                if not report.truncated:
+                    V = state.Y[:, entry_width:]
+                    assert V.shape[1] == report.stage3_iters > 0
+                    assert rel(V.T @ Ad @ V, np.eye(V.shape[1])) <= 1e-10
+                    appended += 1
+        assert split > 0 and appended > 0
+
+
 class TestStage2Breakdown:
     def test_overflowing_stage2_ends_typed(self):
         # with ssor:1.7 at tol 1e-9, stage 2 of pod(5,20) once iterated
@@ -679,7 +730,9 @@ class TestStage2Breakdown:
         inner = InnerIterativeProjection(G, AY, 1e-10, "fom", np.eye(3)[:, :1], proj)
         with pytest.raises(Breakdown):
             inner.extend(np.ones(3), np.zeros(1), 1e-10)
-        assert inner.basis.shape == (3, 1) and proj.cross.shape == (3, 1) and proj.d.size == 0
+        assert inner.basis.shape == (3, 1) and proj.cross.shape == (3, 1)
+        with pytest.raises(DimensionMismatch):
+            proj.solve_gram(np.ones(2))
 
     @pytest.mark.parametrize("full_orth", [False, True])
     def test_broken_stage2_contributes_nothing(self, monkeypatch, full_orth):
@@ -711,8 +764,8 @@ class TestStage2Breakdown:
 class TestStage3Breakdown:
     def test_breakdown_is_reported_and_adds_no_directions(self, monkeypatch):
         # system 2's stage 3 breaks down after three iterations: the solve
-        # reports it, returns the stage-1 solution, keeps the basis as it
-        # was, and system 3 solves from that basis
+        # reports it, returns the stage-1 solution, keeps the basis and the
+        # weight history as they were, and system 3 solves from that basis
         real = threestage.augmented_pcg
         state = RecycleState.empty(64)
 
@@ -727,7 +780,7 @@ class TestStage3Breakdown:
         cfg = solver_cfg(precond="jacobi")
         reports = []
         for spec in seq:
-            Y = state.Y
+            Y, snapshots = state.Y, len(state.history)
             x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
             reports.append(report)
             if report.j == 2:
@@ -735,6 +788,8 @@ class TestStage3Breakdown:
                 assert report.stage3_iters == 3
                 assert report.matvecs == Y.shape[1] + 3
                 assert state.Y is Y
+                assert len(state.history) == snapshots == 1
+                assert state.systems_seen == 2
                 Ad = spec.A.to_dense()
                 galerkin = Y @ np.linalg.solve(Y.T @ Ad @ Y, Y.T @ spec.b)
                 assert np.allclose(x, galerkin, rtol=1e-8, atol=0)
@@ -747,6 +802,14 @@ class TestStage3Breakdown:
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=5, tol=1e-12)
         _, reports, _ = run_sequence(seq, solver_cfg(max_iter=2))
         assert not reports[0].converged and reports[0].failure == "budget"
+
+    def test_converged_is_the_absence_of_a_failure(self):
+        report = threestage.SolveReport(j=1)
+        assert report.converged
+        report.failure = "breakdown"
+        assert not report.converged
+        with pytest.raises(AttributeError):
+            report.converged = True
 
 
 class TestDiagnostics:

@@ -1,0 +1,80 @@
+"""Per-method counters of the benchmark workloads' inputs.
+
+Usage: python3 tools/method_counters.py [--seed N] [--tiny]
+
+For each workload of ``perfbench/workloads.py`` this generates the sequence
+from the seed as the benchmark does, writes it as a manifest and reads it
+back, and runs the workload's roster with ``bench.run_methods`` on one BLAS
+thread.  It prints, per method, the sums over the sequence of matvecs,
+preconditioner applications, stage-2 iterations and stage-3 iterations,
+then the roster's matvecs per solve (the benchmark's ``matvecs_per_solve``).
+``--tiny`` runs each workload at its smoke-test size.  Nothing is timed, and
+nothing under ``perfbench/`` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+COLUMNS = ("matvecs", "precond", "stage2", "stage3")
+
+
+def method_counters(wl, seed: int) -> tuple[dict, float]:
+    """{method: counter sums} of one workload, and its matvecs per solve."""
+    from recykl import bench, problems
+
+    seq = problems.gen_diffusion_sequence(
+        wl.grid, wl.systems, wl.delta, seed=seed, tol=wl.tol, load_scale=wl.load_scale
+    )
+    if wl.outputs:
+        seq.C = problems.gen_output_matrix(wl.outputs, seq.n, seed + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = problems.load_sequence_manifest(problems.write_sequence(seq, tmp))
+    methods = bench.default_methods(storage_cap=wl.storage_cap, precond=wl.precond,
+                                    mode=wl.mode, include_output_metric=wl.output_error)
+    sums = {}
+    solves = 0
+    for run in bench.run_methods(seq, methods):
+        reports = run.reports
+        sums[run.method.name] = dict(zip(COLUMNS, (
+            sum(r.matvecs for r in reports),
+            sum(r.precond_applies for r in reports),
+            sum(r.stage2_iters for r in reports),
+            sum(r.stage3_iters for r in reports),
+        )))
+        solves += len(reports)
+    return sums, sum(c["matvecs"] for c in sums.values()) / solves
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--tiny", action="store_true", help="smoke-test size of each workload")
+    args = parser.parse_args(argv)
+    if "numpy" in sys.modules:
+        raise SystemExit("error: numpy was imported before BLAS threads could be pinned")
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from workloads import WORKLOADS, tiny
+
+    for name, wl in WORKLOADS.items():
+        if args.tiny:
+            wl = tiny(wl)
+        sums, per_solve = method_counters(wl, args.seed)
+        print(f"{name} ({wl.grid[0]}x{wl.grid[1]}, {wl.systems} systems, {wl.precond}, "
+              f"tol {wl.tol:g}, seed {args.seed})")
+        print(f"  {'method':<18}" + "".join(f"{c:>9}" for c in COLUMNS))
+        for method, counts in sums.items():
+            print(f"  {method:<18}" + "".join(f"{counts[c]:>9}" for c in COLUMNS))
+        print(f"  roster matvecs/solve {per_solve:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
