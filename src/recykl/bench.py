@@ -1,7 +1,7 @@
 """Benchmark protocol: method rosters, runners, and report writers.
 
 A method is a name and a :class:`SolverConfig` (truncation shape, mode,
-preconditioner, stage-tolerance factors).  Methods run over a shared
+preconditioner, stage-2 tolerance factor).  Methods run over a shared
 immutable sequence one after another, so each ``wall_ms`` measures its
 solve alone, and their per-system reports land in CSV/JSON files: one row
 per (method, system) with the three cost metrics (``wall_ms`` includes the
@@ -89,7 +89,7 @@ _SOLVER_KEYS = {"mode": "a string", "precond": "a string", "recycle": "true or f
                 "diagnostics": "true or false", "max_iter": "an integer or null"}
 _ENTRY_KEYS = {"name": "a string", "truncation": "an object", "tolerances": "an object",
                **_SOLVER_KEYS}
-_TOLERANCE_KEYS = {"eps_hat_factor": "a number", "eps_inner_factor": "a number"}
+_TOLERANCE_KEYS = {"eps_hat_factor": "a number"}
 _TRUNCATION_KEYS = {"strategy": "a string", "nu_y": "a number", "nu_w": "a number",
                     "storage_cap": "a number", "full_orth": "true or false",
                     "deflate_dim": "an integer or null", "max_dim": "an integer or null",

@@ -8,7 +8,7 @@ replay, and the committed files are a regeneration by the current code, byte
 for byte, at the BLAS threading they were made with (OpenBLAS's default, two
 threads on a 2-vCPU machine).  Under ``OPENBLAS_NUM_THREADS=1`` every
 counter still reproduces, but the final residuals of ``split_pod_it_unprec``
-move by up to 4.7e-8 relative, because BLAS sums products in another
+move by up to 2.4e-8 relative, because BLAS sums products in another
 order.  A change that only moves rounding moves the trailing digits of
 the final residuals, within the tolerance of :func:`verify_fixture`, and
 leaves the files to be regenerated with it; ``tools/fixture_diff.py`` prints
@@ -82,7 +82,7 @@ def _fixture_cases():
             precond="jacobi",
             mode="cg",
         ),
-        # nested projections on an unpreconditioned, larger system
+        # full_orth projections on an unpreconditioned, larger system
         "split_pod_it_unprec": dict(
             generator=dict(grid=(20, 20), p=8, delta=0.05, seed=5, tol=1e-8),
             config=dict(strategy="pod-a-rbf", nu_y=1.0, nu_w=1.0,

@@ -3,9 +3,8 @@
 The central routine :func:`augmented_pcg` runs PCG while keeping every new
 search direction A-orthogonal to a fixed augmenting basis Y.  The caller
 supplies the starting coordinates in Y (normally the Galerkin solution over
-range(Y)) and a handle that solves the reduced systems Y'AY mu = Y'Az; the
-handle may backsolve cached Cholesky factors or run a nested augmented-CG
-iteration in the reduced coordinates.  The final solution x0 + sum(alpha p)
+range(Y)) and a handle that solves the reduced systems Y'AY mu = Y'Az by
+backsolving cached Cholesky factors.  The final solution x0 + sum(alpha p)
 is then the A-orthogonal projection of the exact solution onto the direct
 sum of range(Y) and the generated Krylov directions.
 

@@ -5,26 +5,21 @@ across the sequence:
 
 1. a direct Galerkin solve over the stage-1 block W (a few columns of Y
    expected to capture most of the solution), factored once and reused;
-2. the first nested run of the reduced-space solver
-   (:class:`InnerIterativeProjection`): unpreconditioned augmented CG over
-   all of Y on the reduced matrix G = Y'AY, started from the stage-1
-   solution and augmented with W, so the stage-1 factor keeps doing the
-   projections.  G is formed once per system, with the products AY, when
-   this solver is built (Y wider than W, or ``full_orth``): the stage-1
-   products A W are reused and the other columns of Y take one block
-   product, one matvec each.  Stage 2, every ``full_orth`` projection and
-   the truncation after the solve then read A only from AY and G;
+2. when Y is wider than W, one nested run of unpreconditioned augmented CG
+   over all of Y on the reduced matrix G = Y'AY, from the stage-1 solution
+   and augmented with W.  G is formed once per system from the products
+   AY: A W is reused and the other columns of Y take one block product, one
+   matvec each; stage 2, ``full_orth`` and truncation read A only from AY
+   and G.  The run's block leaves G-orthonormal in either mode (CholeskyQR);
 3. one full-space augmented PCG run to the forcing tolerance.  Each stage
    that ran contributes a block of columns and start coefficients, and its
    A-products and Gram factor to one
    :class:`~recykl.krylov.DirectReducedProjection`; the run starts from the
-   stacked blocks and keeps new directions A-orthogonal either to them,
-   backsolving that projection, or (``full_orth``) to the entire Y, each
-   projection a further nested run of the same solver, augmented with the
-   stage-1 block and the direction block of every earlier run.  The nested
-   solver holds a projection of its own over the same blocks in reduced
-   coordinates, seeded with G's stage-1 columns; the two share only the
-   immutable stage-1 factor.  Every later block is A-orthonormal.
+   stacked blocks and keeps new directions A-orthogonal to them.  Under
+   ``full_orth``, after a stage 2, it keeps them A-orthogonal to all of Y
+   instead (:class:`InnerIterativeProjection`), each projection a
+   backsolve of G's Cholesky factor; if G fails to factor, the stage
+   blocks serve.  Every block after the stage-1 one is A-orthonormal.
 
 Stages 1 and 2 run only over a non-empty basis; without one (the first
 system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
@@ -56,7 +51,7 @@ in, so truncation costs no matvec; only after a stage-1 fallback, when the
 solve holds no product of the old basis, does A multiply every old column.
 
 A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
-preconditioner kind and the stage-tolerance factors.  :func:`solve_system`
+preconditioner kind and the stage-2 tolerance factor.  :func:`solve_system`
 builds the preconditioner of each matrix itself, inside its clock, and
 updates the :class:`RecycleState` it is given in place.
 
@@ -86,7 +81,7 @@ from .krylov import (
     direct_reduced_solve,
     stack_blocks,
 )
-from .linalg import InstrumentationSink, SparseSpdMatrix, spmv, symmetric_evd
+from .linalg import InstrumentationSink, SparseSpdMatrix, dense_cholesky, spmv, symmetric_evd
 from .truncation import TruncationConfig, TruncationOutcome, compress
 from .weights import WeightHistory
 
@@ -103,17 +98,16 @@ class SolverConfig:
 
     ``precond`` is ``identity`` (no preconditioner), ``jacobi``, ``ssor`` or
     ``ssor:<omega>``.  For a system with forcing tolerance eps, stage 2
-    iterates to eps_hat = eps_hat_factor * eps and each nested projection of
-    ``full_orth`` to eps_inner = eps_inner_factor * eps; both factors are
-    positive and finite.  ``max_iter``, at least 1 when set, caps the
-    iterations of stage 3 (default: n).
+    iterates to eps_hat = eps_hat_factor * eps, a positive finite factor;
+    the ``full_orth`` projections are direct and take no tolerance.
+    ``max_iter``, at least 1 when set, caps the iterations of stage 3
+    (default: n).
     """
 
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     mode: str = "fom"
     precond: str = "identity"
     eps_hat_factor: float = 1e-4
-    eps_inner_factor: float = 1e-2
     recycle: bool = True
     diagnostics: bool = False
     max_iter: int | None = None
@@ -123,10 +117,9 @@ class SolverConfig:
             raise RecyklError(f"unknown mode {self.mode!r}; expected 'cg' or 'fom'")
         if self.max_iter is not None and self.max_iter < 1:
             raise RecyklError(f"max_iter must be at least 1, got {self.max_iter}")
-        for key in ("eps_hat_factor", "eps_inner_factor"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise RecyklError(f"{key} must be a positive finite number, got {value}")
+        value = self.eps_hat_factor
+        if not (math.isfinite(value) and value > 0):
+            raise RecyklError(f"eps_hat_factor must be a positive finite number, got {value}")
 
 
 @dataclass
@@ -199,56 +192,42 @@ class SystemTrace:
     truncated: bool
 
 
-class InnerIterativeProjection:
-    """Reduced solves Y'AY mu = Y'Az by nested augmented CG.
+# perfbench's tracer times the full_orth projections by wrapping this
+# class's __call__ (perfbench/ledger.py), so the class keeps its name
+class InnerIterativeProjection(DirectReducedProjection):
+    """The ``full_orth`` projection: reduced solves G mu = Y'Az over all of Y.
 
-    The one reduced-space solver: stage 2 is its first nested run and each
-    ``full_orth`` projection a later one.  It reads A only through the
-    products ``AY`` and the reduced matrix ``G`` = Y'AY the solve formed
-    from them, so no run and no right-hand side Y'Az = (AY)'z costs a
-    matvec.  Every run is augmented with the blocks already understood in
-    reduced coordinates: the stage-1 selection, then the direction block of
-    each earlier run.  ``basis`` stacks those blocks, and ``proj``, a
-    :class:`~recykl.krylov.DirectReducedProjection` over them, holds G
-    times them and the stage-1 Gram factor; each run extends both.
+    Built from the products ``AY`` and the Cholesky factor of G = Y'AY the
+    solve formed from them, so each projection is one product (AY)'z and
+    one backsolve, and costs no matvec.
     """
 
-    def __init__(self, G: np.ndarray, AY: np.ndarray, tol: float, mode: str,
-                 basis: np.ndarray, proj: DirectReducedProjection):
-        self.AY = AY
-        self.tol = tol
-        self.mode = mode
-        self.max_iter = 3 * G.shape[0] + 10
-        self.op = ReducedSpdOperator(G)
-        self.basis = basis
-        self.proj = proj
 
-    def extend(self, bhat: np.ndarray, ybase: np.ndarray, tol: float) -> AugmentedPcgResult:
-        """One nested run on Y'AY v = bhat from ``ybase`` over the blocks.
+def _stage2(G, bhat, what, s, factor, tol, mode) -> AugmentedPcgResult:
+    """Stage 2: augmented CG on G v = bhat from the stage-1 solution ``what``.
 
-        The run's directions become the next block, with the run's own
-        products ``AV`` = G V as its cross term.  ``tol`` is floored at
-        1e-13 ||bhat||, the accuracy round-off leaves attainable.  Returns
-        the run's result (partial when the budget ran out); a run that
-        raises adds no block.
-        """
-        tol = max(tol, 1e-13 * float(np.linalg.norm(bhat)))
-        try:
-            res = augmented_pcg(self.op, bhat, ybase, self.basis, self.proj, None, tol,
-                                mode=self.mode, max_iter=self.max_iter,
-                                r0=bhat - self.proj.cross @ ybase)
-        except NotConverged as exc:
-            res = exc.partial
-        if res.k > 0:
-            self.basis = stack_blocks([self.basis, res.V], self.basis.shape[0])
-            self.proj.append(res.AV)
-        return res
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        # A is symmetric, so Y'(Az) = (AY)'z
-        bhat = self.AY.T @ z
-        ybase = self.proj.solve_gram(self.basis.T @ bhat)
-        return self.extend(bhat, ybase, self.tol).x
+    Augmented with the stage-1 selection, whose Gram factor is ``factor``;
+    at most 3y + 10 iterations, to ``tol`` floored at 1e-13 ||bhat|| (the
+    attainable accuracy), a run out of budget returning its partial result.
+    The block leaves G-orthonormal in either mode by CholeskyQR with the
+    run's products, since ``cg`` loses that and stage 3 assumes it; a
+    failing factor raises NotPositiveDefinite.
+    """
+    y = G.shape[0]
+    proj = DirectReducedProjection(G[:, s:], factor)
+    tol = max(tol, 1e-13 * float(np.linalg.norm(bhat)))
+    try:
+        res = augmented_pcg(ReducedSpdOperator(G), bhat, what, np.eye(y)[:, s:], proj, None,
+                            tol, mode=mode, max_iter=3 * y + 10, r0=bhat - proj.cross @ what)
+    except NotConverged as exc:
+        res = exc.partial
+    if res.k:
+        # V <- V L^-T (AV with it) and vhat <- L' vhat keep the iterate V vhat
+        gram = res.V.T @ res.AV
+        L = dense_cholesky(0.5 * (gram + gram.T))
+        res.V, res.AV = L.solve_lower(res.V.T).T, L.solve_lower(res.AV.T).T
+        res.vhat = L.full().T @ res.vhat
+    return res
 
 
 def solve_system(
@@ -302,7 +281,6 @@ def solve_system(
     r0 = b - spmv(A, xbar, sink) if xbar is not None else b.copy()
     eps = float(eps)
     eps_hat = cfg.eps_hat_factor * eps
-    eps_inner = cfg.eps_inner_factor * eps
     if track_iterates:
         record("start", 0, xbar if xbar is not None else np.zeros(A.n))
 
@@ -318,7 +296,7 @@ def solve_system(
     cols: list[np.ndarray] = []  # each stage's block of the stage-3 basis
     starts: list[np.ndarray] = []  # its Galerkin start coefficients
     proj = None  # the stage-3 projection over those blocks
-    stage2_broke = False
+    full = None  # the full_orth projection over all of Y, when it runs
     if y and y - s <= A.n:
         # stage 1: direct solve over W, factor cached for every later stage
         W = Y[:, s:]
@@ -341,10 +319,9 @@ def solve_system(
             record("stage1", 0, add_center(W @ what))
         # the columns in front of W take one block product, one matvec each
         AY = np.concatenate([spmv(A, Y[:, :s], sink), proj.cross], axis=1) if s else proj.cross
-        inner_needed = s > 0 or cfg.truncation.full_orth
-        if inner_needed or cfg.diagnostics:
+        if s or cfg.diagnostics:
             # the reduced matrix, formed once from the products; symmetric
-            # by construction, as the nested runs' CG assumes
+            # by construction, as stage 2's CG assumes
             G = Y.T @ AY
             G = 0.5 * (G + G.T)
             sink.add_gram()
@@ -352,47 +329,40 @@ def solve_system(
             eigs, _ = symmetric_evd(G)
             report.reduced_condition = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("inf")
 
-        # the reduced-space solver of stage 2 and the full_orth projections
-        if inner_needed:
-            inner = InnerIterativeProjection(
-                G, AY, eps_inner, cfg.mode, np.eye(y)[:, s:],
-                DirectReducedProjection(G[:, s:], proj.factor),
-            )
-        # stage 2: the first nested run, over all of Y from the stage-1
-        # solution, augmented with the stage-1 selection block
-        if s > 0:
+        # stage 2: over all of Y from the stage-1 solution, augmented with
+        # the stage-1 selection block
+        if s:
             try:
-                stage2 = inner.extend(Y.T @ r0, what, eps_hat)
-            except Breakdown:
+                stage2 = _stage2(G, Y.T @ r0, what, s, proj.factor, eps_hat, cfg.mode)
+            except (Breakdown, NotPositiveDefinite):
                 # stage 2 contributes nothing: stage 3 starts from the
                 # stage-1 solution, which is Galerkin over W only, so even
                 # under full_orth it augments with the stage-1 block alone
-                stage2_broke = True
                 report.stage2_converged = False
             else:
                 yhat_comb = stage2.x
                 report.stage2_iters = stage2.k
                 report.stage2_converged = stage2.converged
                 report.stage2_residual_history = stage2.residual_history
-                if stage2.k and not cfg.truncation.full_orth:
-                    # read only by the stage-3 projection, not full_orth's.
-                    # V is Fortran-ordered; the product rounds as the
-                    # fixtures pin it from a C copy
-                    V2 = np.ascontiguousarray(stage2.V)
-                    cols.append(Y @ V2)
+                if cfg.truncation.full_orth:
+                    try:
+                        full = InnerIterativeProjection(AY, dense_cholesky(G))
+                    except NotPositiveDefinite:
+                        pass  # G lost definiteness: project over the stage blocks
+                if full is None and stage2.k:
+                    cols.append(Y @ stage2.V)
                     starts.append(stage2.vhat)
-                    proj.append(AY @ V2)
+                    proj.append(AY @ stage2.V)
         if track_iterates:
             record("stage2", 0, add_center(Y @ yhat_comb))
 
     # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
     # New directions stay A-orthogonal to the stacked blocks, each
     # projection backsolving the stage-1 factor, or with ``full_orth`` to
-    # all of Y, each projection a further nested run of ``inner``.  Both
-    # start from the iterate Y yhat_comb.
-    full_orth = cfg.truncation.full_orth and y > 0 and not stage2_broke
-    if full_orth:
-        stage3_basis, stage3_start = Y, yhat_comb
+    # all of Y, each projection backsolving G's factor.  Both start from
+    # the iterate Y yhat_comb.
+    if full is not None:
+        stage3_basis, stage3_start, proj = Y, yhat_comb, full
     else:
         stage3_basis = stack_blocks(cols, A.n)
         stage3_start = np.concatenate(starts) if starts else np.zeros(0)
@@ -404,7 +374,7 @@ def solve_system(
             r0,
             stage3_start,
             stage3_basis,
-            inner if full_orth else proj,
+            proj,
             M,
             eps,
             # a run that keeps no directions has nothing to orthogonalize

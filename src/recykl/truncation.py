@@ -54,9 +54,10 @@ class TruncationConfig:
     smaller of criterion and pin wins).  ``storage_cap`` is the accumulated
     width that triggers truncation; between truncations every new direction
     joins the stage-1 block.  ``full_orth`` selects the stage-3 variant that
-    orthogonalizes against the entire augmenting basis through inner
-    iterations.  ``deflate_dim``, the count deflation retains, and the pins
-    ``max_dim`` and ``stage1_dim``, when set, are at least 1.
+    orthogonalizes against the entire augmenting basis, backsolving the
+    Cholesky factor of its reduced matrix Y'AY.  ``deflate_dim``, the count
+    deflation retains, and the pins ``max_dim`` and ``stage1_dim``, when
+    set, are at least 1.
     """
 
     strategy: str = "pod-a-rbf"

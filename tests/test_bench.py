@@ -37,18 +37,17 @@ class TestMethodSpec:
                            "storage_cap": 30, "max_dim": 20, "full_orth": True},
             "mode": "cg",
             "precond": "ssor:1.5",
-            "tolerances": {"eps_hat_factor": 1e-5, "eps_inner_factor": 1e-3},
+            "tolerances": {"eps_hat_factor": 1e-5},
         }
         spec = MethodSpec.from_dict(raw)
         assert spec.config.truncation.full_orth
         assert spec.config.mode == "cg"
         assert spec.config.precond == "ssor:1.5"
         assert spec.config.eps_hat_factor == 1e-5
-        assert spec.config.eps_inner_factor == 1e-3
         # keys left out of the file keep the solver defaults
         plain = MethodSpec.from_dict({"name": "plain"}).config
         assert plain.precond == "identity"
-        assert (plain.eps_hat_factor, plain.eps_inner_factor) == (1e-4, 1e-2)
+        assert plain.eps_hat_factor == 1e-4
 
     def test_name_only_entry_is_default_config(self):
         assert MethodSpec.from_dict({"name": "plain"}).config == SolverConfig()

@@ -256,7 +256,8 @@ class TestExitCodes:
         ({"truncation": {"strategy": "pod-a-rbf", "stage1_dim": -2, "storage_cap": 10}},
          "stage1_dim"),
         ({"tolerances": {"eps_hat_factor": -1}}, "eps_hat_factor"),
-        ({"tolerances": {"eps_inner_factor": float("nan")}}, "eps_inner_factor"),
+        pytest.param({"tolerances": {"eps_inner_factor": 1e-2}},
+                     "unknown key 'eps_inner_factor'", id="entry15-eps_inner_factor"),
         pytest.param({"truncation": {"strategy": "pod-a-rbf", "storage_cap": float("nan")}},
                      "storage cap", id="nan-storage-cap"),
         pytest.param(b'[{"name": "unclosed"', "methods.json:1: invalid JSON", id="invalid-json"),

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from helpers import make_spd, random_basis
 from recykl import preconditioners as pc
 from recykl import threestage
 from recykl.bench import default_methods, run_methods
-from recykl.errors import Breakdown, DimensionMismatch, NotPositiveDefinite, RecyklError
-from recykl.krylov import DirectReducedProjection, augmented_pcg
+from recykl.errors import Breakdown, NotPositiveDefinite, RecyklError
+from recykl.krylov import ReducedSpdOperator, augmented_pcg
 from recykl.linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
@@ -44,7 +45,7 @@ class TestSolverConfig:
     def test_default_method(self):
         cfg = SolverConfig()
         assert cfg.precond == "identity"
-        assert (cfg.eps_hat_factor, cfg.eps_inner_factor) == (1e-4, 1e-2)
+        assert cfg.eps_hat_factor == 1e-4
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(RecyklError, match="gmres"):
@@ -499,23 +500,70 @@ class TestMonolithicAgreement:
 
 
 class TestFullOrthVariant:
-    def test_phi1_directions_orthogonal_to_whole_basis(self):
-        seq = gen_diffusion_sequence((9, 9), p=4, delta=0.03, seed=38, tol=1e-9)
-        # tighten the inner tolerance towards exact projections
-        cfg = solver_cfg(full_orth=True, stage1_dim=3, nu_w=1.0, eps_inner_factor=1e-12)
-        state = RecycleState.empty(seq.n)
-        traces = []
-        for spec in seq:
-            solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg, trace_out=traces)
-        t = traces[-1]
-        # directions generated in the last stage 3 are the trailing block of
-        # the exit basis (no truncation fired here)
-        k = t.Y_exit.shape[1] - t.Y_entry.shape[1]
-        if k > 0:
-            V = t.Y_exit[:, -k:]
-            Ad = t.A.to_dense()
-            scale = np.linalg.norm(Ad @ t.Y_entry, 2)
-            assert np.max(np.abs(t.Y_entry.T @ Ad @ V)) <= 1e-6 * scale
+    def test_phi1_directions_orthogonal_to_whole_basis(self, monkeypatch):
+        # under full_orth every stage-3 direction of a system whose basis is
+        # wider than its stage-1 block is A-orthogonal to all of Y to
+        # round-off: each projection backsolves G's Cholesky factor.  The
+        # cap truncates, so later systems enter with such a basis
+        real = threestage.augmented_pcg
+        stage3 = []
+
+        def spy(op, *args, **kwargs):
+            res = real(op, *args, **kwargs)
+            if isinstance(op, SparseSpdMatrix):
+                stage3.append(res.V)
+            return res
+
+        monkeypatch.setattr(threestage, "augmented_pcg", spy)
+        seq = gen_diffusion_sequence((12, 12), p=10, delta=0.03, seed=38, tol=1e-9)
+        for mode in ("fom", "cg"):
+            cfg = solver_cfg(full_orth=True, storage_cap=16, max_dim=8, stage1_dim=3,
+                             mode=mode)
+            state = RecycleState.empty(seq.n)
+            checked = 0
+            for spec in seq:
+                Y, s = state.Y, state.stage1_start
+                stage3.clear()
+                solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
+                (V,) = stage3
+                if s and V.shape[1]:
+                    AY = spec.A.to_dense() @ Y
+                    assert np.max(np.abs(AY.T @ V)) <= 1e-14 * np.linalg.norm(AY, 2), mode
+                    checked += 1
+            assert checked > 0, mode
+
+    def test_failed_reduced_factor_projects_over_stage_blocks(self, monkeypatch):
+        # when G = Y'AY fails its Cholesky factorization, a full_orth solve
+        # runs as it would without full_orth: stage 2 hands out its block
+        # and stage 3 projects over the stage blocks
+        real_stage2, real_cholesky = threestage._stage2, threestage.dense_cholesky
+        reduced, injected = [], []
+
+        def spy_stage2(G, *args):
+            reduced.append(G)
+            return real_stage2(G, *args)
+
+        def failing_cholesky(M):
+            if reduced and M is reduced[-1]:
+                injected.append(M.shape[0])
+                raise NotPositiveDefinite("injected")
+            return real_cholesky(M)
+
+        monkeypatch.setattr(threestage, "_stage2", spy_stage2)
+        monkeypatch.setattr(threestage, "dense_cholesky", failing_cholesky)
+        seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
+        runs = [run_sequence(seq, solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7",
+                                             full_orth=full_orth))
+                for full_orth in (False, True)]
+        (xs, reports, _), (xs_it, reports_it, _) = runs
+        # systems 2 to 4 run stage 2, and only the full_orth run factors G
+        assert len(reduced) == 6 and len(injected) == 3
+        for spec, x, x_it, r, r_it in zip(seq, xs, xs_it, reports, reports_it):
+            assert r_it.converged and r_it.stage2_converged
+            assert np.linalg.norm(spec.b - spmv(spec.A, x_it)) <= spec.tol
+            assert np.array_equal(x_it, x)
+            assert (r_it.matvecs, r_it.stage2_iters, r_it.stage3_iters) == (
+                r.matvecs, r.stage2_iters, r.stage3_iters)
 
 
 class TestPartialFailure:
@@ -578,29 +626,6 @@ class TestStage1Fallback:
 
 
 class TestReducedProjections:
-    def test_extend_appends_run_products(self):
-        # a nested run's block enters the projection with the run's own
-        # products, which are G V = Y'A(YV)
-        A = make_spd(12, seed=62)
-        Y = np.linalg.qr(random_basis(12, 5, seed=63))[0]
-        Ad, W = A.to_dense(), Y[:, :2]
-        AY = Ad @ Y
-        G = Y.T @ AY
-        proj = DirectReducedProjection(G[:, :2], dense_cholesky(W.T @ Ad @ W))
-        inner = InnerIterativeProjection(G, AY, 1e-12, "fom", np.eye(5)[:, :2], proj)
-        bhat = np.random.default_rng(64).standard_normal(5)
-        res = inner.extend(bhat, proj.solve_gram(inner.basis.T @ bhat), 1e-12)
-        assert res.k > 0
-        expected = Y.T @ Ad @ Y @ res.V
-        got = proj.cross[:, 2:]
-        assert np.array_equal(got, res.AV)
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-        # the block is G-orthonormal, so the projection backsolves only the
-        # stage-1 factor
-        assert np.linalg.norm(res.V.T @ got - np.eye(res.k)) <= 1e-12
-        rhs = np.arange(2.0 + res.k)
-        assert np.array_equal(proj.solve_gram(rhs)[2:], rhs[2:])
-
     def test_projection_right_hand_side_reads_products(self):
         # a full_orth projection forms Y'Az as (AY)'z: no matvec, and the
         # result solves the reduced system G mu = Y'Az
@@ -609,13 +634,11 @@ class TestReducedProjections:
         Ad = A.to_dense()
         AY = Ad @ Y
         G = Y.T @ AY
-        W = Y[:, :2]
-        proj = DirectReducedProjection(G[:, :2], dense_cholesky(W.T @ Ad @ W))
-        inner = InnerIterativeProjection(G, AY, 1e-13, "fom", np.eye(5)[:, :2], proj)
+        inner = InnerIterativeProjection(AY, dense_cholesky(0.5 * (G + G.T)))
         z = np.random.default_rng(68).standard_normal(12)
         mu = inner(z)
         expected = np.linalg.solve(G, Y.T @ Ad @ z)
-        assert np.linalg.norm(mu - expected) <= 1e-9 * np.linalg.norm(expected)
+        assert np.linalg.norm(mu - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_stage3_handle_matches_dense_oracle(self, monkeypatch):
         # after a stage 2 that adds a block, the stage-3 handle projects onto
@@ -716,33 +739,19 @@ class TestStage2Breakdown:
                 assert report.failure is None, where
                 assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol, where
 
-    def test_broken_run_drops_its_products(self, monkeypatch):
-        def broken(op, bhat, *args, **kwargs):
-            op.apply(bhat)
-            raise Breakdown("injected")
-
-        monkeypatch.setattr(threestage, "augmented_pcg", broken)
-        A = make_spd(8, seed=60)
-        Y = np.linalg.qr(random_basis(8, 3, seed=61))[0]
-        AY = A.to_dense() @ Y
-        G = Y.T @ AY
-        proj = DirectReducedProjection(G[:, :1], dense_cholesky(G[:1, :1]))
-        inner = InnerIterativeProjection(G, AY, 1e-10, "fom", np.eye(3)[:, :1], proj)
-        with pytest.raises(Breakdown):
-            inner.extend(np.ones(3), np.zeros(1), 1e-10)
-        assert inner.basis.shape == (3, 1) and proj.cross.shape == (3, 1)
-        with pytest.raises(DimensionMismatch):
-            proj.solve_gram(np.ones(2))
-
     @pytest.mark.parametrize("full_orth", [False, True])
     def test_broken_stage2_contributes_nothing(self, monkeypatch, full_orth):
-        # stage 2 is the first run of each system's reduced-space solver;
-        # after it breaks down stage 3 starts from the stage-1 solution and,
-        # full_orth or not, augments with the stage-1 block alone
-        def break_stage2(self, bhat, ybase, tol):
-            raise Breakdown("injected")
+        # stage 2 is the one run over the reduced operator; after it breaks
+        # down stage 3 starts from the stage-1 solution and, full_orth or
+        # not, augments with the stage-1 block alone
+        real = threestage.augmented_pcg
 
-        monkeypatch.setattr(InnerIterativeProjection, "extend", break_stage2)
+        def break_stage2(op, *args, **kwargs):
+            if isinstance(op, ReducedSpdOperator):
+                raise Breakdown("injected")
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(threestage, "augmented_pcg", break_stage2)
         seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
         cfg = solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7",
                          full_orth=full_orth)
@@ -759,6 +768,36 @@ class TestStage2Breakdown:
                 assert not report.stage2_converged and report.stage2_iters == 0
                 assert report.stage1_dim == width
         assert ran_stage2 == 3
+
+
+class TestTwoTermRecurrence:
+    def test_split_pod_converges(self):
+        # the cg stage-2 block once lost G-orthonormality (|V'GV - I| = 3e-8)
+        # while the stage-3 projection took its Gram block as I: system 7 ran
+        # stage 3 to its budget at a residual of 80.  The block now leaves
+        # stage 2 through CholeskyQR
+        seq = gen_diffusion_sequence((30, 30), 20, 0.05, seed=1, tol=1e-9)
+        (method,) = [m for m in default_methods(storage_cap=50, precond="ssor:1.7", mode="cg")
+                     if m.name == "pod(5,20)"]
+        xs, reports, _ = run_sequence(seq, method.config)
+        assert len(reports) == seq.p
+        for spec, x, report in zip(seq, xs, reports):
+            assert report.converged, report.j
+            assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol, report.j
+
+    def test_full_orth_converges(self):
+        # each full_orth projection was once a nested cg run that left the
+        # stage-3 directions far from A-orthogonal to Y: system 7 ran to its
+        # cap of n = 2,025 iterations
+        seq = gen_diffusion_sequence((45, 45), 12, 0.5, seed=2, tol=1e-8)
+        (method,) = [m for m in default_methods(storage_cap=30, precond="jacobi", mode="cg")
+                     if m.name == "pod(5,10)it"]
+        cfg = dataclasses.replace(method.config, max_iter=300)
+        xs, reports, _ = run_sequence(seq, cfg)
+        assert len(reports) == seq.p
+        for spec, x, report in zip(seq, xs, reports):
+            assert report.converged, report.j
+            assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol, report.j
 
 
 class TestStage3Breakdown:
