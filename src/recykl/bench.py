@@ -166,8 +166,8 @@ def load_methods_file(path) -> list[MethodSpec]:
         raise RecyklError(f"{path}: cannot read methods file ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise RecyklError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(raw, list):
-        raise RecyklError(f"{path}: methods file must hold a JSON list")
+    if not isinstance(raw, list) or not raw:
+        raise RecyklError(f"{path}: methods file must hold a non-empty JSON list")
     return [MethodSpec.from_dict(entry) for entry in raw]
 
 

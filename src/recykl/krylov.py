@@ -14,10 +14,10 @@ empty-basis case) and over a :class:`ReducedSpdOperator`, the reduced matrix
 Y'AY of the staged solver's reduced space, which the solver forms once per
 system from the products AY.  The staged solver's direct
 projections, in either space, are :class:`DirectReducedProjection` handles,
-the one type that holds a set of mutually A-orthogonal augmenting blocks:
-their cached A-products and the Cholesky factor of the leading block's Gram
-matrix; every block appended after it is A-orthonormal.  :func:`stack_blocks`
-lays blocks side by side in the C order the frozen fixtures pin.
+the one type that holds an augmenting block: its cached A-products and the
+Cholesky factor of its whole Gram matrix, so the block need not be
+A-orthonormal.  :func:`stack_blocks` lays blocks side by side in the C
+order the frozen fixtures pin.
 
 Every run hands its directions out at unit A-norm, p / sqrt(p'Ap), with
 their products and the steps along them, so a returned block has V'AV = I.
@@ -91,32 +91,20 @@ def stack_blocks(arrays: list[np.ndarray], rows: int) -> np.ndarray:
 
 
 class DirectReducedProjection:
-    """Reduced solves mu = (B'AB)^{-1} B'Az over mutually A-orthogonal blocks.
+    """Reduced solves mu = (B'AB)^{-1} B'Az over an augmenting block B.
 
     ``cross`` holds A*B (in whatever space the operator acts), C-ordered, so
     B'Az is the dense product cross' z and no operator application is
-    needed.  The Gram matrix B'AB is block diagonal: the leading block is
-    the dense Cholesky ``factor`` of the first block of B, and every block
-    appended later is an A-orthonormal direction block (Gram block I).
+    needed.  ``factor`` is the dense Cholesky factor of the whole Gram
+    matrix B'AB, whatever the block: each solve is one backsolve.
     """
 
     def __init__(self, cross: np.ndarray, factor: DenseLowerTriangular):
         self.cross = np.ascontiguousarray(cross, dtype=np.float64)
         self.factor = factor
 
-    def append(self, cross_block: np.ndarray) -> None:
-        """Add an A-orthonormal block, A-orthogonal to those before, by A times it."""
-        self.cross = stack_blocks([self.cross, cross_block], self.cross.shape[0])
-
-    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (B'AB) mu = rhs: backsolve the leading block, keep the rest."""
-        m = self.factor.m
-        if rhs.shape[0] != self.cross.shape[1]:
-            raise DimensionMismatch("reduced projection: rhs length mismatch")
-        return np.concatenate([self.factor.solve_spd(rhs[:m]), rhs[m:]])
-
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.solve_gram(self.cross.T @ z)
+        return self.factor.solve_spd(self.cross.T @ z)
 
 
 class _DirectionStore:
@@ -173,9 +161,10 @@ class AugmentedPcgResult:
     """Outputs of one augmented-PCG run.
 
     ``x`` is the final iterate in the run's own coordinates (the caller adds
-    any outer centering); it equals Y @ yhat0 + V @ vhat.  The direction
-    block V is A-orthonormal (up to round-off, and ``cg``'s loss of
-    orthogonality), ``AV`` holds the operator's products with it, both
+    any outer centering); it equals Y @ yhat0 + V @ vhat.  The columns of
+    the direction block V have unit A-norm; ``fom`` keeps them A-orthogonal
+    to round-off, ``cg`` loses that in finite precision, and no caller
+    relies on it.  ``AV`` holds the operator's products with V, both
     Fortran-ordered.  A run that kept no directions returns V, AV and vhat
     with no columns; ``k`` still counts its iterations.
     """

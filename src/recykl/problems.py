@@ -121,6 +121,10 @@ def gen_diffusion_sequence(
         raise RecyklError(f"invalid grid {grid}")
     if not 0.0 <= delta < 1.0:
         raise RecyklError("coefficient drift must lie in [0, 1)")
+    if p < 1:
+        raise RecyklError(f"a sequence needs at least one system, got {p}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise RecyklError(f"tolerance {tol} is not finite and positive")
     n = nx * ny
     stream = Xorshift64Star(seed)
     kappa0 = 1.0 + 0.5 * np.array(stream.uniforms(n))
@@ -202,6 +206,8 @@ def load_sequence_manifest(path) -> SystemSequence:
         raw_systems = manifest["systems"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: manifest must carry 'n' and 'systems'") from exc
+    if not raw_systems:
+        raise ManifestError(f"{path}: manifest lists no systems")
     systems = []
     for idx, entry in enumerate(raw_systems, start=1):
         try:

@@ -10,16 +10,15 @@ across the sequence:
    and augmented with W.  G is formed once per system from the products
    AY: A W is reused and the other columns of Y take one block product, one
    matvec each; stage 2, ``full_orth`` and truncation read A only from AY
-   and G.  The run's block leaves G-orthonormal in either mode (CholeskyQR);
-3. one full-space augmented PCG run to the forcing tolerance.  Each stage
-   that ran contributes a block of columns and start coefficients, and its
-   A-products and Gram factor to one
-   :class:`~recykl.krylov.DirectReducedProjection`; the run starts from the
-   stacked blocks and keeps new directions A-orthogonal to them.  Under
-   ``full_orth``, after a stage 2, it keeps them A-orthogonal to all of Y
-   instead (:class:`InnerIterativeProjection`), each projection a
-   backsolve of G's Cholesky factor; if G fails to factor, the stage
-   blocks serve.  Every block after the stage-1 one is A-orthonormal.
+   and G;
+3. one full-space augmented PCG run to the forcing tolerance, keeping new
+   directions A-orthogonal to W, or to [W, Y V] after a stage 2 that took
+   a step.  Its :class:`~recykl.krylov.DirectReducedProjection` backsolves
+   the Cholesky factor of the block's whole Gram matrix, read off G, so no
+   block need be A-orthonormal.  Under ``full_orth``, after a stage 2, it
+   keeps them A-orthogonal to all of Y instead
+   (:class:`InnerIterativeProjection`, with G's factor); if G fails to
+   factor, the stage blocks serve.
 
 Stages 1 and 2 run only over a non-empty basis; without one (the first
 system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
@@ -203,31 +202,31 @@ class InnerIterativeProjection(DirectReducedProjection):
     """
 
 
-def _stage2(G, bhat, what, s, factor, tol, mode) -> AugmentedPcgResult:
+def _stage2(G, bhat, what, s, factor, tol, mode):
     """Stage 2: augmented CG on G v = bhat from the stage-1 solution ``what``.
 
-    Augmented with the stage-1 selection, whose Gram factor is ``factor``;
-    at most 3y + 10 iterations, to ``tol`` floored at 1e-13 ||bhat|| (the
-    attainable accuracy), a run out of budget returning its partial result.
-    The block leaves G-orthonormal in either mode by CholeskyQR with the
-    run's products, since ``cg`` loses that and stage 3 assumes it; a
+    Augmented with the stage-1 selection E = I[:, s:], whose Gram factor is
+    ``factor``; at most 3y + 10 iterations, to ``tol`` floored at
+    1e-13 ||bhat|| (the attainable accuracy), a run out of budget returning
+    its partial result.  Returns the run and, when it took a step, the
+    Cholesky factor of C'GC for C = [E, V]: the Gram matrix of the stage-3
+    block [W, Y V], whatever the mode leaves of V's G-orthogonality; a
     failing factor raises NotPositiveDefinite.
     """
     y = G.shape[0]
+    E = np.eye(y)[:, s:]
     proj = DirectReducedProjection(G[:, s:], factor)
     tol = max(tol, 1e-13 * float(np.linalg.norm(bhat)))
     try:
-        res = augmented_pcg(ReducedSpdOperator(G), bhat, what, np.eye(y)[:, s:], proj, None,
+        res = augmented_pcg(ReducedSpdOperator(G), bhat, what, E, proj, None,
                             tol, mode=mode, max_iter=3 * y + 10, r0=bhat - proj.cross @ what)
     except NotConverged as exc:
         res = exc.partial
-    if res.k:
-        # V <- V L^-T (AV with it) and vhat <- L' vhat keep the iterate V vhat
-        gram = res.V.T @ res.AV
-        L = dense_cholesky(0.5 * (gram + gram.T))
-        res.V, res.AV = L.solve_lower(res.V.T).T, L.solve_lower(res.AV.T).T
-        res.vhat = L.full().T @ res.vhat
-    return res
+    if not res.k:
+        return res, None
+    C = np.concatenate([E, res.V], axis=1)
+    gram = C.T @ (G @ C)
+    return res, dense_cholesky(0.5 * (gram + gram.T))
 
 
 def solve_system(
@@ -293,32 +292,31 @@ def solve_system(
     y = Y.shape[1]
     s = state.stage1_start if y else 0  # the stage-1 block is Y[:, s:]
     yhat_comb = np.zeros(y)  # coefficients over the entry basis
-    cols: list[np.ndarray] = []  # each stage's block of the stage-3 basis
-    starts: list[np.ndarray] = []  # its Galerkin start coefficients
-    proj = None  # the stage-3 projection over those blocks
-    full = None  # the full_orth projection over all of Y, when it runs
+    stage1 = None  # the stage-1 projection over W
     if y and y - s <= A.n:
         # stage 1: direct solve over W, factor cached for every later stage
         W = Y[:, s:]
         try:
-            what, proj = direct_reduced_solve(A, r0, W, sink)
+            what, stage1 = direct_reduced_solve(A, r0, W, sink)
         except NotPositiveDefinite:
             pass
-    if y and proj is None:
+    if y and stage1 is None:
         # the stage-1 Gram matrix W'AW is singular (W has more columns than
         # A has rows) or lost definiteness in round-off: solve this system
         # over an empty basis, as without recycling
         report.stage1_fallback = True
         Y, y, s = Y[:, :0], 0, 0
+    # the stage-3 basis, start coefficients and projection: the empty basis,
+    # W, [W, Y V2] or, under full_orth, all of Y; each start is Y yhat_comb
+    stage3_basis, stage3_start, proj = Y, np.zeros(0), None
     AY = None  # A times the entry basis, once stage 1 has run
     if y:
-        cols.append(W)
-        starts.append(what)
+        stage3_basis, stage3_start, proj = W, what, stage1
         yhat_comb[s:] = what
         if track_iterates:
             record("stage1", 0, add_center(W @ what))
         # the columns in front of W take one block product, one matvec each
-        AY = np.concatenate([spmv(A, Y[:, :s], sink), proj.cross], axis=1) if s else proj.cross
+        AY = np.concatenate([spmv(A, Y[:, :s], sink), stage1.cross], axis=1) if s else stage1.cross
         if s or cfg.diagnostics:
             # the reduced matrix, formed once from the products; symmetric
             # by construction, as stage 2's CG assumes
@@ -333,7 +331,7 @@ def solve_system(
         # the stage-1 selection block
         if s:
             try:
-                stage2 = _stage2(G, Y.T @ r0, what, s, proj.factor, eps_hat, cfg.mode)
+                stage2, factor = _stage2(G, Y.T @ r0, what, s, stage1.factor, eps_hat, cfg.mode)
             except (Breakdown, NotPositiveDefinite):
                 # stage 2 contributes nothing: stage 3 starts from the
                 # stage-1 solution, which is Galerkin over W only, so even
@@ -347,25 +345,20 @@ def solve_system(
                 if cfg.truncation.full_orth:
                     try:
                         full = InnerIterativeProjection(AY, dense_cholesky(G))
+                        stage3_basis, stage3_start, proj = Y, yhat_comb, full
                     except NotPositiveDefinite:
                         pass  # G lost definiteness: project over the stage blocks
-                if full is None and stage2.k:
-                    cols.append(Y @ stage2.V)
-                    starts.append(stage2.vhat)
-                    proj.append(AY @ stage2.V)
+                if proj is stage1 and factor is not None:
+                    # the Gram factor of [W, Y V2] came with the run
+                    stage3_basis = stack_blocks([W, Y @ stage2.V], A.n)
+                    stage3_start = np.concatenate([what, stage2.vhat])
+                    proj = DirectReducedProjection(
+                        stack_blocks([stage1.cross, AY @ stage2.V], A.n), factor)
         if track_iterates:
             record("stage2", 0, add_center(Y @ yhat_comb))
 
-    # stage 3: augmented PCG from the stage blocks to the forcing tolerance.
-    # New directions stay A-orthogonal to the stacked blocks, each
-    # projection backsolving the stage-1 factor, or with ``full_orth`` to
-    # all of Y, each projection backsolving G's factor.  Both start from
-    # the iterate Y yhat_comb.
-    if full is not None:
-        stage3_basis, stage3_start, proj = Y, yhat_comb, full
-    else:
-        stage3_basis = stack_blocks(cols, A.n)
-        stage3_start = np.concatenate(starts) if starts else np.zeros(0)
+    # stage 3: augmented PCG from that basis to the forcing tolerance, each
+    # projection one backsolve of the basis's Gram factor
     stage3_r0 = r0 - AY @ yhat_comb if y else r0
     monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
     try:

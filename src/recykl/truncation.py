@@ -15,6 +15,12 @@ the one reader of the strategy name; the solver only asks
   eigenvectors of the just-solved matrix with the smallest eigenvalues;
 - ``none``, which never truncates.
 
+POD truncation depends on the basis of the grown block, not only on its
+range: permuting Z's columns together with the weight snapshots keeps the
+retained span, but an A-orthogonal rotation Z <- ZQ, eta <- Q'eta, moves
+it.  The unit-A-norm CG directions the staged solver appends are therefore
+part of the method.
+
 Every outcome carries the retained A-orthonormal basis, the stage-1 prefix
 width, and the spectrum it was cut from.  Every strategy reads A only from
 the products AZ: a caller that already holds them (the staged solver keeps

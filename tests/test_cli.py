@@ -34,6 +34,15 @@ class TestGenerate:
                      "--delta", "0", "--out-dir", str(out)]) == 0
         assert (out / "A_001.mtx").read_text() == (out / "A_003.mtx").read_text()
 
+    @pytest.mark.parametrize("flags", [["--systems", "0"], ["--systems", "-3"],
+                                       ["--tol", "-1"], ["--tol", "nan"]])
+    def test_invalid_sequence_exit_3(self, tmp_path, capsys, flags):
+        # rejected at the source, before a manifest the loader refuses
+        out = tmp_path / "bad"
+        assert main(["generate", "--grid", "3", "3", "--out-dir", str(out), *flags]) == 3
+        assert flags[1] in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestRun:
     def test_run_writes_reports(self, sequence_dir, tmp_path):
@@ -101,6 +110,27 @@ class TestRun:
                      "--out-dir", str(out)])
         assert code == 3
         assert "A_002.mtx" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--tol-sweep"]])
+    def test_empty_manifest_exit_3(self, tmp_path, capsys, flags):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"n": 4, "systems": []}))
+        out = tmp_path / "res"
+        assert main(["run", "--manifest", str(manifest), "--out-dir", str(out), *flags]) == 3
+        assert "lists no systems" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "output-error"])
+    def test_empty_methods_file_exit_3(self, sequence_dir, tmp_path, capsys, command):
+        spec_path = tmp_path / "methods.json"
+        spec_path.write_text("[]")
+        out = tmp_path / "res"
+        code = main([command, "--manifest", str(sequence_dir / "manifest.json"),
+                     "--methods", str(spec_path), "--out-dir", str(out)])
+        assert code == 3
+        assert "methods.json: methods file must hold a non-empty JSON list" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_usage_error_exit_3(self):

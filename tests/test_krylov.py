@@ -365,21 +365,18 @@ class TestReducedOperator:
 
 class TestProjectionHandles:
     def test_block_factor_matches_dense_oracle(self):
-        # appended direction blocks are A-orthonormal: their Gram block is I
-        L = dense_cholesky(make_spd_dense(4, seed=50))
-        cross = np.random.default_rng(52).standard_normal((9, 7))
-        proj = DirectReducedProjection(cross[:, :4], L)
-        proj.append(cross[:, 4:6])
-        proj.append(cross[:, 6:])
-        G = np.eye(7)
-        G[:4, :4] = L.full() @ L.full().T
-        rhs = np.random.default_rng(51).standard_normal(7)
-        assert np.allclose(proj.solve_gram(rhs), np.linalg.solve(G, rhs), atol=1e-10)
+        # the factor covers the whole Gram matrix B'AB, so a block that is
+        # not A-orthonormal projects exactly
+        Ad = make_spd_dense(9, seed=50)
+        B = random_basis(9, 7, seed=51)
+        cross = Ad @ B
+        gram = B.T @ cross
+        assert np.linalg.norm(gram - np.eye(7)) > 0.1
+        proj = DirectReducedProjection(cross, dense_cholesky(0.5 * (gram + gram.T)))
         assert np.array_equal(proj.cross, cross) and proj.cross.flags.c_contiguous
         z = np.random.default_rng(53).standard_normal(9)
-        assert np.allclose(proj(z), np.linalg.solve(G, cross.T @ z), atol=1e-10)
-        with pytest.raises(DimensionMismatch):
-            proj.solve_gram(rhs[:6])
+        expected = np.linalg.solve(gram, cross.T @ z)
+        assert np.linalg.norm(proj(z) - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_stack_returns_single_c_block(self):
         B = np.arange(12.0).reshape(4, 3)

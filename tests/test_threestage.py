@@ -640,9 +640,11 @@ class TestReducedProjections:
         expected = np.linalg.solve(G, Y.T @ Ad @ z)
         assert np.linalg.norm(mu - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_stage3_handle_matches_dense_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["fom", "cg"])
+    def test_stage3_handle_matches_dense_oracle(self, monkeypatch, mode):
         # after a stage 2 that adds a block, the stage-3 handle projects onto
-        # B = [W, Y V2]: it returns (B'AB)^{-1} B'Az
+        # B = [W, Y V2]: it returns (B'AB)^{-1} B'Az.  In cg mode nothing
+        # makes V2 G-orthonormal; the handle's factor covers all of B'AB
         real = threestage.augmented_pcg
         runs = []
 
@@ -655,7 +657,7 @@ class TestReducedProjections:
         seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
         # truncation after every system keeps a 3-column stage-1 block
         # narrower than Y, so systems 2 to 4 each run stage 2
-        cfg = solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7")
+        cfg = solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7", mode=mode)
         state = RecycleState.empty(seq.n)
         rng = np.random.default_rng(65)
         checked = 0
@@ -678,9 +680,10 @@ class TestReducedProjections:
 
 class TestAOrthonormalBlocks:
     def test_stage3_blocks_and_appended_directions(self, monkeypatch):
-        # every block after the stage-1 one is A-orthonormal: the stage-3
-        # projection's Gram matrix is blockdiag(W'AW, I), and the directions
-        # a solve appends to Y have V'AV = I
+        # in fom mode stage 2 hands out a block A-orthonormal and
+        # A-orthogonal to W, so the stage-3 projection's Gram matrix is
+        # blockdiag(W'AW, I), though its factor assumes no such shape; the
+        # directions a solve appends to Y have V'AV = I
         real = threestage.augmented_pcg
         stage3_args = []
 
@@ -742,40 +745,63 @@ class TestStage2Breakdown:
     @pytest.mark.parametrize("full_orth", [False, True])
     def test_broken_stage2_contributes_nothing(self, monkeypatch, full_orth):
         # stage 2 is the one run over the reduced operator; after it breaks
-        # down stage 3 starts from the stage-1 solution and, full_orth or
-        # not, augments with the stage-1 block alone
-        real = threestage.augmented_pcg
+        # down, or after the Gram matrix of the stacked block [W, Y V2]
+        # fails its factorization, stage 3 starts from the stage-1 solution
+        # and, full_orth or not, augments with the stage-1 block alone
+        real_pcg, real_cholesky = threestage.augmented_pcg, threestage.dense_cholesky
+        stepped, injected = [], []
 
-        def break_stage2(op, *args, **kwargs):
+        def break_run(op, *args, **kwargs):
             if isinstance(op, ReducedSpdOperator):
                 raise Breakdown("injected")
-            return real(op, *args, **kwargs)
+            return real_pcg(op, *args, **kwargs)
 
-        monkeypatch.setattr(threestage, "augmented_pcg", break_stage2)
+        def spy_run(op, *args, **kwargs):
+            res = real_pcg(op, *args, **kwargs)
+            if isinstance(op, ReducedSpdOperator) and res.k:
+                stepped.append(res.k)
+            return res
+
+        def break_factor(M):
+            # the first factor after a stage-2 step is the stacked block's
+            if stepped:
+                injected.append(M.shape[0] - stepped.pop())
+                raise NotPositiveDefinite("injected")
+            return real_cholesky(M)
+
         seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
         cfg = solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7",
                          full_orth=full_orth)
-        state = RecycleState.empty(seq.n)
-        ran_stage2 = 0
-        for spec in seq:
-            width = state.basis_dim - state.stage1_start
-            wider = state.stage1_start > 0
-            x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
-            assert report.converged and not report.stage1_fallback
-            assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol
-            if wider:
-                ran_stage2 += 1
-                assert not report.stage2_converged and report.stage2_iters == 0
-                assert report.stage1_dim == width
-        assert ran_stage2 == 3
+        for fault in ("run", "factor"):
+            if fault == "run":
+                monkeypatch.setattr(threestage, "augmented_pcg", break_run)
+            else:
+                monkeypatch.setattr(threestage, "augmented_pcg", spy_run)
+                monkeypatch.setattr(threestage, "dense_cholesky", break_factor)
+            state = RecycleState.empty(seq.n)
+            ran_stage2 = 0
+            for spec in seq:
+                width = state.basis_dim - state.stage1_start
+                wider = state.stage1_start > 0
+                x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
+                assert report.converged and not report.stage1_fallback, fault
+                assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol, fault
+                if wider:
+                    ran_stage2 += 1
+                    assert not report.stage2_converged and report.stage2_iters == 0, fault
+                    assert report.stage1_dim == width, fault
+            assert ran_stage2 == 3, fault
+        # each failing factor was of the stacked Gram matrix, W's width plus
+        # the run's steps
+        assert injected == [3, 3, 3]
 
 
 class TestTwoTermRecurrence:
     def test_split_pod_converges(self):
         # the cg stage-2 block once lost G-orthonormality (|V'GV - I| = 3e-8)
         # while the stage-3 projection took its Gram block as I: system 7 ran
-        # stage 3 to its budget at a residual of 80.  The block now leaves
-        # stage 2 through CholeskyQR
+        # stage 3 to its budget at a residual of 80.  The projection now
+        # factors the Gram matrix of the whole stacked block, read off G
         seq = gen_diffusion_sequence((30, 30), 20, 0.05, seed=1, tol=1e-9)
         (method,) = [m for m in default_methods(storage_cap=50, precond="ssor:1.7", mode="cg")
                      if m.name == "pod(5,20)"]

@@ -257,3 +257,39 @@ class TestCompressDispatch:
         with pytest.raises(DimensionMismatch):
             compress(Z, config, A, history_of(np.ones(6)), chalf=C,
                      products=A.to_scipy() @ Z[:, :5])
+
+
+class TestBasisDependence:
+    """POD truncation depends on the basis of the grown block, not only on its range.
+
+    A column permutation of an A-orthonormal block Z, applied to every
+    weight snapshot too, leaves the retained span unchanged; an A-orthogonal
+    rotation Z <- ZQ, eta <- Q'eta, of the same range moves it.  The
+    unit-A-norm CG directions stage 3 hands out are therefore part of the
+    method.
+    """
+
+    A = make_spd(30, seed=1)
+    Z = enforce_a_orthogonality(random_basis(30, 8, seed=2), A)[0]
+    etas = np.random.default_rng(3).standard_normal((3, 8))
+
+    def outcome(self, strategy, Z, etas):
+        config = cfg(strategy=strategy, max_dim=4, stage1_dim=2)
+        return compress(Z, config, self.A, history_of(*etas))
+
+    @pytest.mark.parametrize("strategy", ["pod-a-rbf", "pod-a-prev"])
+    def test_column_permutation_keeps_span(self, strategy):
+        perm = np.random.default_rng(4).permutation(8)
+        base = self.outcome(strategy, self.Z, self.etas)
+        moved = self.outcome(strategy, self.Z[:, perm], self.etas[:, perm])
+        assert moved.stage1_width == base.stage1_width
+        assert principal_angle_distance(moved.Y_new, base.Y_new) <= 1e-12
+
+    @pytest.mark.parametrize("strategy", ["pod-a-rbf", "pod-a-prev"])
+    def test_a_orthogonal_rotation_moves_span(self, strategy):
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))[0]
+        base = self.outcome(strategy, self.Z, self.etas)
+        # same range, same solutions Z eta, another A-orthonormal basis
+        rotated = self.outcome(strategy, self.Z @ Q, self.etas @ Q)
+        assert np.allclose((self.Z @ Q) @ (Q.T @ self.etas[0]), self.Z @ self.etas[0])
+        assert principal_angle_distance(rotated.Y_new, base.Y_new) > 0.5
