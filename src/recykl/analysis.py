@@ -35,13 +35,15 @@ _SLACK = 1e-8
 class BoundCheckReport:
     lhs: float
     rhs: float
-    satisfied: bool
     context: dict = field(default_factory=dict)
 
     @classmethod
     def compare(cls, lhs: float, rhs: float, context: dict) -> "BoundCheckReport":
-        return cls(lhs=float(lhs), rhs=float(rhs),
-                   satisfied=bool(lhs <= rhs * (1.0 + _SLACK) + 1e-300), context=context)
+        return cls(lhs=float(lhs), rhs=float(rhs), context=context)
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs <= self.rhs * (1.0 + _SLACK) + 1e-300
 
     def as_dict(self) -> dict:
         return {"lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied,

@@ -33,7 +33,7 @@ from .threestage import (
     solve_system,
     summarize_reports,
 )
-from .truncation import TruncationConfig, parse_strategy
+from .truncation import TruncationConfig
 from .weights import weights_ideal, weights_previous, weights_rbf
 
 TOL_SWEEP = tuple(10.0 ** (-k) for k in range(1, 7))
@@ -62,13 +62,9 @@ class MethodSpec:
         except KeyError as exc:
             raise RecyklError("method spec needs a 'name'") from exc
         _check_values(raw, _ENTRY_KEYS, name)
-        tr_raw = dict(raw.get("truncation", {}))
         # keys left out of the entry keep the SolverConfig defaults
-        if "storage_cap" in tr_raw and tr_raw["storage_cap"] in ("inf", None):
-            tr_raw["storage_cap"] = math.inf
+        tr_raw = raw.get("truncation", {})
         _check_values(tr_raw, _TRUNCATION_KEYS, f"{name}: truncation")
-        if "strategy" in tr_raw:
-            tr_raw.update(parse_strategy(tr_raw.pop("strategy")))
         tols = raw.get("tolerances", {})
         _check_values(tols, _TOLERANCE_KEYS, f"{name}: tolerances")
         kw = {k: raw[k] for k in _SOLVER_KEYS if k in raw}
@@ -210,7 +206,6 @@ def run_methods(
         from .problems import LinearSystemSpec
 
         seq_used = SystemSequence(
-            n=seq.n,
             systems=[
                 LinearSystemSpec(s.A, s.b, s.xbar, tol_override) for s in seq.systems
             ],
@@ -416,7 +411,7 @@ def weight_study(
         for k in dims:
             k_eff = min(k, pod.columns.shape[1])
             basis = pod.columns[:, :k_eff]
-            trial = RecycleState(n=seq.n, Y=basis, systems_seen=warmup)
+            trial = RecycleState(Y=basis, systems_seen=warmup)
             _, report = solve_system(target.A, target.b, target.xbar, trial, target.tol, cfg)
             rows.append({
                 "scheme": scheme,

@@ -16,6 +16,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -71,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sweep forcing tolerances 1e-1 .. 1e-6")
     run.add_argument("--precond", default=None,
                      help="identity, jacobi, or ssor:<omega>; overrides method specs")
-    run.add_argument("--storage-cap", type=int, default=50)
+    run.add_argument("--storage-cap", type=int, default=None,
+                     help="storage cap of the default roster (default 50)")
     run.add_argument("--diagnostics", action="store_true")
     run.add_argument("--out-dir", default="results")
 
@@ -80,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     oer.add_argument("--methods", help="JSON file with method specs")
     oer.add_argument("--precond", default=None,
                      help="identity, jacobi, or ssor:<omega>; overrides method specs")
-    oer.add_argument("--storage-cap", type=int, default=50)
+    oer.add_argument("--storage-cap", type=int, default=None,
+                     help="storage cap of the default roster (default 50)")
     oer.add_argument("--taus", type=float, nargs="+",
                      default=[10.0 ** (-k) for k in range(0, 9)])
     oer.add_argument("--out-dir", default="results")
@@ -103,17 +106,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_or_default_methods(args) -> list[bench.MethodSpec]:
-    precond = getattr(args, "precond", None)
-    if getattr(args, "methods", None):
+    """The methods file's roster or the default one, each config checked.
+
+    ``--precond`` overrides every method's preconditioner through a new
+    config, so the override is checked as the file's own values are.
+    """
+    precond = args.precond
+    if args.methods:
+        if args.storage_cap is not None:
+            raise RecyklError("--storage-cap sizes the default roster only; "
+                              "set storage_cap in the methods file instead")
         methods = bench.load_methods_file(args.methods)
         if precond is not None:  # command-line choice overrides the file
             for m in methods:
-                m.config.precond = precond
+                m.config = dataclasses.replace(m.config, precond=precond)
         return methods
-    include_output = getattr(args, "command", "") == "output-error"
     return bench.default_methods(
-        storage_cap=args.storage_cap, precond=precond or "identity",
-        include_output_metric=include_output,
+        storage_cap=50 if args.storage_cap is None else args.storage_cap,
+        precond=precond or "identity",
+        include_output_metric=args.command == "output-error",
     )
 
 
@@ -133,7 +144,7 @@ def cmd_run(args) -> int:
     methods = _load_or_default_methods(args)
     if args.diagnostics:
         for m in methods:
-            m.config.diagnostics = True
+            m.config = dataclasses.replace(m.config, diagnostics=True)
     failures = 0
     if args.tol_sweep:
         sweep_summary = {}

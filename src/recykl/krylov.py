@@ -77,17 +77,15 @@ class ReducedSpdOperator:
         return self.G @ p
 
 
-def stack_blocks(arrays: list[np.ndarray], rows: int) -> np.ndarray:
+def stack_blocks(arrays: list[np.ndarray]) -> np.ndarray:
     """The blocks side by side in one C-ordered array, written once.
 
     C order whatever the blocks' order: the layout decides how BLAS rounds
     products with the stacked basis, and the frozen fixtures pin that
-    rounding.  A single block already in C order is returned as it is.
+    rounding.
     """
-    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
-        return arrays[0]
-    out = np.empty((rows, sum(a.shape[1] for a in arrays)))
-    return np.concatenate(arrays, axis=1, out=out) if arrays else out
+    out = np.empty((arrays[0].shape[0], sum(a.shape[1] for a in arrays)))
+    return np.concatenate(arrays, axis=1, out=out)
 
 
 class DirectReducedProjection:

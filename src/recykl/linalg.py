@@ -53,9 +53,9 @@ class SparseSpdMatrix:
     The one copy of the CSR arrays is the wrapped scipy matrix's, with the
     index width scipy picks (int32 while the entries fit); the properties
     ``row_offsets``, ``col_indices`` and ``values`` return its arrays.
-    Construction validates squareness, numerical symmetry to 1e-12 relative,
-    and strictly positive diagonal entries.  Instances are immutable and safe
-    to share across threads.
+    Construction validates squareness, finite entries, numerical symmetry to
+    1e-12 relative, and strictly positive diagonal entries.  Instances are
+    immutable and safe to share across threads.
     """
 
     def __init__(self, n, row_offsets, col_indices, values):
@@ -92,6 +92,9 @@ class SparseSpdMatrix:
         return cls.from_scipy(scipy.sparse.diags(np.asarray(diag, dtype=np.float64), format="csr"))
 
     def _validate(self) -> None:
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise NotPositiveDefinite(f"entry {self.values[bad[0]]!r} is not finite")
         scale = float(np.max(np.abs(self.values))) if self.values.size else 0.0
         asym = self._csr - self._csr.T
         if asym.nnz and scale > 0:

@@ -7,11 +7,12 @@ round-tripping decimal representation, so write/read cycles are bit exact
 for float64; each file is formatted in memory and written at once.
 
 A reader takes the header and the size line itself, then parses the whole
-body in one C-level pass (``np.loadtxt``) and checks the entry count and,
-for coordinate files, the index range on the resulting arrays.  When the
-parse or a check fails, one diagnostic rescan walks the body line by line
-to name the first offending line, so every parse failure reports the file
-and line number.  A file that cannot be opened raises
+body in one C-level pass (``np.loadtxt``) and checks the entry count, that
+every value is finite and, for coordinate files, the index range on the
+resulting arrays.  When the parse or a check fails, one diagnostic rescan
+walks the body line by line to name the first offending line, so every
+parse failure, a NaN or an infinity included, reports the file and line
+number.  A file that cannot be opened raises
 :class:`~recykl.errors.ManifestError` naming it.
 """
 
@@ -132,8 +133,14 @@ def _first_bad_line(path, after, declared, noun, check):
     raise ManifestError(f"{path}: malformed body after line {after}")
 
 
+def _finite(tok):
+    # returns the message of a well-formed but non-finite value, as a check does
+    if not np.isfinite(_number(tok, float)):
+        return f"non-finite value {tok!r}"
+
+
 def _check_value(toks):
-    _number(toks[0], float)
+    return _finite(toks[0])
 
 
 def _within(indices, bound):
@@ -159,12 +166,14 @@ def read_matrix(path) -> SparseSpdMatrix:
         body is None
         or len(body) > nnz
         or not (_within(body["i"], rows) and _within(body["j"], cols))
+        or not np.isfinite(body["v"]).all()
     ):
 
         def check(toks):
-            i, j, _ = _number(toks[0], int), _number(toks[1], int), _number(toks[2], float)
+            i, j, problem = _number(toks[0], int), _number(toks[1], int), _finite(toks[2])
             if not (1 <= i <= rows and 1 <= j <= cols):
                 return f"index ({i},{j}) out of range"
+            return problem
 
         _first_bad_line(path, after, nnz, "entry", check)
     if len(body) != nnz:
@@ -196,7 +205,7 @@ def read_array(path) -> np.ndarray:
             values = _load_body(fh, np.float64, 0)
         except ValueError:
             values = None
-    if values is None or values.size > rows * cols:
+    if values is None or values.size > rows * cols or not np.isfinite(values).all():
         _first_bad_line(path, after, rows * cols, "value", _check_value)
     if values.size != rows * cols:
         raise ManifestError(f"{path}: expected {rows * cols} values, found {values.size}")

@@ -34,9 +34,12 @@ _RANK_RTOL = 1e-12  # on sigma^2, relative to the largest
 class PodBasisResult:
     columns: np.ndarray  # Theta-orthonormal basis, n x y
     singular_values: np.ndarray  # full spectrum, descending, length = snapshot count
-    y: int
     coef: np.ndarray  # snapshot coefficients, s x y: columns = S @ coef
     rank_truncated: bool = False  # the energy criterion was unreachable within the rank
+
+    @property
+    def y(self) -> int:
+        return self.columns.shape[1]
 
 
 def energy_truncation_dim(sigma_sq, eps: float) -> int:
@@ -85,8 +88,8 @@ def _finalize(S, gamma, sigma, V, eps):
     sigma_sq = np.maximum(sigma, 0.0) ** 2
     y, rank_truncated = energy_dim(sigma_sq, eps)
     coef = (V[:, :y] / sigma[:y]) * gamma[:, None]
-    return PodBasisResult(columns=S @ coef, singular_values=np.maximum(sigma, 0.0), y=y,
-                          coef=coef, rank_truncated=rank_truncated)
+    return PodBasisResult(columns=S @ coef, singular_values=np.maximum(sigma, 0.0), coef=coef,
+                          rank_truncated=rank_truncated)
 
 
 def pod_evd(S, gamma, theta, eps: float) -> PodBasisResult:

@@ -55,10 +55,10 @@ class JacobiPreconditioner(Preconditioner):
 
 
 class SsorPreconditioner(Preconditioner):
+    """SSOR with relaxation ``omega`` in (0, 2), which :func:`parse_kind` checks."""
+
     def __init__(self, A: SparseSpdMatrix, omega: float):
         super().__init__(A.n)
-        if not 0.0 < omega < 2.0:
-            raise RecyklError(f"SSOR relaxation must lie in (0, 2), got {omega}")
         diag = A.diagonal()
         if np.any(diag <= 0.0):
             raise NotPositiveDefinite("SSOR preconditioner needs positive diagonal")
@@ -89,18 +89,29 @@ class SsorPreconditioner(Preconditioner):
         return self._lu.solve(u, trans="T")
 
 
-def build(kind: str, A: SparseSpdMatrix) -> Preconditioner:
-    """Construct a preconditioner for A.
+def parse_kind(kind: str) -> float | None:
+    """The SSOR relaxation a preconditioner kind names; None for ``jacobi``.
 
-    ``kind`` is ``jacobi``, ``ssor`` (relaxation 1), or ``ssor:<omega>``.
+    ``kind`` is ``jacobi``, ``ssor`` (relaxation 1), or ``ssor:<omega>``
+    with omega in (0, 2); anything else raises :class:`RecyklError`.  A
+    solver configuration calls this when it is made, so a malformed kind
+    fails before any solve.
     """
     if kind == "jacobi":
-        return JacobiPreconditioner(A)
+        return None
     name, sep, val = kind.partition(":")
-    if name == "ssor":
-        try:
-            omega = float(val) if sep else 1.0
-        except ValueError:
-            raise RecyklError(f"SSOR relaxation must be a number, got {val!r}") from None
-        return SsorPreconditioner(A, omega)
-    raise RecyklError(f"unknown preconditioner kind {kind!r}")
+    if name != "ssor":
+        raise RecyklError(f"unknown preconditioner kind {kind!r}")
+    try:
+        omega = float(val) if sep else 1.0
+    except ValueError:
+        raise RecyklError(f"SSOR relaxation must be a number, got {val!r}") from None
+    if not 0.0 < omega < 2.0:
+        raise RecyklError(f"SSOR relaxation must lie in (0, 2), got {omega}")
+    return omega
+
+
+def build(kind: str, A: SparseSpdMatrix) -> Preconditioner:
+    """Construct the preconditioner of kind ``kind`` (see :func:`parse_kind`) for A."""
+    omega = parse_kind(kind)
+    return JacobiPreconditioner(A) if omega is None else SsorPreconditioner(A, omega)

@@ -43,10 +43,15 @@ class LinearSystemSpec:
 
 @dataclass
 class SystemSequence:
-    n: int
+    """A non-empty list of systems of one dimension, with an optional output matrix."""
+
     systems: list[LinearSystemSpec]
     C: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.systems[0].A.n
 
     @property
     def p(self) -> int:
@@ -154,7 +159,7 @@ def gen_diffusion_sequence(
         "load_drift": load_drift,
         "load_scale": load_scale,
     }
-    return SystemSequence(n=n, systems=systems, metadata=meta)
+    return SystemSequence(systems=systems, metadata=meta)
 
 
 def gen_output_matrix(q: int, n: int, seed: int = 0) -> np.ndarray:
@@ -236,5 +241,5 @@ def load_sequence_manifest(path) -> SystemSequence:
         if C.shape[1] != n:
             raise ManifestError(f"{path}: output matrix has {C.shape[1]} columns, expected {n}")
     return SystemSequence(
-        n=n, systems=systems, C=C, metadata=manifest.get("metadata", {"name": manifest.get("name")})
+        systems=systems, C=C, metadata=manifest.get("metadata", {"name": manifest.get("name")})
     )

@@ -96,9 +96,10 @@ class SolverConfig:
     with the two-term recurrence whatever ``mode`` says.
 
     ``precond`` is ``identity`` (no preconditioner), ``jacobi``, ``ssor`` or
-    ``ssor:<omega>``.  For a system with forcing tolerance eps, stage 2
-    iterates to eps_hat = eps_hat_factor * eps, a positive finite factor;
-    the ``full_orth`` projections are direct and take no tolerance.
+    ``ssor:<omega>``, checked when the config is made.  For a system with
+    forcing tolerance eps, stage 2 iterates to eps_hat = eps_hat_factor *
+    eps, a positive finite factor; the ``full_orth`` projections are direct
+    and take no tolerance.
     ``max_iter``, at least 1 when set, caps the iterations of stage 3
     (default: n).
     """
@@ -114,6 +115,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("cg", "fom"):
             raise RecyklError(f"unknown mode {self.mode!r}; expected 'cg' or 'fom'")
+        if self.precond != "identity":
+            preconditioners.parse_kind(self.precond)
         if self.max_iter is not None and self.max_iter < 1:
             raise RecyklError(f"max_iter must be at least 1, got {self.max_iter}")
         value = self.eps_hat_factor
@@ -125,7 +128,6 @@ class SolverConfig:
 class RecycleState:
     """Durable solver state carried from one system to the next."""
 
-    n: int
     Y: np.ndarray
     stage1_start: int = 0  # the stage-1 block is Y[:, stage1_start:]
     systems_seen: int = 0
@@ -133,7 +135,11 @@ class RecycleState:
 
     @classmethod
     def empty(cls, n: int) -> "RecycleState":
-        return cls(n=n, Y=np.zeros((n, 0)))
+        return cls(Y=np.zeros((n, 0)))
+
+    @property
+    def n(self) -> int:
+        return self.Y.shape[0]
 
     @property
     def basis_dim(self) -> int:
@@ -159,7 +165,6 @@ class SolveReport:
     stage2_iters: int = 0
     stage3_iters: int = 0
     wall_time: float = 0.0
-    final_residual: float = float("nan")
     residual_history: np.ndarray | None = None
     stage2_residual_history: np.ndarray | None = None
     truncated: bool = False
@@ -173,6 +178,13 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.failure is None
+
+    @property
+    def final_residual(self) -> float:
+        """The last stage-3 residual norm; NaN before the solve has run."""
+        if self.residual_history is None:
+            return float("nan")
+        return float(self.residual_history[-1])
 
 
 @dataclass
@@ -350,10 +362,10 @@ def solve_system(
                         pass  # G lost definiteness: project over the stage blocks
                 if proj is stage1 and factor is not None:
                     # the Gram factor of [W, Y V2] came with the run
-                    stage3_basis = stack_blocks([W, Y @ stage2.V], A.n)
+                    stage3_basis = stack_blocks([W, Y @ stage2.V])
                     stage3_start = np.concatenate([what, stage2.vhat])
                     proj = DirectReducedProjection(
-                        stack_blocks([stage1.cross, AY @ stage2.V], A.n), factor)
+                        stack_blocks([stage1.cross, AY @ stage2.V]), factor)
         if track_iterates:
             record("stage2", 0, add_center(Y @ yhat_comb))
 
@@ -391,7 +403,6 @@ def solve_system(
     x = add_center(stage3_res.x)
     report.stage1_dim = y - s
     report.stage3_iters = stage3_res.k
-    report.final_residual = stage3_res.final_residual
     report.residual_history = stage3_res.residual_history
 
     if report.failure == "breakdown":
@@ -470,7 +481,7 @@ def update_basis(
     y_old = state.Y.shape[1]
     if k > 0:
         # the grown block is allocated once, in C order
-        Y_grown = stack_blocks([state.Y, stage3_res.V], state.n)
+        Y_grown = stack_blocks([state.Y, stage3_res.V])
         eta = np.concatenate([yhat_comb, stage3_res.vhat])
     else:
         Y_grown = state.Y

@@ -94,18 +94,6 @@ class TruncationConfig:
         return width > self.storage_cap and self.strategy != "none"
 
 
-def parse_strategy(text: str) -> dict:
-    """Parse a CLI strategy string into TruncationConfig keyword arguments."""
-    if text.startswith("deflate:"):
-        try:
-            return {"strategy": "deflate", "deflate_dim": int(text.split(":", 1)[1])}
-        except ValueError:
-            raise RecyklError(f"deflation strategy {text!r} needs an integer count") from None
-    if text in ALL_STRATEGIES and text != "deflate":
-        return {"strategy": text}
-    raise RecyklError(f"unknown truncation strategy {text!r}")
-
-
 @dataclass
 class TruncationOutcome:
     Y_new: np.ndarray  # the retained basis, A-orthonormal
@@ -121,7 +109,7 @@ def _cap(value: int, pin: int | None, hard: int) -> int:
     return max(1, min(out, hard))
 
 
-def _products(A: SparseSpdMatrix, Z: np.ndarray, products, sink) -> np.ndarray:
+def _products(A: SparseSpdMatrix, Z: np.ndarray, products, sink=None) -> np.ndarray:
     """AZ: the given products, checked against the block, else formed on ``sink``."""
     if products is None:
         return spmv(A, Z, sink)
@@ -138,7 +126,6 @@ def deflation_compress(
     *,
     stage1_dim: int | None = None,
     products=None,
-    sink: InstrumentationSink | None = None,
 ) -> TruncationOutcome:
     """Harmonic-Ritz truncation of the block Z against the previous matrix.
 
@@ -151,7 +138,7 @@ def deflation_compress(
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     z = Z.shape[1]
     m = min(int(m), z)
-    AZ = _products(A_prev, Z, products, sink)
+    AZ = _products(A_prev, Z, products)
     gram_az = Z.T @ AZ
     K = AZ.T @ AZ
     mu_desc, G = generalized_symmetric_evd(0.5 * (K + K.T), 0.5 * (gram_az + gram_az.T))
@@ -165,8 +152,7 @@ def deflation_compress(
     return TruncationOutcome(Y_new=L.solve_lower(Y.T).T, stage1_width=w, spectrum=mu)
 
 
-def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, products=None,
-                            sink: InstrumentationSink | None = None):
+def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, products=None):
     """Rescale Y so that Y'AY = I, returning the new basis and the factor.
 
     The range is unchanged: with Y'AY = L L', the result is Y L^{-T}.
@@ -174,7 +160,7 @@ def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, products=None,
     applying A.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    gram = Y.T @ _products(A, Y, products, sink)
+    gram = Y.T @ _products(A, Y, products)
     L = dense_cholesky(0.5 * (gram + gram.T))
     return L.solve_lower(Y.T).T, L
 

@@ -59,8 +59,13 @@ class TestMethodSpec:
         assert set(bench._TRUNCATION_KEYS) == fields
 
     def test_deflate_strategy_string(self):
-        spec = MethodSpec.from_dict({"name": "df", "truncation": {"strategy": "deflate:7"}})
+        # the count has one spelling, deflate_dim; "deflate:<m>" is no strategy
+        spec = MethodSpec.from_dict({"name": "df", "truncation": {"strategy": "deflate",
+                                                                  "deflate_dim": 7}})
         assert spec.config.truncation.deflate_dim == 7
+        with pytest.raises(RecyklError, match="'deflate:7'"):
+            MethodSpec.from_dict({"name": "df", "truncation": {"strategy": "deflate:7",
+                                                               "deflate_dim": 5}})
 
     def test_missing_name_rejected(self):
         with pytest.raises(RecyklError):

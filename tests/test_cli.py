@@ -1,11 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from recykl import bench
+from recykl import bench, threestage
 from recykl.cli import main
 from recykl.errors import Breakdown
+from recykl.mmio import write_array
 
 
 @pytest.fixture()
@@ -148,6 +150,31 @@ class TestRun:
         assert code == 2
 
 
+class TestNonFiniteInput:
+    FILES = {"matrix": "A_002.mtx", "rhs": "b_002.mtx", "guess": "x_002.mtx",
+             "output": "C.mtx"}
+
+    @pytest.mark.parametrize("kind", list(FILES))
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_value_exit_3(self, sequence_dir, tmp_path, capsys, kind, value):
+        manifest_path = sequence_dir / "manifest.json"
+        if kind == "guess":
+            manifest = json.loads(manifest_path.read_text())
+            manifest["systems"][1]["guess"] = "x_002.mtx"
+            manifest_path.write_text(json.dumps(manifest))
+            write_array(sequence_dir / "x_002.mtx", np.ones(36))
+        path = sequence_dir / self.FILES[kind]
+        lines = path.read_text().splitlines(keepends=True)
+        # line 4 is the second body line; its last token is a value
+        lines[3] = " ".join(lines[3].split()[:-1] + [value]) + "\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "res"
+        code = main(["run", "--manifest", str(manifest_path), "--out-dir", str(out)])
+        assert code == 3
+        assert f"{self.FILES[kind]}:4: non-finite value '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutputError:
     def test_writes_csv(self, sequence_dir, tmp_path):
         out = tmp_path / "oe"
@@ -236,6 +263,41 @@ class TestExitCodes:
         assert ">= 1" in capsys.readouterr().err
         assert not (tmp_path / "ws" / "weight_study.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "output-error"])
+    @pytest.mark.parametrize("entry, flags", [
+        ({"name": "bad", "precond": "ssor:abc"}, []),
+        ({"name": "pod"}, ["--precond", "ssor:2.5"]),
+    ], ids=["methods-file", "precond-flag"])
+    def test_malformed_precond_exit_3_before_any_solve(
+            self, tmp_path, sequence_dir, capsys, monkeypatch, command, entry, flags):
+        calls = []
+        solve, reference = threestage.solve_system, bench.dense_solutions
+        monkeypatch.setattr(threestage, "solve_system",
+                            lambda *a, **kw: calls.append("solve") or solve(*a, **kw))
+        monkeypatch.setattr(bench, "dense_solutions",
+                            lambda seq: calls.append("reference") or reference(seq))
+        spec_path = tmp_path / "methods.json"
+        spec_path.write_text(json.dumps([{"name": "plain", "recycle": False}, entry]))
+        out = tmp_path / "res"
+        code = main([command, "--manifest", str(sequence_dir / "manifest.json"),
+                     "--methods", str(spec_path), *flags, "--out-dir", str(out)])
+        assert code == 3
+        assert "SSOR relaxation" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "output-error"])
+    def test_storage_cap_with_methods_file_exit_3(self, tmp_path, sequence_dir, capsys,
+                                                   command):
+        spec_path = tmp_path / "methods.json"
+        spec_path.write_text(json.dumps([{"name": "plain", "recycle": False}]))
+        out = tmp_path / "res"
+        code = main([command, "--manifest", str(sequence_dir / "manifest.json"),
+                     "--methods", str(spec_path), "--storage-cap", "12",
+                     "--out-dir", str(out)])
+        assert code == 3
+        assert "--storage-cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_ssor_spec_exit_3(self, tmp_path, sequence_dir, capsys):
         code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
                      "--precond", "ssor:abc", "--out-dir", str(tmp_path / "res")])
@@ -279,7 +341,8 @@ class TestExitCodes:
         ({"truncation": {"strategy": "pod-a-rbf", "max_dim": "5", "storage_cap": 10}},
          "max_dim"),
         ({"recycle": "no"}, "recycle"),
-        ({"truncation": {"strategy": "deflate:0", "storage_cap": 10}}, "deflate_dim"),
+        ({"truncation": {"strategy": "deflate", "deflate_dim": 0, "storage_cap": 10}},
+         "deflate_dim"),
         ({"truncation": {"strategy": "deflate:five", "storage_cap": 10}}, "deflate:five"),
         ({"truncation": {"strategy": "pod-a-rbf", "max_dim": 0, "storage_cap": 10}},
          "max_dim"),
@@ -292,6 +355,12 @@ class TestExitCodes:
                      "storage cap", id="nan-storage-cap"),
         pytest.param(b'[{"name": "unclosed"', "methods.json:1: invalid JSON", id="invalid-json"),
         pytest.param(None, "methods.json: cannot read methods file", id="missing-file"),
+        pytest.param({"truncation": {"strategy": "deflate:7", "deflate_dim": 5}},
+                     "'deflate:7'", id="deflate-count-in-strategy"),
+        pytest.param({"truncation": {"storage_cap": "inf"}}, "'storage_cap'",
+                     id="storage-cap-string"),
+        pytest.param({"truncation": {"storage_cap": None}}, "'storage_cap'",
+                     id="storage-cap-null"),
     ])
     def test_bad_methods_file_exit_3(self, tmp_path, sequence_dir, capsys, entry, key):
         # an entry that is not an object is written as it is, bytes are the

@@ -34,6 +34,17 @@ class TestSparseSpdMatrix:
             SparseSpdMatrix.from_dense(M)
         assert exc.value.pivot == 1
 
+    @pytest.mark.parametrize("M", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[2.0, np.nan], [np.nan, 2.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[2.0, -np.inf], [-np.inf, 2.0]],
+    ], ids=["nan-diagonal", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal"])
+    def test_rejects_non_finite_entries(self, M):
+        # NaN passes every comparison of the symmetry and diagonal checks
+        with pytest.raises(NotPositiveDefinite, match="not finite"):
+            SparseSpdMatrix.from_dense(np.array(M))
+
     def test_round_trip_dense(self):
         A = make_sparse_spd(30, seed=1)
         assert np.array_equal(A.to_dense(), A.to_dense().T)

@@ -292,7 +292,6 @@ class TestManifest:
         from recykl.problems import LinearSystemSpec, SystemSequence
 
         seq = SystemSequence(
-            n=3,
             systems=[
                 LinearSystemSpec(
                     A=SparseSpdMatrix.identity(3), b=np.array([1.0, 2.0, 3.0]), xbar=None, tol=1e-12

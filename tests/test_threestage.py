@@ -123,7 +123,7 @@ class TestFirstSystem:
         assert state.basis_dim == report.stage3_iters > 0
         # a stage-1 block wider than A forces the fallback
         wide = random_basis(seq.n, seq.n + 1, seed=29)
-        state = RecycleState(n=seq.n, Y=wide)
+        state = RecycleState(Y=wide)
         _, report = solve_system(second.A, second.b, second.xbar, state, second.tol, cfg)
         assert report.stage1_fallback and report.converged
         assert state.basis_dim == seq.n + 1 + report.stage3_iters
@@ -417,7 +417,7 @@ class TestNoCopies:
         Y = random_basis(seq.n, width, seed=36)
         # appended directions join the trailing stage-1 block, so its start
         # does not move
-        state = RecycleState(n=seq.n, Y=Y.copy(), stage1_start=width // 2)
+        state = RecycleState(Y=Y.copy(), stage1_start=width // 2)
         res = augmented_pcg(A, b, tol=1e-8, mode=mode)
         update_basis(state, np.zeros(width), res, solver_cfg(strategy="none", mode=mode), A)
         # the run hands its directions out at unit A-norm; they are copied as
@@ -676,6 +676,44 @@ class TestReducedProjections:
             assert np.linalg.norm(handle(z) - expected) <= 1e-10 * np.linalg.norm(expected)
             checked += 1
         assert checked == 3
+
+    def test_stage3_handle_factors_a_block_that_is_not_g_orthonormal(self, monkeypatch):
+        # on this input the cg stage-2 block of system 7 is off G-orthonormal
+        # by |V2'GV2 - I| = 2.5e-8, far above the 2e-9 relative accuracy
+        # stage 3 needs; a factor that took V2's Gram block as I would miss
+        # the oracle by 1.6e-10 on system 5 and run system 7 to its budget
+        real = threestage.augmented_pcg
+        runs = []
+
+        def spy(op, *args, **kwargs):
+            res = real(op, *args, **kwargs)
+            runs.append((op, args, res))
+            return res
+
+        monkeypatch.setattr(threestage, "augmented_pcg", spy)
+        seq = gen_diffusion_sequence((30, 30), 20, 0.05, seed=1, tol=1e-9)
+        (method,) = [m for m in default_methods(storage_cap=50, precond="ssor:1.7", mode="cg")
+                     if m.name == "pod(5,20)"]
+        state = RecycleState.empty(seq.n)
+        rng = np.random.default_rng(69)
+        drift, checked = 0.0, 0
+        for spec in seq.systems[:7]:
+            runs.clear()
+            Y = state.Y
+            _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, method.config)
+            assert report.converged, report.j
+            if len(runs) < 2 or runs[0][2].k == 0:
+                continue
+            (op2, args2, stage2), (_, args3, _) = runs
+            V2 = stage2.V
+            drift = max(drift, np.linalg.norm(V2.T @ op2.G @ V2 - np.eye(V2.shape[1]), 2))
+            B = Y @ np.hstack([args2[2], V2])
+            Ad = spec.A.to_dense()
+            z = rng.standard_normal(seq.n)
+            expected = np.linalg.solve(B.T @ Ad @ B, B.T @ Ad @ z)
+            assert np.linalg.norm(args3[3](z) - expected) <= 1e-12 * np.linalg.norm(expected)
+            checked += 1
+        assert checked == 4 and drift > 1e-9
 
 
 class TestAOrthonormalBlocks:

@@ -16,7 +16,6 @@ from recykl.truncation import (
     compress,
     deflation_compress,
     enforce_a_orthogonality,
-    parse_strategy,
 )
 from recykl.weights import WeightHistory, weights_previous, weights_rbf
 
@@ -52,12 +51,6 @@ class TestConfig:
     def test_deflate_needs_count(self):
         with pytest.raises(RecyklError):
             TruncationConfig(strategy="deflate")
-
-    def test_parse_strategy(self):
-        assert parse_strategy("deflate:12") == {"strategy": "deflate", "deflate_dim": 12}
-        assert parse_strategy("pod-ctc-rbf") == {"strategy": "pod-ctc-rbf"}
-        with pytest.raises(RecyklError):
-            parse_strategy("gcrot")
 
 
 class TestPodCompress:
