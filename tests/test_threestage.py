@@ -625,6 +625,27 @@ class TestStage1Fallback:
         assert wide == 10
 
 
+    def test_fallback_trace_holds_empty_basis(self, monkeypatch):
+        # a system that falls back solves over an empty basis, and its trace
+        # records that basis, not the entry basis the solve left unused
+        def failing_stage1(*args, **kwargs):
+            raise NotPositiveDefinite("injected")
+
+        seq = gen_diffusion_sequence((10, 10), 2, 0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7")
+        state, traces = RecycleState.empty(seq.n), []
+        first, second = seq[0], seq[1]
+        solve_system(first.A, first.b, first.xbar, state, first.tol, cfg, trace_out=traces)
+        assert state.stage1_start > 0
+        monkeypatch.setattr(threestage, "direct_reduced_solve", failing_stage1)
+        _, report = solve_system(second.A, second.b, second.xbar, state, second.tol, cfg,
+                                 trace_out=traces)
+        assert report.stage1_fallback and report.converged
+        trace = traces[1]
+        assert trace.Y_entry.shape == trace.stage3_basis.shape == (seq.n, 0)
+        assert trace.stage1_start == 0
+
+
 class TestReducedProjections:
     def test_projection_right_hand_side_reads_products(self):
         # a full_orth projection forms Y'Az as (AY)'z: no matvec, and the
@@ -901,6 +922,53 @@ class TestStage3Breakdown:
         assert reports[0].converged and reports[0].failure is None
         assert reports[2].converged and reports[2].failure is None
 
+    def test_breakdown_after_stage2_returns_entry_iterate(self, monkeypatch):
+        # a system that ran stage 2 and broke down in stage 3 returns Y yhat,
+        # yhat the coefficients stage 2 left, and keeps Y and the history
+        real = threestage.augmented_pcg
+        state = RecycleState.empty(100)
+        stage2 = []
+
+        def breaking(op, *args, **kwargs):
+            if isinstance(op, SparseSpdMatrix) and state.systems_seen == 2:
+                raise Breakdown("injected", iterations=2)
+            res = real(op, *args, **kwargs)
+            if isinstance(op, ReducedSpdOperator):
+                stage2.append(res)
+            return res
+
+        monkeypatch.setattr(threestage, "augmented_pcg", breaking)
+        seq = gen_diffusion_sequence((10, 10), 3, 0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(stage1_dim=2, storage_cap=10, precond="ssor:1.7")
+        for spec in seq:
+            Y, snapshots = state.Y, len(state.history)
+            stage2.clear()
+            x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
+        assert report.failure == "breakdown" and report.stage3_iters == 2
+        assert report.stage1_dim == 2 and report.stage2_iters > 0
+        (run,) = stage2
+        expected = Y @ run.x
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert state.Y is Y and len(state.history) == snapshots
+        residual = np.linalg.norm(spec.b - spmv(spec.A, x))
+        assert report.final_residual == pytest.approx(residual, rel=1e-6)
+
+    def test_first_system_breakdown_returns_initial_guess(self, monkeypatch):
+        def breaking(op, *args, **kwargs):
+            raise Breakdown("injected", iterations=1)
+
+        monkeypatch.setattr(threestage, "augmented_pcg", breaking)
+        seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=5, tol=1e-8)
+        spec = seq[0]
+        xbar = np.random.default_rng(45).standard_normal(seq.n)
+        state = RecycleState.empty(seq.n)
+        x, report = solve_system(spec.A, spec.b, xbar, state, spec.tol, solver_cfg())
+        assert report.failure == "breakdown"
+        assert np.array_equal(x, xbar)
+        assert state.basis_dim == 0 and state.systems_seen == 1
+        residual = np.linalg.norm(spec.b - spmv(spec.A, xbar))
+        assert report.final_residual == pytest.approx(residual, rel=1e-12)
+
     def test_exhausted_budget_reports_its_cause(self):
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=5, tol=1e-12)
         _, reports, _ = run_sequence(seq, solver_cfg(max_iter=2))
@@ -958,6 +1026,35 @@ class TestDiagnostics:
         assert all(c.output.shape == (4,) for c in cps)
         times = [c.wall_time for c in cps]
         assert times == sorted(times) and times[-1] <= reports[1].wall_time
+
+    def test_checkpoint_stages(self, monkeypatch):
+        # a solve over a basis passes start, stage 1, stage 2 and every
+        # stage-3 iterate; the first system and a fallback pass no stage 1
+        # or 2
+        real_direct = threestage.direct_reduced_solve
+        fail = []
+
+        def stage1(*args, **kwargs):
+            if fail:
+                raise NotPositiveDefinite("injected")
+            return real_direct(*args, **kwargs)
+
+        monkeypatch.setattr(threestage, "direct_reduced_solve", stage1)
+        seq = gen_diffusion_sequence((7, 7), p=3, delta=0.02, seed=42, tol=1e-8)
+        seq.C = gen_output_matrix(4, seq.n, seed=43)
+        state = RecycleState.empty(seq.n)
+        stages = []
+        for spec in seq:
+            fail[:] = [True] if len(stages) == 2 else []
+            _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, solver_cfg(),
+                                     chalf=seq.C, track_iterates=True)
+            assert report.stage1_fallback == bool(fail)
+            stage3 = ["stage3"] * (report.stage3_iters + 1)
+            stages.append(([c.stage for c in report.checkpoints], stage3))
+        (first, first3), (basis, basis3), (fallback, fallback3) = stages
+        assert first == ["start"] + first3
+        assert basis == ["start", "stage1", "stage2"] + basis3
+        assert fallback == ["start"] + fallback3
 
     def test_track_iterates_needs_output_matrix(self):
         seq = gen_diffusion_sequence((5, 5), p=1, delta=0.0, seed=42, tol=1e-8)
