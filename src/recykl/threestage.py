@@ -214,8 +214,8 @@ class InnerIterativeProjection(DirectReducedProjection):
     """
 
 
-def _stage2(G, bhat, what, s, factor, tol, mode):
-    """Stage 2: augmented CG on G v = bhat from the stage-1 solution ``what``.
+def _nested_run(G, bhat, what, s, factor, tol, mode):
+    """The nested run of stage 2: augmented CG on G v = bhat from ``what``.
 
     Augmented with the stage-1 selection E = I[:, s:], whose Gram factor is
     ``factor``; at most 3y + 10 iterations, to ``tol`` floored at
@@ -239,6 +239,99 @@ def _stage2(G, bhat, what, s, factor, tol, mode):
     C = np.concatenate([E, res.V], axis=1)
     gram = C.T @ (G @ C)
     return res, dense_cholesky(0.5 * (gram + gram.T))
+
+
+def _stage1(A, r0, W, sink):
+    """Stage 1: the Galerkin solve over the stage-1 block W.
+
+    Returns the coefficients over W and the projection over W (A W and the
+    factor of W'AW); None when W is empty, or has more columns than A has
+    rows (W'AW is singular and is not assembled), or W'AW fails to factor.
+    """
+    if not 0 < W.shape[1] <= A.n:
+        return None
+    try:
+        return direct_reduced_solve(A, r0, W, sink)
+    except NotPositiveDefinite:
+        return None
+
+
+def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
+    """Stage 2: the products AY, G = Y'AY, the nested run and the stage-3 block.
+
+    The columns in front of W = Y[:, s:] take one block product beside
+    stage 1's A W.  When Y is wider than W, :func:`_nested_run` iterates
+    to eps_hat = ``cfg.eps_hat_factor`` * eps.  Returns stage 3's start,
+    block and projection (W, [W, Y V2] or, under ``full_orth``, all of Y),
+    the products AY and the start's coefficients yhat over Y.  A nested run
+    that breaks down, or whose block fails to factor, contributes nothing:
+    the stage-1 solution is Galerkin over W only, so stage 3 starts from it
+    over W alone, even under ``full_orth``.  Fills the report's stage-1
+    width, stage-2 fields and, under ``diagnostics``, ``reduced_condition``.
+    """
+    what, proj1 = stage1
+    W = Y[:, s:]
+    report.stage1_dim = W.shape[1]
+    AY = np.concatenate([spmv(A, Y[:, :s], sink), proj1.cross], axis=1) if s else proj1.cross
+    yhat = np.concatenate([np.zeros(s), what])
+    if s or cfg.diagnostics:
+        # symmetric by construction, as the nested run assumes
+        G = Y.T @ AY
+        G = 0.5 * (G + G.T)
+        sink.add_gram()
+    if cfg.diagnostics:
+        eigs, _ = symmetric_evd(G)
+        report.reduced_condition = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("inf")
+    if not s:
+        return what, W, proj1, AY, yhat
+    try:
+        run, factor = _nested_run(G, Y.T @ r0, what, s, proj1.factor,
+                                  cfg.eps_hat_factor * eps, cfg.mode)
+    except (Breakdown, NotPositiveDefinite):
+        report.stage2_converged = False
+        return what, W, proj1, AY, yhat
+    report.stage2_iters = run.k
+    report.stage2_converged = run.converged
+    report.stage2_residual_history = run.residual_history
+    if cfg.truncation.full_orth:
+        try:
+            return run.x, Y, InnerIterativeProjection(AY, dense_cholesky(G)), AY, run.x
+        except NotPositiveDefinite:
+            pass  # G lost definiteness: project over the stage blocks
+    if factor is None:
+        return what, W, proj1, AY, run.x
+    # the Gram factor of [W, Y V2] came with the run
+    proj = DirectReducedProjection(stack_blocks([proj1.cross, AY @ run.V]), factor)
+    return np.concatenate([what, run.vhat]), stack_blocks([W, Y @ run.V]), proj, AY, run.x
+
+
+def _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, monitor):
+    """Stage 3: augmented PCG from ``start`` over ``basis`` to the tolerance ``eps``.
+
+    The entry residual is r0 - AY yhat (r0 when ``AY`` is None).  Returns
+    the iterate and the run, and sets ``report.failure``: "budget" for a
+    run out of iterations, which returns its partial result; "breakdown"
+    for one whose iterate and directions are not trusted, which returns its
+    start and no run.
+    """
+    r3 = r0 if AY is None else r0 - AY @ yhat
+    try:
+        # a run that keeps no directions has nothing to orthogonalize them
+        # for: plain PCG runs the two-term recurrence
+        run = augmented_pcg(A, r0, start, basis, proj, M, eps,
+                            mode=cfg.mode if cfg.recycle else "cg", keep_directions=cfg.recycle,
+                            sink=sink, max_iter=cfg.max_iter, r0=r3, monitor=monitor)
+    except NotConverged as exc:
+        run = exc.partial
+        report.failure = "budget"
+    except Breakdown as exc:
+        report.failure = "breakdown"
+        report.stage3_iters = exc.iterations or 0
+        report.residual_history = np.array([np.linalg.norm(r3)])
+        return basis @ start, None
+    report.stage3_iters = run.k
+    report.residual_history = run.residual_history
+    return run.x, run
 
 
 def solve_system(
@@ -269,176 +362,64 @@ def solve_system(
     """
     if track_iterates and chalf is None:
         raise RecyklError("tracking iterates needs the output matrix")
-    if sink is None:
-        sink = InstrumentationSink()
+    sink = InstrumentationSink() if sink is None else sink
     t0 = time.perf_counter()
     M = None if cfg.precond == "identity" else preconditioners.build(cfg.precond, A)
-    j = state.systems_seen + 1
-    report = SolveReport(j=j)
-    # checkpoint fields plus the iterate itself: the solvers rebind their
-    # iterates and never mutate them, so a reference suffices until the
-    # outputs C @ x are formed after the clock stops, all in one product
-    marks: list[tuple] | None = [] if track_iterates else None
-
-    def record(stage, iteration, x):
-        marks.append((stage, iteration, sink.matvecs, sink.precond_applies,
-                      time.perf_counter() - t0, x))
-
+    report = SolveReport(j=state.systems_seen + 1)
     b = np.asarray(b, dtype=np.float64)
-    if xbar is not None:
-        xbar = np.asarray(xbar, dtype=np.float64)
-        if not np.any(xbar):
-            xbar = None
-    r0 = b - spmv(A, xbar, sink) if xbar is not None else b.copy()
+    xbar = None if xbar is None or not np.any(xbar) else np.asarray(xbar, dtype=np.float64)
+    r0 = b.copy() if xbar is None else b - spmv(A, xbar, sink)
     eps = float(eps)
-    eps_hat = cfg.eps_hat_factor * eps
-    if track_iterates:
-        record("start", 0, xbar if xbar is not None else np.zeros(A.n))
 
     def add_center(x):
         return x if xbar is None else xbar + x
 
-    # without recycling the basis counts as empty: stages 1 and 2 are
-    # skipped and stage 3 is plain PCG
+    # checkpoint fields and the iterate: the solvers never mutate theirs, so
+    # a reference lasts until the outputs C @ x are formed after the clock
+    marks: list[tuple] | None = [] if track_iterates else None
+
+    def record(stage, iteration, x):
+        marks.append((stage, iteration, sink.matvecs, sink.precond_applies,
+                      time.perf_counter() - t0, add_center(x)))
+
+    if track_iterates:
+        record("start", 0, np.zeros(A.n))
+    # without recycling the basis counts as empty
     Y = state.Y if cfg.recycle else state.Y[:, :0]
-    y = Y.shape[1]
-    s = state.stage1_start if y else 0  # the stage-1 block is Y[:, s:]
-    yhat_comb = np.zeros(y)  # coefficients over the entry basis
-    stage1 = None  # the stage-1 projection over W
-    if y and y - s <= A.n:
-        # stage 1: direct solve over W, factor cached for every later stage
-        W = Y[:, s:]
-        try:
-            what, stage1 = direct_reduced_solve(A, r0, W, sink)
-        except NotPositiveDefinite:
-            pass
-    if y and stage1 is None:
-        # the stage-1 Gram matrix W'AW is singular (W has more columns than
-        # A has rows) or lost definiteness in round-off: solve this system
-        # over an empty basis, as without recycling
-        report.stage1_fallback = True
-        Y, y, s = Y[:, :0], 0, 0
-    # the stage-3 basis, start coefficients and projection: the empty basis,
-    # W, [W, Y V2] or, under full_orth, all of Y; each start is Y yhat_comb
-    stage3_basis, stage3_start, proj = Y, np.zeros(0), None
-    AY = None  # A times the entry basis, once stage 1 has run
-    if y:
-        stage3_basis, stage3_start, proj = W, what, stage1
-        yhat_comb[s:] = what
-        if track_iterates:
-            record("stage1", 0, add_center(W @ what))
-        # the columns in front of W take one block product, one matvec each
-        AY = np.concatenate([spmv(A, Y[:, :s], sink), stage1.cross], axis=1) if s else stage1.cross
-        if s or cfg.diagnostics:
-            # the reduced matrix, formed once from the products; symmetric
-            # by construction, as stage 2's CG assumes
-            G = Y.T @ AY
-            G = 0.5 * (G + G.T)
-            sink.add_gram()
-        if cfg.diagnostics:
-            eigs, _ = symmetric_evd(G)
-            report.reduced_condition = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("inf")
-
-        # stage 2: over all of Y from the stage-1 solution, augmented with
-        # the stage-1 selection block
-        if s:
-            try:
-                stage2, factor = _stage2(G, Y.T @ r0, what, s, stage1.factor, eps_hat, cfg.mode)
-            except (Breakdown, NotPositiveDefinite):
-                # stage 2 contributes nothing: stage 3 starts from the
-                # stage-1 solution, which is Galerkin over W only, so even
-                # under full_orth it augments with the stage-1 block alone
-                report.stage2_converged = False
-            else:
-                yhat_comb = stage2.x
-                report.stage2_iters = stage2.k
-                report.stage2_converged = stage2.converged
-                report.stage2_residual_history = stage2.residual_history
-                if cfg.truncation.full_orth:
-                    try:
-                        full = InnerIterativeProjection(AY, dense_cholesky(G))
-                        stage3_basis, stage3_start, proj = Y, yhat_comb, full
-                    except NotPositiveDefinite:
-                        pass  # G lost definiteness: project over the stage blocks
-                if proj is stage1 and factor is not None:
-                    # the Gram factor of [W, Y V2] came with the run
-                    stage3_basis = stack_blocks([W, Y @ stage2.V])
-                    stage3_start = np.concatenate([what, stage2.vhat])
-                    proj = DirectReducedProjection(
-                        stack_blocks([stage1.cross, AY @ stage2.V]), factor)
-        if track_iterates:
-            record("stage2", 0, add_center(Y @ yhat_comb))
-
-    # stage 3: augmented PCG from that basis to the forcing tolerance, each
-    # projection one backsolve of the basis's Gram factor
-    stage3_r0 = r0 - AY @ yhat_comb if y else r0
-    monitor = (lambda k, x: record("stage3", k, add_center(x))) if track_iterates else None
-    try:
-        stage3_res = augmented_pcg(
-            A,
-            r0,
-            stage3_start,
-            stage3_basis,
-            proj,
-            M,
-            eps,
-            # a run that keeps no directions has nothing to orthogonalize
-            # them for: plain PCG runs the two-term recurrence
-            mode=cfg.mode if cfg.recycle else "cg",
-            keep_directions=cfg.recycle,
-            sink=sink,
-            max_iter=cfg.max_iter,
-            r0=stage3_r0,
-            monitor=monitor,
-        )
-    except NotConverged as exc:
-        stage3_res = exc.partial
-        report.failure = "budget"
-    except Breakdown as exc:
-        # the run's iterate and directions are not trusted: the solve
-        # returns the stage-3 start and adds no direction to the basis
-        stage3_res = _entry_result(stage3_basis, stage3_start, stage3_r0, exc.iterations)
-        report.failure = "breakdown"
-
-    x = add_center(stage3_res.x)
-    report.stage1_dim = y - s
-    report.stage3_iters = stage3_res.k
-    report.residual_history = stage3_res.residual_history
-
-    if report.failure == "breakdown":
-        # a broken run adds neither directions nor a weight snapshot
-        state.systems_seen = j
-        outcome = None
+    s = state.stage1_start  # the stage-1 block is Y[:, s:]
+    stage1 = _stage1(A, r0, Y[:, s:], sink)
+    if stage1 is None:
+        # no basis, or a stage-1 fallback: plain PCG, with yhat = 0
+        report.stage1_fallback = Y.shape[1] > 0
+        start, basis, proj, AY, yhat = np.zeros(0), Y[:, :0], None, None, np.zeros(Y.shape[1])
+        Y, s = basis, 0
     else:
-        outcome = update_basis(state, yhat_comb, stage3_res, cfg, A, chalf=chalf, sink=sink,
-                               products=AY)
+        if track_iterates:
+            record("stage1", 0, Y[:, s:] @ stage1[0])
+        start, basis, proj, AY, yhat = _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink)
+        if track_iterates:
+            record("stage2", 0, Y @ yhat)
+    monitor = (lambda k, x: record("stage3", k, x)) if track_iterates else None
+    x, run = _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, monitor)
+    # a broken run adds neither directions nor a weight snapshot
+    outcome = None if run is None else update_basis(state, yhat, run, cfg, A, chalf=chalf,
+                                                    sink=sink, products=AY)
+    state.systems_seen = report.j
     report.truncated = outcome is not None
     report.rank_truncated = report.truncated and outcome.rank_truncated
     report.matvecs = sink.matvecs
     report.precond_applies = sink.precond_applies
     report.wall_time = time.perf_counter() - t0
     if marks is not None:
-        # one GEMM over the stacked iterates, not one GEMV per checkpoint;
-        # each output is a contiguous row of the product
+        # one GEMM over the stacked iterates; each output is a contiguous row
         outputs = np.stack([x for *_, x in marks]) @ chalf.T
         report.checkpoints = [Checkpoint(*fields, output=out)
                               for (*fields, _), out in zip(marks, outputs)]
     if trace_out is not None:
-        trace_out.append(
-            SystemTrace(
-                j=j,
-                A=A,
-                b=b,
-                xbar=xbar,
-                eps=eps,
-                Y_entry=Y.copy(),
-                stage1_start=s,
-                stage3_basis=stage3_basis.copy(),
-                Y_exit=state.Y.copy(),
-                truncated=report.truncated,
-            )
-        )
-    return x, report
+        trace_out.append(SystemTrace(
+            j=report.j, A=A, b=b, xbar=xbar, eps=eps, Y_entry=Y.copy(), stage1_start=s,
+            stage3_basis=basis.copy(), Y_exit=state.Y.copy(), truncated=report.truncated))
+    return add_center(x), report
 
 
 def update_basis(
@@ -510,19 +491,6 @@ def update_basis(
     state.stage1_start = y_new - w
     state.systems_seen = j
     return out
-
-
-def _entry_result(basis, start, r, iterations) -> AugmentedPcgResult:
-    """The result of a stage-3 run that broke down: its start, no directions.
-
-    ``r`` is the residual at the start and ``iterations`` the iterations
-    the run spent.
-    """
-    n = basis.shape[0]
-    return AugmentedPcgResult(
-        k=iterations or 0, vhat=np.zeros(0), V=np.zeros((n, 0)), AV=np.zeros((n, 0)),
-        residual_history=np.array([np.linalg.norm(r)]), x=basis @ start, converged=False,
-    )
 
 
 def run_sequence(

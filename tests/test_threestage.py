@@ -536,12 +536,12 @@ class TestFullOrthVariant:
         # when G = Y'AY fails its Cholesky factorization, a full_orth solve
         # runs as it would without full_orth: stage 2 hands out its block
         # and stage 3 projects over the stage blocks
-        real_stage2, real_cholesky = threestage._stage2, threestage.dense_cholesky
+        real_nested, real_cholesky = threestage._nested_run, threestage.dense_cholesky
         reduced, injected = [], []
 
-        def spy_stage2(G, *args):
+        def spy_nested(G, *args):
             reduced.append(G)
-            return real_stage2(G, *args)
+            return real_nested(G, *args)
 
         def failing_cholesky(M):
             if reduced and M is reduced[-1]:
@@ -549,7 +549,7 @@ class TestFullOrthVariant:
                 raise NotPositiveDefinite("injected")
             return real_cholesky(M)
 
-        monkeypatch.setattr(threestage, "_stage2", spy_stage2)
+        monkeypatch.setattr(threestage, "_nested_run", spy_nested)
         monkeypatch.setattr(threestage, "dense_cholesky", failing_cholesky)
         seq = gen_diffusion_sequence((10, 10), 4, 0.05, seed=5, tol=1e-8)
         runs = [run_sequence(seq, solver_cfg(stage1_dim=3, storage_cap=10, precond="ssor:1.7",
