@@ -112,13 +112,16 @@ def default_methods(
     """The standard comparison roster at a given storage budget.
 
     Truncation keeps half the budget, and the split methods give five of
-    those columns (fewer on a budget under ten) to the stage-1 block.
-    ``mode`` applies to the recycling methods only: the ``pcg`` baseline
-    keeps no directions, so it runs plain PCG with the two-term recurrence
-    whatever ``mode`` says.
+    those columns to the stage-1 block.  On a budget under 12 they would
+    keep all of them there, the same method as ``pod(k,0)``, so the roster
+    leaves them out; a budget under 2 keeps no column and raises
+    :class:`RecyklError`.  ``mode`` applies to the recycling methods only:
+    the ``pcg`` baseline keeps no directions, so it runs plain PCG with the
+    two-term recurrence whatever ``mode`` says.
     """
+    if storage_cap < 2:
+        raise RecyklError(f"the storage cap must be at least 2, got {storage_cap}")
     retained = storage_cap // 2
-    small = min(5, retained)
 
     def spec(name, **tr):
         recycle = tr.pop("recycle", True)
@@ -136,25 +139,27 @@ def default_methods(
         spec("no-trunc", strategy="none", storage_cap=math.inf),
         spec(f"df({retained},0)", strategy="deflate", deflate_dim=retained,
              storage_cap=storage_cap),
-        spec(f"pod({retained},0)", strategy="pod-a-rbf", **pod_kw),
-        spec(f"pod({small},{retained - small})", strategy="pod-a-rbf",
-             stage1_dim=small, **pod_kw),
-        spec(f"pod({small},{retained - small})it", strategy="pod-a-rbf",
-             stage1_dim=small, full_orth=True, **pod_kw),
     ]
+    strategies = {"pod": "pod-a-rbf"}
     if include_output_metric:
-        methods += [
-            spec(f"pod-ctc({retained},0)", strategy="pod-ctc-rbf", **pod_kw),
-            spec(f"pod-ctc({small},{retained - small})", strategy="pod-ctc-rbf",
-                 stage1_dim=small, **pod_kw),
-            spec(f"pod-ctc({small},{retained - small})it", strategy="pod-ctc-rbf",
-                 stage1_dim=small, full_orth=True, **pod_kw),
-        ]
+        strategies["pod-ctc"] = "pod-ctc-rbf"
+    for prefix, strategy in strategies.items():
+        methods.append(spec(f"{prefix}({retained},0)", strategy=strategy, **pod_kw))
+        if retained > 5:
+            methods += [
+                spec(f"{prefix}(5,{retained - 5})", strategy=strategy, stage1_dim=5, **pod_kw),
+                spec(f"{prefix}(5,{retained - 5})it", strategy=strategy, stage1_dim=5,
+                     full_orth=True, **pod_kw),
+            ]
     return methods
 
 
 def load_methods_file(path) -> list[MethodSpec]:
-    """The specs of a methods file; an unreadable or invalid file raises RecyklError."""
+    """The specs of a methods file; an unreadable or invalid file raises RecyklError.
+
+    Each method names its own rows and summary key, so a name given twice
+    is invalid.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -164,7 +169,12 @@ def load_methods_file(path) -> list[MethodSpec]:
         raise RecyklError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(raw, list) or not raw:
         raise RecyklError(f"{path}: methods file must hold a non-empty JSON list")
-    return [MethodSpec.from_dict(entry) for entry in raw]
+    specs = [MethodSpec.from_dict(entry) for entry in raw]
+    names = [spec.name for spec in specs]
+    for name in names:
+        if names.count(name) > 1:
+            raise RecyklError(f"{path}: method name {name!r} appears more than once")
+    return specs
 
 
 @dataclass
@@ -313,11 +323,16 @@ def output_error_run(
     stage-3 iterate), from the output C x the checkpoint holds; per tau the
     first checkpoint meeting it is charged.
     Averages below one preconditioner application mean the threshold was
-    typically met before stage 3.  Each row also counts the method's
-    solves that converged (``systems_converged``) out of ``systems``.
-    ``threads`` must be 1, as in :func:`run_methods`.
+    typically met before stage 3; a threshold no system met
+    (``systems_met`` 0) has no average cost, so its averages are None.
+    Each row also counts the method's solves that converged
+    (``systems_converged``) out of ``systems``.  Every tau must be positive
+    (infinity included); ``threads`` must be 1, as in :func:`run_methods`.
     """
     _check_serial(threads)
+    bad = [tau for tau in taus if not tau > 0]
+    if bad:
+        raise RecyklError(f"output-error thresholds must be positive, got {bad[0]}")
     if seq.C is None:
         raise RecyklError("output-error runs need the sequence's output matrix")
     xstars = dense_solutions(seq)
@@ -337,14 +352,14 @@ def output_error_run(
                     per_tau[tau]["met"] += 1
         for tau in taus:
             bucket = per_tau[tau]
-            count = max(1, len(bucket["matvecs"]))
+            met = bucket["met"]
             rows.append({
                 "method": run.method.name,
                 "tau": tau,
-                "avg_matvecs": float(np.sum(bucket["matvecs"])) / count,
-                "avg_precond_apps": float(np.sum(bucket["precond"])) / count,
-                "avg_wall_ms": 1e3 * float(np.sum(bucket["wall"])) / count,
-                "systems_met": bucket["met"],
+                "avg_matvecs": float(np.sum(bucket["matvecs"])) / met if met else None,
+                "avg_precond_apps": float(np.sum(bucket["precond"])) / met if met else None,
+                "avg_wall_ms": 1e3 * float(np.sum(bucket["wall"])) / met if met else None,
+                "systems_met": met,
                 "systems_converged": sum(r.converged for r in run.reports),
                 "systems": len(run.reports),
             })

@@ -1,46 +1,46 @@
 """Hybrid direct/iterative solver for sequences of SPD systems.
 
 Each system is attacked in three stages over the recycled basis Y carried
-across the sequence:
+across the sequence, one function per stage, which :func:`solve_system`
+runs in turn:
 
-1. a direct Galerkin solve over the stage-1 block W (a few columns of Y
-   expected to capture most of the solution), factored once and reused;
-2. when Y is wider than W, one nested run of unpreconditioned augmented CG
-   over all of Y on the reduced matrix G = Y'AY, from the stage-1 solution
-   and augmented with W.  G is formed once per system from the products
-   AY: A W is reused and the other columns of Y take one block product, one
-   matvec each; stage 2, ``full_orth`` and truncation read A only from AY
-   and G;
-3. one full-space augmented PCG run to the forcing tolerance, keeping new
-   directions A-orthogonal to W, or to [W, Y V] after a stage 2 that took
-   a step.  Its :class:`~recykl.krylov.DirectReducedProjection` backsolves
-   the Cholesky factor of the block's whole Gram matrix, read off G, so no
-   block need be A-orthonormal.  Under ``full_orth``, after a stage 2, it
-   keeps them A-orthogonal to all of Y instead
-   (:class:`InnerIterativeProjection`, with G's factor); if G fails to
-   factor, the stage blocks serve.
+1. :func:`_stage1`: a direct Galerkin solve over the stage-1 block W (a few
+   columns of Y expected to capture most of the solution), factored once
+   and reused;
+2. :func:`_stage2`: the products AY and G = Y'AY, formed once (A W is
+   reused; the other columns of Y take one matvec each), and, when Y is
+   wider than W, one nested run of unpreconditioned augmented CG over all
+   of Y on G (:func:`_nested_run`), from the stage-1 solution and augmented
+   with W.  It picks the block stage 3 keeps new directions A-orthogonal
+   to: W, or [W, Y V] after a nested run that took a step, or, under
+   ``full_orth``, all of Y (:class:`InnerIterativeProjection`, with G's
+   factor; if G fails to factor, the stage blocks serve).  Stage 2,
+   ``full_orth`` and truncation read A only from AY and G;
+3. :func:`_stage3`: one full-space augmented PCG run to the forcing
+   tolerance, handed the start, block and projection stage 2 picked.  Each
+   projection backsolves the Cholesky factor of its block's whole Gram
+   matrix, read off G, so no block need be A-orthonormal.
 
-Stages 1 and 2 run only over a non-empty basis; without one (the first
-system, or ``recycle=False``) the block is empty and stage 3 is plain PCG.
-Without recycling that PCG runs the two-term recurrence whatever ``mode``
-says, because nothing keeps its directions; only runs that keep them (every
-run of a recycling method, its first system and stage-1 fallbacks included)
-store the directions with their A-products, in either mode, and pay for
-``fom``'s re-orthogonalization.
-A system whose stage-1 Gram matrix fails its Cholesky factorization is
-solved the same way, and its report sets ``stage1_fallback``; so is one whose
-stage-1 block has more columns than A has rows, without assembling the Gram
-matrix, which is then singular.  A stage 2 that breaks down contributes
-nothing: stage 3 runs from the stage-1 solution over the stage-1 block
-alone, and the report leaves ``stage2_converged`` false.  A stage 3 that
-runs out of iterations or breaks down ends in a report with ``converged``
-false and its ``failure`` cause, never an exception; a broken run returns
-its start iterate and adds no direction to Y and no weight snapshot.
+Without a basis (the first system, or ``recycle=False``) and after a
+stage-1 fallback, stages 1 and 2 are skipped and stage 3 is plain PCG over
+an empty basis.  A fallback is a stage-1 Gram matrix that fails its
+Cholesky factorization, or a stage-1 block with more columns than A has
+rows, whose Gram matrix is singular and is not assembled; its report sets
+``stage1_fallback``.  Without recycling that PCG runs the two-term
+recurrence whatever ``mode`` says, because nothing keeps its directions;
+every run of a recycling method stores its directions with their
+A-products, in either mode, and pays for ``fom``'s re-orthogonalization.
+A nested run that breaks down contributes nothing: stage 3 runs from the
+stage-1 solution over W alone, and the report leaves ``stage2_converged``
+false.  A stage 3 that runs out of iterations or breaks down ends in a
+report with ``converged`` false and its ``failure`` cause, never an
+exception; a broken run returns its start iterate and adds no direction to
+Y and no weight snapshot.
 
-After the solve, new search directions are appended to Y at unit A-norm,
-and they join the stage-1 block; once the block exceeds the storage
-cap it is compressed by :func:`~recykl.truncation.compress`, which alone
-reads the truncation strategy.  The stage-1 block is always the trailing
+After the solve, :func:`update_basis` appends the new search directions to
+Y at unit A-norm, and they join the stage-1 block; once the block exceeds
+the storage cap it is compressed by :func:`~recykl.truncation.compress`,
+which alone reads the truncation strategy.  The stage-1 block is always the trailing
 columns ``Y[:, stage1_start:]``, read as a view: truncation stores the
 retained basis with its stage-1 prefix moved to the tail, and appended
 directions land behind it.  Every truncation is handed the products AZ of

@@ -83,6 +83,30 @@ class TestMethodSpec:
         assert any(n.startswith("df(") for n in names)
         assert any(n.endswith(")it") for n in names)
 
+    @pytest.mark.parametrize("cap", [2, 3, 10, 11, 12, 50])
+    def test_default_roster_names_unique(self, cap):
+        # below a cap of 12 the split methods would keep all their columns
+        # in the stage-1 block, the same method as pod(k,0): they are left out
+        names = [m.name for m in default_methods(storage_cap=cap, include_output_metric=True)]
+        r = cap // 2
+        pods = [[f"{p}({r},0)", f"{p}(5,{r - 5})", f"{p}(5,{r - 5})it"] for p in ("pod", "pod-ctc")]
+        if cap < 12:
+            pods = [kept[:1] for kept in pods]
+        assert names == ["pcg", "no-trunc", f"df({r},0)", *pods[0], *pods[1]]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("cap", [1, 0])
+    def test_storage_cap_below_two_rejected(self, cap):
+        with pytest.raises(RecyklError, match=f"storage cap must be at least 2, got {cap}"):
+            default_methods(storage_cap=cap)
+
+    def test_duplicate_method_names_rejected(self, tmp_path):
+        path = tmp_path / "methods.json"
+        path.write_text(json.dumps([{"name": "a", "recycle": False}, {"name": "b"},
+                                    {"name": "a"}]))
+        with pytest.raises(RecyklError, match="'a' appears more than once"):
+            load_methods_file(path)
+
 
 class TestRunMethods:
     def test_threads_other_than_one_rejected(self, small_seq):
@@ -129,6 +153,22 @@ class TestOutputErrorRun:
         assert rows[0]["avg_matvecs"] == 0.0
         assert rows[0]["avg_precond_apps"] == 0.0
         assert rows[0]["systems_met"] == small_seq.p
+
+    def test_unmet_threshold_has_no_average(self, small_seq):
+        # no checkpoint meets 1e-30: the row says so with systems_met 0 and
+        # averages None, not the zero cost of a threshold met at the start
+        methods = default_methods(storage_cap=16)[:2]
+        rows = output_error_run(small_seq, methods, [1e-30, np.inf])
+        for row in rows:
+            met = row["tau"] == np.inf
+            assert row["systems_met"] == (small_seq.p if met else 0)
+            for key in ("avg_matvecs", "avg_precond_apps", "avg_wall_ms"):
+                assert (row[key] is None) == (not met), (row["method"], key)
+
+    @pytest.mark.parametrize("tau", [float("nan"), 0.0, -1e-3])
+    def test_non_positive_tau_rejected(self, small_seq, tau):
+        with pytest.raises(RecyklError, match="thresholds must be positive"):
+            output_error_run(small_seq, default_methods(storage_cap=16)[:1], [1e-3, tau])
 
     def test_exact_recycling_met_before_stage3(self):
         seq = gen_diffusion_sequence((7, 7), p=3, delta=0.0, seed=62, tol=1e-10,

@@ -179,11 +179,25 @@ class TestOutputError:
     def test_writes_csv(self, sequence_dir, tmp_path):
         out = tmp_path / "oe"
         code = main(["output-error", "--manifest", str(sequence_dir / "manifest.json"),
-                     "--storage-cap", "12", "--taus", "1e-2", "1e-6",
+                     "--storage-cap", "12", "--taus", "1e-2", "1e-6", "1e-30",
                      "--out-dir", str(out)])
         assert code == 0
         rows = list(csv.DictReader(open(out / "output_error.csv")))
-        assert {r["tau"] for r in rows} == {"0.01", "1e-06"}
+        assert {r["tau"] for r in rows} == {"0.01", "1e-06", "1e-30"}
+        # a threshold no system met has blank averages
+        for r in rows:
+            unmet = r["systems_met"] == "0"
+            assert unmet == (r["tau"] == "1e-30")
+            assert (r["avg_matvecs"] == r["avg_wall_ms"] == "") == unmet
+
+    @pytest.mark.parametrize("tau", ["nan", "0", "-0.001"])
+    def test_non_positive_tau_exit_3(self, sequence_dir, tmp_path, capsys, tau):
+        out = tmp_path / "oe"
+        code = main(["output-error", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--taus", "1e-2", tau, "--out-dir", str(out)])
+        assert code == 3
+        assert "thresholds must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_output_matrix_rejected(self, tmp_path):
         out = tmp_path / "noc"
@@ -284,6 +298,35 @@ class TestExitCodes:
         assert code == 3
         assert "SSOR relaxation" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    def test_small_storage_cap_roster(self, sequence_dir, tmp_path):
+        # at a cap under 12 the roster has no split methods, and every
+        # method gets its own summary key
+        out = tmp_path / "res"
+        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--storage-cap", "10", "--out-dir", str(out)])
+        assert code == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert list(summary) == ["pcg", "no-trunc", "df(5,0)", "pod(5,0)"]
+
+    def test_storage_cap_below_two_exit_3(self, sequence_dir, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--storage-cap", "1", "--out-dir", str(out)])
+        assert code == 3
+        assert "storage cap must be at least 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_method_name_exit_3(self, sequence_dir, tmp_path, capsys):
+        spec_path = tmp_path / "methods.json"
+        spec_path.write_text(json.dumps([{"name": "plain", "recycle": False},
+                                         {"name": "plain", "mode": "cg"}]))
+        out = tmp_path / "res"
+        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
+                     "--methods", str(spec_path), "--out-dir", str(out)])
+        assert code == 3
+        assert "'plain' appears more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "output-error"])
     def test_storage_cap_with_methods_file_exit_3(self, tmp_path, sequence_dir, capsys,

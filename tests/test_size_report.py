@@ -29,6 +29,11 @@ def test_library_parts_add_up():
 
 
 def test_counting_rule(tmp_path):
+    # a body of 61 lines is long, one of 60 is not, and a docstring does
+    # not count toward a body
+    long_body = "\n".join(f"    x{i} = {i}" for i in range(61))
+    edge_body = "\n".join(f"    y{i} = {i}" for i in range(60))
+    docstring = '    """A docstring.\n\n' + "    More.\n" * 10 + '    """\n'
     source = textwrap.dedent('''\
         import argparse
         from dataclasses import dataclass, field
@@ -69,7 +74,15 @@ def test_counting_rule(tmp_path):
             p.add_argument("beta")
             p.add_argument("-g", "--gamma")
             return p
-        ''')
+        ''') + f"""
+
+def _long():
+{long_body}
+
+
+def edge():
+{docstring}{edge_body}
+"""
     (tmp_path / "mod.py").write_text(source)
     (tmp_path / "notes.txt").write_text("def ignored(a=1): pass\n")
     assert report(str(tmp_path)) == {
@@ -79,4 +92,5 @@ def test_counting_rule(tmp_path):
         "defaulted_params": 4,  # b, c, nested's x, method's x
         "dataclass_fields": 2,  # size, names
         "cli_flags": 2,  # --alpha, --gamma
+        "long_functions": 1,  # _long
     }

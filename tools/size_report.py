@@ -15,7 +15,10 @@ syntax tree under one fixed rule:
   ``dataclass``;
 - ``cli_flags``: ``--`` option strings passed to any ``add_argument`` call.
 
-The three parts add up to ``options``.
+The three parts add up to ``options``.  ``long_functions`` counts the
+functions and methods, nested and private ones included, whose body runs
+past 60 lines: from its first statement after any docstring to the end of
+its last, blank and comment lines between them included.
 """
 
 from __future__ import annotations
@@ -25,10 +28,17 @@ import glob
 import os
 import sys
 
+LONG_FUNCTION_LINES = 60
+
 
 def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
     args = fn.args
     return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+
+
+def _body_lines(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    body = fn.body[1:] if ast.get_docstring(fn, clean=False) is not None else fn.body
+    return body[-1].end_lineno - body[0].lineno + 1 if body else 0
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -49,7 +59,7 @@ def _flags(call: ast.Call) -> int:
 
 
 def size_report(src_dir: str) -> dict:
-    lines = classes = params = fields = flags = 0
+    lines = classes = params = fields = flags = long_functions = 0
     for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
         with open(path, "rb") as fh:
             source = fh.read()
@@ -58,6 +68,7 @@ def size_report(src_dir: str) -> dict:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not node.name.startswith("_"):
                     params += _defaulted(node)
+                long_functions += _body_lines(node) > LONG_FUNCTION_LINES
             elif isinstance(node, ast.ClassDef):
                 classes += 1
                 if _is_dataclass(node):
@@ -72,6 +83,7 @@ def size_report(src_dir: str) -> dict:
         "defaulted_params": params,
         "dataclass_fields": fields,
         "cli_flags": flags,
+        "long_functions": long_functions,
     }
 
 
