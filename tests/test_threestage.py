@@ -624,7 +624,6 @@ class TestStage1Fallback:
                 assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= 1.1 * spec.tol
         assert wide == 10
 
-
     def test_fallback_trace_holds_empty_basis(self, monkeypatch):
         # a system that falls back solves over an empty basis, and its trace
         # records that basis, not the entry basis the solve left unused
@@ -926,7 +925,8 @@ class TestStage3Breakdown:
         # a system that ran stage 2 and broke down in stage 3 returns Y yhat,
         # yhat the coefficients stage 2 left, and keeps Y and the history
         real = threestage.augmented_pcg
-        state = RecycleState.empty(100)
+        seq = gen_diffusion_sequence((10, 10), 3, 0.05, seed=5, tol=1e-8)
+        state = RecycleState.empty(seq.n)
         stage2 = []
 
         def breaking(op, *args, **kwargs):
@@ -938,7 +938,6 @@ class TestStage3Breakdown:
             return res
 
         monkeypatch.setattr(threestage, "augmented_pcg", breaking)
-        seq = gen_diffusion_sequence((10, 10), 3, 0.05, seed=5, tol=1e-8)
         cfg = solver_cfg(stage1_dim=2, storage_cap=10, precond="ssor:1.7")
         for spec in seq:
             Y, snapshots = state.Y, len(state.history)
