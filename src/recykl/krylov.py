@@ -25,17 +25,25 @@ Two direction updates are available.  ``mode="cg"`` keeps the classical
 two-term recurrence.  ``mode="fom"`` re-orthogonalizes each new direction
 against all previous ones, which guarantees a full-rank direction block in
 finite precision; its coefficients are the explicit projections -(V'Az).
-The projection is block classical Gram-Schmidt applied twice (CGS2): two
-sweeps suffice to reach orthogonality at the level of round-off (Giraud,
-Langou & Rozloznik, "The loss of orthogonality in the Gram-Schmidt
-orthogonalization process", Comput. Math. Appl. 50, 2005), and each sweep
-is two matrix-vector products over the stored block.  The directions of a
-run and their operator products live in one preallocated, Fortran-ordered
-store, in both modes: ``fom`` reads the products in every sweep, and a
-caller that recycles the directions reuses them instead of multiplying by A
-again.  Each block is a contiguous prefix BLAS reads without copying; the
-result gets both in the same layout, and a run told to keep no directions
-(plain PCG, whose caller recycles nothing) stores neither.
+The projection is block classical Gram-Schmidt in the A-inner product,
+p1 = p0 - V c with c = (AV)'p0, swept a second time only when the first
+sweep cancels: when ||p1||_A < ||p0||_A / sqrt(2) ("twice is enough" when
+needed; Daniel, Gragg, Kaufman & Stewart, "Reorthogonalization and stable
+algorithms for updating the Gram-Schmidt QR factorization", Math. Comp.
+30, 1976).  Two sweeps reach orthogonality at the level of round-off
+(Giraud, Langou & Rozloznik, "The loss of orthogonality in the Gram-Schmidt
+orthogonalization process", Comput. Math. Appl. 50, 2005).  The test costs
+no extra work: the stored columns are A-orthonormal, so ||c||^2 is the
+squared A-norm the sweep removed, and the iteration's own product A p1
+gives ||p1||_A^2.  A second sweep carries the product along, A p = A p1 -
+AV c2, so it costs two matrix-vector products over the stored block and
+no operator application.  The directions of a run and their operator
+products live in one preallocated, Fortran-ordered store, in both modes:
+``fom`` reads the products in every sweep, and a caller that recycles the
+directions reuses them instead of multiplying by A again.  Each block is a
+contiguous prefix BLAS reads without copying; the result gets both in the
+same layout, and a run told to keep no directions (plain PCG, whose caller
+recycles nothing) stores neither.
 """
 
 from __future__ import annotations
@@ -55,6 +63,10 @@ from .linalg import (
 )
 
 _BREAKDOWN_RTOL = 1e-14
+
+# a fom direction is swept again when its first sweep left less than this
+# fraction of its A-norm
+_REORTH_ETA = 0.5 ** 0.5
 
 # columns a direction store starts with before it doubles
 _STORE_INITIAL_COLS = 64
@@ -114,15 +126,25 @@ class _DirectionStore:
     blocks are Fortran-ordered, so the live prefixes ``V[:, :k]`` and
     ``AV[:, :k]`` are contiguous blocks.  Capacity starts at
     min(64, max_iter) columns and doubles, capped at max_iter, when full.
+
+    A ``fom`` step is split around the iteration's matvec:
+    :meth:`a_orthogonalize` makes the first sweep and keeps the squared
+    A-norm it removed, and :meth:`curvature`, handed the product of the
+    swept direction, sweeps once more only when the first sweep cancelled.
+    Every sweep is charged to ``sink``.
     """
 
-    def __init__(self, n: int, max_iter: int, directions: bool = True):
+    def __init__(self, n: int, max_iter: int, directions: bool = True,
+                 sink: InstrumentationSink | None = None):
         cap = min(_STORE_INITIAL_COLS, max_iter)
         self.k = 0
         self.max_iter = max_iter
         self.V = np.empty((n, cap), order="F") if directions else None
         self.AV = np.empty((n, cap), order="F") if directions else None
         self.alpha = np.empty(cap)
+        self.sink = sink
+        # squared A-norm the last first sweep removed; 0 once curvature read it
+        self.removed = 0.0
 
     def append(self, p: np.ndarray, Ap: np.ndarray, gamma: float, alpha: float) -> None:
         k = self.k
@@ -140,11 +162,35 @@ class _DirectionStore:
         self.k = k + 1
 
     def a_orthogonalize(self, p: np.ndarray) -> np.ndarray:
-        """p minus its A-projection onto every stored direction, by CGS2."""
-        V, AV = self.V[:, :self.k], self.AV[:, :self.k]
-        for _ in range(2):
-            p = p - V @ (p @ AV)
-        return p
+        """p minus its A-projection onto every stored direction, one block sweep."""
+        c = p @ self.AV[:, :self.k]
+        self.removed = float(c @ c)
+        return self._sweep(p, c)
+
+    def curvature(self, p: np.ndarray, Ap: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(p, Ap, p'Ap), after a second sweep if the first one cancelled.
+
+        ``p`` is the direction the iteration multiplied and ``Ap`` its
+        product.  Only the result of the last :meth:`a_orthogonalize` is
+        swept again (a ``cg`` direction never is), when p'Ap < eta^2 (p'Ap
+        + removed): ||p||_A below eta times the A-norm before the first
+        sweep.  The second sweep carries the product along from the stored
+        ones.
+        """
+        gamma = float(p @ Ap)
+        removed, self.removed = self.removed, 0.0
+        if removed > 0.0 and gamma < _REORTH_ETA ** 2 * (gamma + removed):
+            AV = self.AV[:, :self.k]
+            c = p @ AV
+            p = self._sweep(p, c)
+            Ap = Ap - AV @ c
+            gamma = float(p @ Ap)
+        return p, Ap, gamma
+
+    def _sweep(self, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+        if self.sink is not None:
+            self.sink.add_reorth_sweep()
+        return p - self.V[:, :self.k] @ c
 
 
 def _grown(block: np.ndarray, k: int, cap: int) -> np.ndarray:
@@ -204,7 +250,8 @@ def augmented_pcg(
         The SPD system operator: a matrix, whose products are counted on
         ``sink``, or the formed reduced matrix Y'AY of a nested run, whose
         dense products are not matvecs.  Anything else raises
-        ``DimensionMismatch``.
+        ``DimensionMismatch``.  ``sink`` also counts ``fom``'s block
+        Gram-Schmidt sweeps (``reorth_sweeps``).
     b : array
         Right-hand side (already centered by the caller when solving around
         an initial guess).
@@ -294,7 +341,7 @@ def augmented_pcg(
 
     if max_iter is None:
         max_iter = n
-    store = _DirectionStore(n, max_iter, directions=keep_directions)
+    store = _DirectionStore(n, max_iter, directions=keep_directions, sink=sink)
 
     def result(converged):
         kept = store.k if keep_directions else 0
@@ -322,8 +369,7 @@ def augmented_pcg(
     rz = float(r @ z)
 
     for k in range(max_iter):
-        Ap = apply(p)
-        gamma = float(p @ Ap)
+        p, Ap, gamma = store.curvature(p, apply(p))
         if not np.isfinite(gamma) or gamma <= _BREAKDOWN_RTOL * float(p @ p):
             raise Breakdown(f"direction curvature {gamma:.3e} at iteration {k}",
                             iterations=k + 1)
@@ -347,8 +393,8 @@ def augmented_pcg(
             if Y is not None:
                 p -= Y @ mu
         else:
-            # block classical Gram-Schmidt, applied twice ("twice is
-            # enough", Giraud et al. 2005), keeps the direction block
+            # one block classical Gram-Schmidt sweep now, a second at the
+            # next matvec if this one cancels, keeps the direction block
             # A-orthogonal even for badly conditioned operators
             p = store.a_orthogonalize(z - Y @ mu if Y is not None else z)
         rz = rz_next

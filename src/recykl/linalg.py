@@ -35,6 +35,7 @@ class InstrumentationSink:
         self.matvecs = 0
         self.precond_applies = 0
         self.gram_assemblies = 0
+        self.reorth_sweeps = 0
 
     def add_matvec(self, count: int = 1) -> None:
         self.matvecs += count
@@ -44,6 +45,9 @@ class InstrumentationSink:
 
     def add_gram(self) -> None:
         self.gram_assemblies += 1
+
+    def add_reorth_sweep(self) -> None:
+        self.reorth_sweeps += 1
 
 
 class SparseSpdMatrix:

@@ -164,6 +164,7 @@ class SolveReport:
     j: int
     matvecs: int = 0
     precond_applies: int = 0
+    reorth_sweeps: int = 0  # fom's block Gram-Schmidt sweeps in full-space runs
     stage1_dim: int = 0
     stage2_iters: int = 0
     stage3_iters: int = 0
@@ -337,6 +338,15 @@ def _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, moni
     return run.x, run
 
 
+def _checkpoints(marks: list[tuple], chalf: np.ndarray) -> list[Checkpoint]:
+    """The checkpoints of the recorded marks, with their outputs C @ x.
+
+    One GEMM over the stacked iterates; each output is a contiguous row.
+    """
+    outputs = np.stack([x for *_, x in marks]) @ chalf.T
+    return [Checkpoint(*fields, output=out) for (*fields, _), out in zip(marks, outputs)]
+
+
 def solve_system(
     A: SparseSpdMatrix,
     b: np.ndarray,
@@ -417,12 +427,10 @@ def solve_system(
     report.rank_truncated = report.truncated and outcome.rank_truncated
     report.matvecs = sink.matvecs
     report.precond_applies = sink.precond_applies
+    report.reorth_sweeps = sink.reorth_sweeps
     report.wall_time = time.perf_counter() - t0
     if marks is not None:
-        # one GEMM over the stacked iterates; each output is a contiguous row
-        outputs = np.stack([x for *_, x in marks]) @ chalf.T
-        report.checkpoints = [Checkpoint(*fields, output=out)
-                              for (*fields, _), out in zip(marks, outputs)]
+        report.checkpoints = _checkpoints(marks, chalf)
     if trace_out is not None:
         trace_out.append(SystemTrace(
             j=report.j, A=A, b=b, xbar=xbar, eps=eps, Y_entry=Y.copy(), stage1_start=s,

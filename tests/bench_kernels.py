@@ -10,8 +10,9 @@ collect it.  Covered kernels: the sparse matvec, one SSOR preconditioner
 build and one apply (relaxation 1.7) on a 100x100 diffusion matrix, the Gram assembly
 B'AB of a C-ordered block of m in {10, 50, 200} columns against the same
 matrix (n = 10,000), one ``mode="fom"`` re-orthogonalization step against k
-stored directions at n = 3600 (block CGS2, with the two-sweep modified
-Gram-Schmidt loop it replaced alongside for comparison), the outputs C x of
+A-orthonormal stored directions at n = 3600 (the one-sweep step, and the
+step whose first sweep cancels and that sweeps twice, with the two-sweep
+modified Gram-Schmidt loop alongside for comparison), the outputs C x of
 K in {10, 25, 60} checkpoint iterates at q = 100, n = 3600 (one GEMM over
 the stacked iterates, with the per-checkpoint GEMVs it replaced alongside),
 a dense SPD solve through a 50x50 Cholesky factor, and the Matrix Market
@@ -25,7 +26,7 @@ import pytest
 from helpers import make_spd_dense, mgs2_a_orthogonalize
 from recykl import preconditioners
 from recykl.krylov import _DirectionStore
-from recykl.linalg import assemble_gram, dense_cholesky, spmv
+from recykl.linalg import InstrumentationSink, assemble_gram, dense_cholesky, spmv
 from recykl.mmio import read_array, read_matrix, write_array, write_symmetric_matrix
 from recykl.problems import gen_diffusion_sequence
 
@@ -57,26 +58,51 @@ def test_assemble_gram(benchmark, diffusion_100, m):
 
 
 def _filled_store(n, k, seed):
-    # random directions with their products under a diagonal SPD operator;
-    # the step's cost depends only on n and k, not on A-orthogonality
+    # k directions A-orthonormal under a diagonal SPD operator, as a fom
+    # run stores them, so that the step's second-sweep test behaves as in
+    # a run; returns the store, the diagonal and a random vector
     rng = np.random.default_rng(seed)
-    diag = 1.0 + rng.random(n)
+    root = np.sqrt(1.0 + rng.random(n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     store = _DirectionStore(n, k)
-    for _ in range(k):
-        p = rng.standard_normal(n)
-        store.append(p, diag * p, float(p @ (diag * p)), 1.0)
-    return store, rng.standard_normal(n)
+    for q in Q.T:
+        store.append(q / root, q * root, 1.0, 1.0)
+    return store, root ** 2, rng.standard_normal(n)
+
+
+def _step(store, diag, p):
+    # the first sweep, the iteration's product, and the second sweep when
+    # the first one cancelled
+    swept = store.a_orthogonalize(p)
+    return store.curvature(swept, diag * swept)
+
+
+def _sweeps(store, diag, p):
+    store.sink = InstrumentationSink()
+    _step(store, diag, p)
+    sweeps, store.sink = store.sink.reorth_sweeps, None
+    return sweeps
 
 
 @pytest.mark.parametrize("k", [50, 300])
-def test_reorth_cgs2(benchmark, k):
-    store, p = _filled_store(3600, k, seed=k)
-    benchmark(store.a_orthogonalize, p)
+def test_reorth_one_sweep(benchmark, k):
+    store, diag, p = _filled_store(3600, k, seed=k)
+    assert _sweeps(store, diag, p) == 1
+    benchmark(_step, store, diag, p)
+
+
+@pytest.mark.parametrize("k", [50, 300])
+def test_reorth_two_sweeps(benchmark, k):
+    store, diag, p = _filled_store(3600, k, seed=k)
+    # all but about 1e-6 of p's A-norm lies in span(V): the first sweep cancels
+    p = store.V[:, :k] @ p[:k] + 1e-6 * p
+    assert _sweeps(store, diag, p) == 2
+    benchmark(_step, store, diag, p)
 
 
 @pytest.mark.parametrize("k", [50, 300])
 def test_reorth_mgs_loop(benchmark, k):
-    store, p = _filled_store(3600, k, seed=k)
+    store, _, p = _filled_store(3600, k, seed=k)
     benchmark(mgs2_a_orthogonalize, p, store.V[:, :k], store.AV[:, :k])
 
 

@@ -189,6 +189,11 @@ def laplacian_2d(m):
     return SparseSpdMatrix.from_scipy(scipy.sparse.kron(T, eye) + scipy.sparse.kron(eye, T))
 
 
+def product(op, v):
+    """A fresh operator product, outside any run."""
+    return op.to_scipy() @ v if isinstance(op, SparseSpdMatrix) else op.apply(v)
+
+
 class TestDirectionStore:
     @pytest.mark.parametrize("mode", ["fom", "cg"])
     def test_growth_past_initial_capacity(self, mode):
@@ -236,30 +241,64 @@ class TestDirectionStore:
         with pytest.raises(ValueError):
             augmented_pcg(A, np.ones(A.n), tol=1e-8, mode="fom", keep_directions=False)
 
-    @pytest.mark.parametrize("k", [1, 50, 300])
-    def test_cgs2_matches_mgs_reference(self, k):
-        A = laplacian_2d(30)
-        rng = np.random.default_rng(37)
+    @staticmethod
+    def filled_store(op, k, seed, sink=None):
+        """A store holding the k directions of a fom run over ``op``, and the run's rng."""
+        rng = np.random.default_rng(seed)
+        n = op.n if isinstance(op, SparseSpdMatrix) else op.dim
         with pytest.raises(NotConverged) as info:
-            augmented_pcg(A, rng.standard_normal(A.n), tol=0.0, mode="fom", max_iter=k)
+            augmented_pcg(op, rng.standard_normal(n), tol=0.0, mode="fom", max_iter=k)
         res = info.value.partial
         # the run's directions are already at unit A-norm: each is stored
         # with its own curvature, which leaves it at unit A-norm
-        store = _DirectionStore(A.n, k)
+        store = _DirectionStore(n, k, sink=sink)
         for i in range(k):
-            Av = A.to_scipy() @ res.V[:, i]
+            Av = product(op, res.V[:, i])
             store.append(res.V[:, i], Av, float(res.V[:, i] @ Av), res.vhat[i])
+        return store, rng
+
+    @pytest.mark.parametrize("k", [1, 50, 300])
+    def test_cgs2_matches_mgs_reference(self, k):
+        A = laplacian_2d(30)
+        store, rng = self.filled_store(A, k, seed=37)
         p = rng.standard_normal(A.n)
-        got = store.a_orthogonalize(p)
+        # one fom step: the first sweep, the iteration's product, and the
+        # second sweep if the first one cancelled
+        swept = store.a_orthogonalize(p)
+        got = store.curvature(swept, product(A, swept))[0]
         want = mgs2_a_orthogonalize(p, store.V[:, :k], store.AV[:, :k])
         # classical and modified sweeps sum in different orders
         assert np.linalg.norm(got - want) <= 10 * k * np.finfo(float).eps * np.linalg.norm(p)
+
+    @pytest.mark.parametrize("space", ["full", "reduced"])
+    def test_second_sweep_fires_when_first_cancels(self, space):
+        k = 50
+        if space == "full":
+            op = laplacian_2d(30)
+        else:
+            op = ReducedSpdOperator(make_spd_dense(200, seed=39, cond=1e4))
+        sink = InstrumentationSink()
+        store, rng = self.filled_store(op, k, seed=40, sink=sink)
+        V = store.V[:, :k]
+        # all but about 1e-6 of p's A-norm lies in span(V), so a product
+        # that missed the second sweep would be off by far more than 1e-12
+        p = V @ rng.standard_normal(k) + 1e-6 * rng.standard_normal(V.shape[0])
+        swept = store.a_orthogonalize(p)
+        got, Ap, gamma = store.curvature(swept, product(op, swept))
+        assert sink.reorth_sweeps == 2
+        bound = 10 * k * np.finfo(float).eps * np.linalg.norm(p)
+        assert np.linalg.norm(store.AV[:, :k].T @ got) <= bound
+        # the second sweep carries the product along instead of applying A
+        fresh = product(op, got)
+        assert np.linalg.norm(Ap - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        assert gamma == float(got @ Ap)
 
 
 class TestFrozenCounts:
     # iteration and matvec counts of the first 60x60 diffusion system as
     # measured with two modified Gram-Schmidt sweeps per fom step
-    # (helpers.mgs2_a_orthogonalize); block CGS2 must reproduce them
+    # (helpers.mgs2_a_orthogonalize); block Gram-Schmidt, with its second
+    # sweep only when the first one cancels, must reproduce them
     @pytest.mark.parametrize("mode, iterations, matvecs", [("fom", 93, 93), ("cg", 93, 93)])
     def test_unpreconditioned_60x60(self, mode, iterations, matvecs):
         seq = gen_diffusion_sequence((60, 60), 20, 0.05, seed=1, tol=1e-6, load_scale=1e-4)

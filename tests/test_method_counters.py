@@ -12,7 +12,7 @@ WORKLOADS = ("roster-ssor", "krylov-unprec", "output-error")
 
 
 def parse(stdout: str) -> dict:
-    """{workload: ({method: [matvecs, precond, stage2, stage3]}, per_solve)}."""
+    """{workload: ({method: [matvecs, precond, stage2, stage3, sweeps]}, per_solve)}."""
     tables, name = {}, None
     for line in stdout.splitlines():
         if not line.startswith(" "):
@@ -33,7 +33,7 @@ def test_tiny_workloads_match_an_in_process_roster(tmp_path):
     tables = parse(proc.stdout)
     assert tuple(tables) == WORKLOADS
     for name, (sums, per_solve) in tables.items():
-        assert sums["pcg"][2] == 0 and sums["pcg"][0] == sums["pcg"][3]
+        assert sums["pcg"][2] == sums["pcg"][4] == 0 and sums["pcg"][0] == sums["pcg"][3]
         total = sum(counts[0] for counts in sums.values())
         assert per_solve == round(total / (3 * len(sums)), 3), name
     assert len(tables["output-error"][0]) == 9 and len(tables["roster-ssor"][0]) == 6
@@ -47,5 +47,6 @@ def test_tiny_workloads_match_an_in_process_roster(tmp_path):
     want = {run.method.name: [sum(r.matvecs for r in run.reports),
                               sum(r.precond_applies for r in run.reports),
                               sum(r.stage2_iters for r in run.reports),
-                              sum(r.stage3_iters for r in run.reports)] for run in runs}
+                              sum(r.stage3_iters for r in run.reports),
+                              sum(r.reorth_sweeps for r in run.reports)] for run in runs}
     assert tables["krylov-unprec"][0] == want

@@ -6,8 +6,9 @@ For each workload of ``perfbench/workloads.py`` this generates the sequence
 from the seed as the benchmark does, writes it as a manifest and reads it
 back, and runs the workload's roster with ``bench.run_methods`` on one BLAS
 thread.  It prints, per method, the sums over the sequence of matvecs,
-preconditioner applications, stage-2 iterations and stage-3 iterations,
-then the roster's matvecs per solve (the benchmark's ``matvecs_per_solve``).
+preconditioner applications, stage-2 iterations, stage-3 iterations and
+``fom``'s block Gram-Schmidt sweeps in full-space runs (``sweeps``), then
+the roster's matvecs per solve (the benchmark's ``matvecs_per_solve``).
 ``--tiny`` runs each workload at its smoke-test size.  Nothing is timed, and
 nothing under ``perfbench/`` is written.
 """
@@ -21,7 +22,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-COLUMNS = ("matvecs", "precond", "stage2", "stage3")
+COLUMNS = ("matvecs", "precond", "stage2", "stage3", "sweeps")
 
 
 def method_counters(wl, seed: int) -> tuple[dict, float]:
@@ -46,6 +47,7 @@ def method_counters(wl, seed: int) -> tuple[dict, float]:
             sum(r.precond_applies for r in reports),
             sum(r.stage2_iters for r in reports),
             sum(r.stage3_iters for r in reports),
+            sum(r.reorth_sweeps for r in reports),
         )))
         solves += len(reports)
     return sums, sum(c["matvecs"] for c in sums.values()) / solves
