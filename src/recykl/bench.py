@@ -348,13 +348,13 @@ def output_error_run(
         raise RecyklError(f"output-error thresholds must be positive, got {bad[0]}")
     if seq.C is None:
         raise RecyklError("output-error runs need the sequence's output matrix")
-    xstars = dense_solutions(seq)
+    # the reference outputs C x*, one per system, shared by every method
+    targets = [seq.C @ xstar for xstar in dense_solutions(seq)]
     runs = run_methods(seq, methods, track_iterates=True)
     rows = []
     for run in runs:
         per_tau = {tau: {"matvecs": [], "precond": [], "wall": [], "met": 0} for tau in taus}
-        for r, xstar in zip(run.reports, xstars):
-            target = seq.C @ xstar
+        for r, target in zip(run.reports, targets):
             errs = [(cp, float(np.linalg.norm(target - cp.output))) for cp in r.checkpoints]
             for tau in taus:
                 hit = next((cp for cp, e in errs if e < tau), None)

@@ -44,9 +44,10 @@ which alone reads the truncation strategy.  The stage-1 block is always the trai
 columns ``Y[:, stage1_start:]``, read as a view: truncation stores the
 retained basis with its stage-1 prefix moved to the tail, and appended
 directions land behind it.  Every truncation is handed the products AZ of
-the grown block, whatever the strategy and mode: the solve's products AY
-of the old basis and the stage-3 products of the new directions are copied
-in, so truncation costs no matvec; only after a stage-1 fallback, when the
+the grown block, whatever the strategy and mode, as the two column blocks
+the solve holds: its products AY of the old basis and the stage-3 products
+of the new directions.  Truncation reads them block by block, with no
+stacked copy, and costs no matvec; only after a stage-1 fallback, when the
 solve holds no product of the old basis, does A multiply every old column.
 
 A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
@@ -61,8 +62,11 @@ Blocks pass between the stages without copies where the layout allows: a
 single C-ordered block (such as the stage-1 products A W when stage 2 adds
 none) goes to stage 3 as it is, and the grown Y is allocated once with the
 new directions written into its tail.  A run without recycling keeps no
-direction block at all.  Checkpoint outputs C x are formed after the clock
-stops, by one product over the stacked iterates.
+direction block at all.  Each dense block lives only as long as a stage
+reads it: once stage 3 ends, the solve drops its stage blocks and entry
+basis, and keeps AY only for a truncation that will read it, so the old Y
+is freed as soon as the grown one is written.  Checkpoint outputs C x are
+formed after the clock stops, by one product over the stacked iterates.
 """
 
 from __future__ import annotations
@@ -193,7 +197,11 @@ class SolveReport:
 
 @dataclass
 class SystemTrace:
-    """Per-system record of the internal bases, for verification harnesses."""
+    """Per-system record of the internal bases, for verification harnesses.
+
+    ``Y_entry`` and ``stage1_start`` are the state's on entry, also after a
+    stage-1 fallback, when ``stage3_basis`` is empty.
+    """
 
     j: int
     A: SparseSpdMatrix
@@ -309,6 +317,26 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
     return np.concatenate([what, run.vhat]), stack_blocks([W, Y @ run.V]), proj, AY, run.x
 
 
+def _stages12(A, r0, Y, s, cfg, eps, report, sink, record):
+    """Stages 1 and 2 over the entry basis Y, whose stage-1 block is Y[:, s:].
+
+    Returns what :func:`_stage2` returns for stage 3.  Without a basis, or
+    after a stage-1 fallback, that is an empty block and yhat = 0 with no
+    AY, so stage 3 is plain PCG.  ``record``, when given, takes the stage-1
+    and stage-2 checkpoints.
+    """
+    stage1 = _stage1(A, r0, Y[:, s:], sink)
+    if stage1 is None:
+        report.stage1_fallback = Y.shape[1] > 0
+        return np.zeros(0), Y[:, :0], None, None, np.zeros(Y.shape[1])
+    if record is not None:
+        record("stage1", 0, Y[:, s:] @ stage1[0])
+    start, basis, proj, AY, yhat = _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink)
+    if record is not None:
+        record("stage2", 0, Y @ yhat)
+    return start, basis, proj, AY, yhat
+
+
 def _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, monitor):
     """Stage 3: augmented PCG from ``start`` over ``basis`` to the tolerance ``eps``.
 
@@ -405,23 +433,21 @@ def solve_system(
     # without recycling the basis counts as empty
     Y = state.Y if cfg.recycle else state.Y[:, :0]
     s = state.stage1_start  # the stage-1 block is Y[:, s:]
-    stage1 = _stage1(A, r0, Y[:, s:], sink)
-    if stage1 is None:
-        # no basis, or a stage-1 fallback: plain PCG, with yhat = 0
-        report.stage1_fallback = Y.shape[1] > 0
-        start, basis, proj, AY, yhat = np.zeros(0), Y[:, :0], None, None, np.zeros(Y.shape[1])
-        Y, s = basis, 0
-    else:
-        if track_iterates:
-            record("stage1", 0, Y[:, s:] @ stage1[0])
-        start, basis, proj, AY, yhat = _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink)
-        if track_iterates:
-            record("stage2", 0, Y @ yhat)
+    start, basis, proj, AY, yhat = _stages12(A, r0, Y, s, cfg, eps, report, sink,
+                                             record if track_iterates else None)
     monitor = (lambda k, x: record("stage3", k, x)) if track_iterates else None
     x, run = _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, monitor)
+    if trace_out is not None:
+        Y_entry, stage3_basis = Y.copy(), basis.copy()
+    # only a truncation reads AY again; every other block is done with, so
+    # the old Y is freed once the grown one is written
+    if not cfg.truncation.truncates(Y.shape[1] + (0 if run is None else run.V.shape[1])):
+        AY = None
+    del start, basis, proj, Y
     # a broken run adds neither directions nor a weight snapshot
     outcome = None if run is None else update_basis(state, yhat, run, cfg, A, chalf=chalf,
                                                     sink=sink, products=AY)
+    del AY
     state.systems_seen = report.j
     report.truncated = outcome is not None
     report.rank_truncated = report.truncated and outcome.rank_truncated
@@ -433,8 +459,8 @@ def solve_system(
         report.checkpoints = _checkpoints(marks, chalf)
     if trace_out is not None:
         trace_out.append(SystemTrace(
-            j=report.j, A=A, b=b, xbar=xbar, eps=eps, Y_entry=Y.copy(), stage1_start=s,
-            stage3_basis=basis.copy(), Y_exit=state.Y.copy(), truncated=report.truncated))
+            j=report.j, A=A, b=b, xbar=xbar, eps=eps, Y_entry=Y_entry, stage1_start=s,
+            stage3_basis=stage3_basis, Y_exit=state.Y.copy(), truncated=report.truncated))
     return add_center(x), report
 
 
@@ -453,15 +479,17 @@ def update_basis(
 
     ``state`` is updated in place; the truncation's outcome is returned
     when it fired, else None.  New directions enter as the stage-3 run
-    hands them out, at unit A-norm, and all join the stage-1 block.  The
-    solution's coefficients in the grown block join the weight history.
-    When the config says the grown block Z = [Y, V] is to be truncated,
-    :func:`~recykl.truncation.compress` gets the block, the just-solved
-    matrix, the history and the products AZ; it picks the weights, metric
-    and method, and reads A only from those products.
+    hands them out, at unit A-norm, and all join the stage-1 block: the
+    grown block Z = [Y, V] replaces the old Y as soon as it is written, so
+    the old one is freed unless the caller holds it.  The solution's
+    coefficients in Z join the weight history.  When the config says Z is
+    to be truncated, :func:`~recykl.truncation.compress` gets the block,
+    the just-solved matrix, the history and the products AZ; it picks the
+    weights, metric and method, and reads A only from those products.
 
-    ``products`` is A times the old basis, as the solve formed it; it and
-    the stage-3 products AV are copied into AZ.  Without it (after a
+    ``products`` is A times the old basis, as the solve formed it; only a
+    truncation reads it.  It and the stage-3 products AV go to ``compress``
+    as two column blocks, with no stacked copy.  Without it (after a
     stage-1 fallback, when the solve held no product of the old basis) A
     multiplies every old column, one matvec each on ``sink``.  The weight
     history is then reset, and the retained basis is stored with the
@@ -469,43 +497,32 @@ def update_basis(
     ``stage1_start`` marks it; appended directions leave ``stage1_start`` as
     it is.
     """
-    j = state.systems_seen + 1
+    state.systems_seen += 1
     if not cfg.recycle:
-        state.systems_seen = j
         return None
     tcfg = cfg.truncation
-    k = stage3_res.V.shape[1]
-    y_old = state.Y.shape[1]
-    if k > 0:
-        # the grown block is allocated once, in C order
-        Y_grown = stack_blocks([state.Y, stage3_res.V])
-        eta = np.concatenate([yhat_comb, stage3_res.vhat])
-    else:
-        Y_grown = state.Y
-        eta = yhat_comb.copy()
+    V, AV = stage3_res.V, stage3_res.AV
+    y_old, k = state.Y.shape[1], V.shape[1]
+    truncates = tcfg.truncates(y_old + k)
+    if truncates and products is None and y_old:
+        # after a stage-1 fallback the solve holds no product of the old columns
+        products = spmv(A, state.Y, sink)
+    eta = np.concatenate([yhat_comb, stage3_res.vhat])
     if eta.size:
         state.history.push(eta)
-
-    if not tcfg.truncates(Y_grown.shape[1]):
-        state.Y = Y_grown
-        state.systems_seen = j
+    if k:
+        # the grown block is allocated once, in C order
+        state.Y = stack_blocks([state.Y, V])
+    if not truncates:
         return None
-    if products is None:
-        # after a stage-1 fallback (or over an empty basis) the solve holds
-        # no product of the old columns
-        products = spmv(A, state.Y, sink) if y_old else state.Y
-    # Fortran order, so that both blocks land in whole contiguous columns
-    AZ = np.empty(Y_grown.shape, order="F")
-    AZ[:, :y_old] = products
-    AZ[:, y_old:] = stage3_res.AV
-    out = compress(Y_grown, tcfg, A, state.history, chalf=chalf, products=AZ, sink=sink)
+    blocks = [block for block in (products, AV) if block is not None and block.shape[1]]
+    out = compress(state.Y, tcfg, A, state.history, chalf=chalf, products=blocks, sink=sink)
     state.history.reset()
     w, y_new = out.stage1_width, out.Y_new.shape[1]
     state.Y = out.Y_new
     if w < y_new:
         state.Y = np.concatenate([out.Y_new[:, w:], out.Y_new[:, :w]], axis=1)
     state.stage1_start = y_new - w
-    state.systems_seen = j
     return out
 
 

@@ -26,7 +26,9 @@ width, and the spectrum it was cut from.  Every strategy reads A only from
 the products AZ: a caller that already holds them (the staged solver keeps
 them from its solve) passes them as ``products`` and no matvec is spent;
 without them :func:`compress` forms them once, one block product charged at
-one matvec per column.
+one matvec per column.  The products may come as one array or as the column
+blocks the caller holds, side by side in Z's column order: every dense
+product with AZ is then formed block by block, so no stacked copy is made.
 """
 
 from __future__ import annotations
@@ -109,14 +111,36 @@ def _cap(value: int, pin: int | None, hard: int) -> int:
     return max(1, min(out, hard))
 
 
-def _products(A: SparseSpdMatrix, Z: np.ndarray, products, sink=None) -> np.ndarray:
-    """AZ: the given products, checked against the block, else formed on ``sink``."""
+def _products(A: SparseSpdMatrix, Z: np.ndarray, products, sink=None) -> list[np.ndarray]:
+    """AZ as a list of column blocks: the given ones, checked against Z, else formed on ``sink``.
+
+    ``products`` is one array or a sequence of column blocks.
+    """
     if products is None:
-        return spmv(A, Z, sink)
-    products = np.asarray(products, dtype=np.float64)
-    if products.shape != Z.shape:
-        raise DimensionMismatch(f"products are {products.shape}, the block is {Z.shape}")
-    return products
+        return [spmv(A, Z, sink)]
+    if isinstance(products, np.ndarray):
+        products = [products]
+    blocks = [np.asarray(block, dtype=np.float64) for block in products]
+    shapes = [block.shape for block in blocks]
+    if (not blocks or any(len(shape) != 2 or shape[0] != Z.shape[0] for shape in shapes)
+            or sum(shape[1] for shape in shapes) != Z.shape[1]):
+        raise DimensionMismatch(f"products are {shapes}, the block is {Z.shape}")
+    return blocks
+
+
+def _cross(B: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """B'(AZ), one product per column block of AZ."""
+    return np.concatenate([B.T @ block for block in blocks], axis=1)
+
+
+def _times(blocks: list[np.ndarray], coef: np.ndarray) -> np.ndarray:
+    """(AZ) coef, summed over the column blocks of AZ and their rows of ``coef``."""
+    start = blocks[0].shape[1]
+    out = blocks[0] @ coef[:start]
+    for block in blocks[1:]:
+        out += block @ coef[start:start + block.shape[1]]
+        start += block.shape[1]
+    return out
 
 
 def deflation_compress(
@@ -132,15 +156,16 @@ def deflation_compress(
     Solves the generalized eigenproblem (AZ)'(AZ) g = mu Z'AZ g whose
     eigenvalues approximate the spectrum of A restricted to range(Z), keeps
     the m pairs with smallest values, and A-orthonormalizes the result.
-    ``products``, when given, is AZ: both matrices are then dense products
-    of it, and A is not applied.
+    ``products``, when given, is AZ, one array or its column blocks: both
+    matrices are then dense products of it, block by block, and A is not
+    applied.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     z = Z.shape[1]
     m = min(int(m), z)
-    AZ = _products(A_prev, Z, products)
-    gram_az = Z.T @ AZ
-    K = AZ.T @ AZ
+    blocks = _products(A_prev, Z, products)
+    gram_az = _cross(Z, blocks)
+    K = np.concatenate([_cross(block, blocks) for block in blocks], axis=0)
     mu_desc, G = generalized_symmetric_evd(0.5 * (K + K.T), 0.5 * (gram_az + gram_az.T))
     # retain the m smallest harmonic Ritz values, ascending
     keep = G[:, ::-1][:, :m]
@@ -156,11 +181,11 @@ def enforce_a_orthogonality(Y, A: SparseSpdMatrix, *, products=None):
     """Rescale Y so that Y'AY = I, returning the new basis and the factor.
 
     The range is unchanged: with Y'AY = L L', the result is Y L^{-T}.
-    ``products``, when given, is AY, and Y'AY is formed from it without
-    applying A.
+    ``products``, when given, is AY, one array or its column blocks, and
+    Y'AY is formed from it without applying A.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    gram = Y.T @ _products(A, Y, products)
+    gram = _cross(Y, _products(A, Y, products))
     L = dense_cholesky(0.5 * (gram + gram.T))
     return L.solve_lower(Y.T).T, L
 
@@ -189,17 +214,19 @@ def compress(
     Every strategy takes what it needs of A from the products AZ with dense
     products: A-metric POD the Gram matrix Z'(AZ), deflation (AZ)'(AZ) and
     Z'(AZ), and output-metric POD A Y_new = (AZ) coef for its
-    A-orthonormalization.  ``products``, when given, is AZ; without it AZ is
-    formed once, one block product charged to ``sink`` at one matvec per
-    column.
+    A-orthonormalization.  ``products``, when given, is AZ: one array, or
+    the column blocks the caller holds (the staged solver hands over A times
+    the old basis and the new directions' products), each product then
+    formed block by block with no stacked copy.  Without it AZ is formed
+    once, one block product charged to ``sink`` at one matvec per column.
     """
     if cfg.strategy == "none":
         raise RecyklError("strategy 'none' keeps the whole block: nothing to compress")
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    AZ = _products(A, Z, products, sink)
+    blocks = _products(A, Z, products, sink)
     if cfg.strategy == "deflate":
         return deflation_compress(Z, A, cfg.deflate_dim, stage1_dim=cfg.stage1_dim,
-                                  products=AZ)
+                                  products=blocks)
     if cfg.strategy.endswith("-rbf"):
         weights = weights_rbf(history, len(history))
     else:
@@ -210,13 +237,13 @@ def compress(
             raise DimensionMismatch("output-metric truncation needs the output matrix")
         res = pod_svd(Z, weights, chalf, cfg.nu_y)
     else:
-        res = pod_evd_from_gram(Z.T @ AZ, Z, weights, cfg.nu_y)
+        res = pod_evd_from_gram(_cross(Z, blocks), Z, weights, cfg.nu_y)
     y = _cap(res.y, cfg.max_dim, res.y)
     # nu_w <= nu_y, so a rank-cut stage-1 width implies a rank-cut res.y
     w, _ = energy_dim(res.singular_values**2, cfg.nu_w)
     w = _cap(w, cfg.stage1_dim, y)
     Y = res.columns[:, :y]
     if output_metric:
-        Y, _ = enforce_a_orthogonality(Y, A, products=AZ @ res.coef[:, :y])
+        Y, _ = enforce_a_orthogonality(Y, A, products=_times(blocks, res.coef[:, :y]))
     return TruncationOutcome(Y_new=Y, stage1_width=w, spectrum=res.singular_values,
                              rank_truncated=res.rank_truncated)

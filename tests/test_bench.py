@@ -206,6 +206,23 @@ class TestOutputErrorRun:
             residual = spec.b - spec.A.to_scipy() @ xstar
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(spec.b)
 
+    def test_reference_outputs_formed_once_per_system(self, monkeypatch, small_seq):
+        # C x* is one product per system, shared by every method's rows
+        products = []
+
+        class Reference(np.ndarray):
+            def __rmatmul__(self, other):
+                products.append(other.shape)
+                return other @ self.view(np.ndarray)
+
+        solve = bench.dense_solutions
+        monkeypatch.setattr(bench, "dense_solutions",
+                            lambda seq: [x.view(Reference) for x in solve(seq)])
+        methods = default_methods(storage_cap=16)[:3]
+        rows = output_error_run(small_seq, methods, [1e-3, np.inf])
+        assert len(rows) == 2 * len(methods)
+        assert products == [small_seq.C.shape] * small_seq.p
+
     def test_infinite_tau_zero_cost(self, small_seq):
         methods = [default_methods(storage_cap=16)[1]]  # no-trunc
         rows = output_error_run(small_seq, methods, [np.inf])

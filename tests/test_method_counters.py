@@ -11,27 +11,37 @@ SCRIPT = os.path.join(ROOT, "tools", "method_counters.py")
 WORKLOADS = ("roster-ssor", "krylov-unprec", "output-error")
 
 
-def parse(stdout: str) -> dict:
-    """{workload: ({method: [matvecs, precond, stage2, stage3, sweeps]}, per_solve)}."""
-    tables, name = {}, None
+def parse(stdout: str) -> tuple[dict, dict]:
+    """{workload: ({method: [matvecs, precond, stage2, stage3, sweeps]}, per_solve)},
+    and {workload: {method: peak_mb}}."""
+    tables, peaks, name = {}, {}, None
     for line in stdout.splitlines():
         if not line.startswith(" "):
             name = line.split(" (")[0]
-            tables[name] = ({}, None)
+            tables[name], peaks[name] = ({}, None), {}
         elif line.strip().startswith("roster matvecs/solve"):
             tables[name] = (tables[name][0], float(line.split()[-1]))
-        elif not line.strip().startswith("method"):
-            method, *counts = line.split()
+        elif line.strip().startswith("method"):
+            assert line.split()[1:] == ["matvecs", "precond", "stage2", "stage3", "sweeps",
+                                        "peak_mb"]
+        else:
+            method, *counts, peak = line.split()
             tables[name][0][method] = [int(c) for c in counts]
-    return tables
+            peaks[name][method] = float(peak)
+    return tables, peaks
 
 
 def test_tiny_workloads_match_an_in_process_roster(tmp_path):
     proc = subprocess.run([sys.executable, SCRIPT, "--tiny", "--seed", "2"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    tables = parse(proc.stdout)
+    tables, peaks = parse(proc.stdout)
     assert tuple(tables) == WORKLOADS
+    for name, (sums, _) in tables.items():
+        # every method allocates while it runs; one that keeps directions
+        # holds more than plain PCG
+        assert set(peaks[name]) == set(sums) and min(peaks[name].values()) > 0, name
+        assert peaks[name]["no-trunc"] > peaks[name]["pcg"], name
     for name, (sums, per_solve) in tables.items():
         assert sums["pcg"][2] == sums["pcg"][4] == 0 and sums["pcg"][0] == sums["pcg"][3]
         total = sum(counts[0] for counts in sums.values())

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from helpers import make_spd, random_basis
 from recykl import preconditioners as pc
 from recykl import threestage
+from recykl.analysis import check_conditioning_bound
 from recykl.bench import default_methods, run_methods
 from recykl.errors import Breakdown, NotPositiveDefinite, RecyklError
-from recykl.krylov import ReducedSpdOperator, augmented_pcg
+from recykl.krylov import AugmentedPcgResult, ReducedSpdOperator, augmented_pcg
 from recykl.linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
@@ -26,7 +28,12 @@ from recykl.threestage import (
     summarize_reports,
     update_basis,
 )
-from recykl.truncation import ALL_STRATEGIES, TruncationConfig, compress
+from recykl.truncation import (
+    ALL_STRATEGIES,
+    TruncationConfig,
+    compress,
+    enforce_a_orthogonality,
+)
 
 
 def solver_cfg(**kw):
@@ -416,14 +423,20 @@ class TestTruncationFiring:
     @pytest.mark.parametrize("strategy, stage1_dim", [
         ("deflate", None), ("pod-a-rbf", 3), ("pod-ctc-rbf", None), ("pod-a-rbf", None)])
     def test_products_handed_to_compress_match(self, monkeypatch, strategy, stage1_dim):
-        # the products built from the solve's own A-products are A @ Z, in
-        # fom mode too, and for A-metric POD whose stage-1 block spans Y
+        # the products handed over are the solve's own A-products, as column
+        # blocks of A @ Z side by side, in fom mode too, and for A-metric POD
+        # whose stage-1 block spans Y
         errors = []
 
         def spy(Z, cfg, A, history, **kw):
             if kw["products"] is not None:
-                exact = A.to_scipy() @ Z
-                errors.append(np.linalg.norm(kw["products"] - exact) / np.linalg.norm(exact))
+                start, block_errors = 0, []
+                for block in kw["products"]:
+                    exact = A.to_scipy() @ Z[:, start:start + block.shape[1]]
+                    block_errors.append(np.linalg.norm(block - exact) / np.linalg.norm(exact))
+                    start += block.shape[1]
+                assert start == Z.shape[1]
+                errors.append(max(block_errors))
             return compress(Z, cfg, A, history, **kw)
 
         monkeypatch.setattr(threestage, "compress", spy)
@@ -438,6 +451,39 @@ class TestTruncationFiring:
 
 
 class TestNoCopies:
+    @pytest.mark.parametrize("strategy", ["pod-a-rbf", "pod-ctc-rbf", "deflate"])
+    def test_truncation_allocates_no_stacked_products(self, strategy):
+        # a truncating update_basis allocates the grown and retained bases
+        # and less than one more n x z block: the products go to compress as
+        # the blocks the solve holds, and the old Y is freed once the grown
+        # one is written
+        n, y_old, k = 2500, 20, 12
+        A = gen_diffusion_sequence((50, 50), p=1, delta=0.0, seed=42, tol=1e-8)[0].A
+        chalf = gen_output_matrix(10, n, seed=44)
+        cfg = solver_cfg(strategy=strategy, storage_cap=25, max_dim=10, stage1_dim=4,
+                         deflate_dim=10)
+        # traced from before the old Y is allocated, so that its release counts
+        tracemalloc.start()
+        try:
+            Q = enforce_a_orthogonality(random_basis(n, y_old + k, seed=43), A)[0]
+            V = np.asfortranarray(Q[:, y_old:])
+            run = AugmentedPcgResult(k=k, vhat=np.ones(k), V=V,
+                                     AV=np.asfortranarray(spmv(A, V)),
+                                     residual_history=np.ones(2), x=np.zeros(n))
+            state = RecycleState(Y=np.ascontiguousarray(Q[:, :y_old]))
+            products = spmv(A, state.Y)
+            del Q
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = update_basis(state, np.ones(y_old), run, cfg, A, chalf=chalf,
+                               products=products)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        z, y_new = y_old + k, out.Y_new.shape[1]
+        assert state.basis_dim == y_new == 10 and state.stage1_start == 6
+        assert peak < 8 * n * (z + y_new + z)
+
     @pytest.mark.parametrize("mode, width", [("fom", 3), ("cg", 0)])
     def test_update_basis_appends_scaled_directions(self, mode, width):
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=35, tol=1e-8)
@@ -653,8 +699,9 @@ class TestStage1Fallback:
         assert wide == 10
 
     def test_fallback_trace_holds_empty_basis(self, monkeypatch):
-        # a system that falls back solves over an empty basis, and its trace
-        # records that basis, not the entry basis the solve left unused
+        # a system that falls back solves over an empty stage-3 basis; its
+        # trace records that basis beside the state's entry basis and
+        # stage-1 start, which the new directions were appended to
         def failing_stage1(*args, **kwargs):
             raise NotPositiveDefinite("injected")
 
@@ -665,13 +712,35 @@ class TestStage1Fallback:
         solve_system(first.A, first.b, first.xbar, state, first.tol, cfg, built(cfg, first.A),
                      trace_out=traces)
         assert state.stage1_start > 0
+        entry, entry_start = state.Y.copy(), state.stage1_start
         monkeypatch.setattr(threestage, "direct_reduced_solve", failing_stage1)
         _, report = solve_system(second.A, second.b, second.xbar, state, second.tol, cfg,
                                  built(cfg, second.A), trace_out=traces)
         assert report.stage1_fallback and report.converged
         trace = traces[1]
-        assert trace.Y_entry.shape == trace.stage3_basis.shape == (seq.n, 0)
-        assert trace.stage1_start == 0
+        assert trace.stage3_basis.shape == (seq.n, 0)
+        assert np.array_equal(trace.Y_entry, entry)
+        assert trace.stage1_start == entry_start
+
+    def test_fallback_trace_counts_new_directions(self):
+        # a repeated column makes W'AW singular, so stage 1 falls back; the
+        # trace keeps the entry basis, so Y_exit - Y_entry counts the
+        # directions stage 3 appended, and the conditioning check reads the
+        # entry basis instead of skipping an empty one
+        seq = gen_diffusion_sequence((8, 8), 1, 0.0, seed=40, tol=1e-8)
+        Y = random_basis(seq.n, 5, seed=42)
+        Y[:, 4] = Y[:, 3]
+        state, traces = RecycleState(Y=Y.copy()), []
+        spec = seq[0]
+        _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, solver_cfg(),
+                                 trace_out=traces)
+        assert report.stage1_fallback and report.converged and report.stage3_iters > 0
+        (trace,) = traces
+        assert np.array_equal(trace.Y_entry, Y) and trace.stage1_start == 0
+        assert trace.stage3_basis.shape == (seq.n, 0)
+        assert trace.Y_exit.shape[1] - trace.Y_entry.shape[1] == report.stage3_iters
+        (check,) = check_conditioning_bound(traces)
+        assert check.context["j"] == 1 and check.lhs > 0.0
 
 
 class TestReducedProjections:

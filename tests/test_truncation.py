@@ -251,6 +251,36 @@ class TestCompressDispatch:
             compress(Z, config, A, history_of(np.ones(6)), chalf=C,
                      products=A.to_scipy() @ Z[:, :5])
 
+    @pytest.mark.parametrize("strategy", ["deflate", "pod-a-prev", "pod-a-rbf", "pod-ctc-rbf"])
+    def test_block_products_match_stacked(self, strategy):
+        # AZ handed over as the column blocks [A Y_old, A V] gives the
+        # outcome of the stacked AZ
+        A = make_spd(40, seed=133)
+        C = np.random.default_rng(134).random((6, 40))
+        Z = enforce_a_orthogonality(random_basis(40, 12, seed=135), A)[0]
+        rng = np.random.default_rng(136)
+        history = history_of(rng.random(7), rng.random(12), rng.random(12))
+        AZ = A.to_scipy() @ Z
+        blocks = [np.ascontiguousarray(AZ[:, :7]), np.asfortranarray(AZ[:, 7:])]
+        config = cfg(strategy=strategy, nu_w=1.0, max_dim=6, stage1_dim=4, deflate_dim=6)
+        want = compress(Z, config, A, history, chalf=C, products=AZ)
+        got = compress(Z, config, A, history, chalf=C, products=blocks)
+        assert got.stage1_width == want.stage1_width
+        assert got.Y_new.shape == want.Y_new.shape == (40, 6)
+        assert np.linalg.norm(got.Y_new - want.Y_new) <= 1e-12 * np.linalg.norm(want.Y_new)
+        assert np.allclose(got.spectrum, want.spectrum, rtol=1e-12, atol=0)
+
+    def test_block_products_checked_against_the_block(self):
+        A = make_spd(15, seed=137)
+        Z = random_basis(15, 6, seed=138)
+        AZ = A.to_scipy() @ Z
+        with pytest.raises(DimensionMismatch):
+            compress(Z, cfg(), A, history_of(np.ones(6)), products=[AZ[:, :2], AZ[:, 3:]])
+        with pytest.raises(DimensionMismatch):
+            compress(Z, cfg(), A, history_of(np.ones(6)), products=[AZ[:, :2], AZ[:-1, 2:]])
+        out = enforce_a_orthogonality(Z, A, products=[AZ[:, :2], AZ[:, 2:]])[0]
+        assert np.allclose(out.T @ A.to_scipy() @ out, np.eye(6), atol=1e-12)
+
 
 class TestBasisDependence:
     """POD truncation depends on the basis of the grown block, not only on its range.

@@ -4,21 +4,30 @@ Usage: python3 tools/method_counters.py [--seed N] [--tiny]
 
 For each workload of ``perfbench/workloads.py`` this generates the sequence
 from the seed as the benchmark does, writes it as a manifest and reads it
-back, and runs the workload's roster with ``bench.run_methods`` on one BLAS
-thread.  It prints, per method, the sums over the sequence of matvecs,
-preconditioner applications, stage-2 iterations, stage-3 iterations and
-``fom``'s block Gram-Schmidt sweeps in full-space runs (``sweeps``), then
-the roster's matvecs per solve (the benchmark's ``matvecs_per_solve``).
-``--tiny`` runs each workload at its smoke-test size.  Nothing is timed, and
-nothing under ``perfbench/`` is written.
+back, and runs the workload's roster as ``bench.run_methods`` does (each
+preconditioner built once per system, then one method after another) on
+one BLAS thread.  It prints, per method, the sums over the sequence of
+matvecs, preconditioner applications, stage-2 iterations, stage-3
+iterations and ``fom``'s block Gram-Schmidt sweeps in full-space runs
+(``sweeps``), and the method's ``tracemalloc`` peak over its sequence
+above the level it started from (``peak_mb``, in MB of 10^6 bytes: the
+memory Python and numpy allocate, with the shared preconditioners and the
+sequence left out), then the roster's matvecs per solve (the benchmark's
+``matvecs_per_solve``).  Allocation sizes do not depend on timing, so the
+peak repeats from run to run to about 0.01 MB, unlike the resident set
+size the benchmark reports.  ``--tiny`` runs each workload at its
+smoke-test size.  Nothing is timed, and nothing under ``perfbench/`` is
+written.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -26,8 +35,9 @@ COLUMNS = ("matvecs", "precond", "stage2", "stage3", "sweeps")
 
 
 def method_counters(wl, seed: int) -> tuple[dict, float]:
-    """{method: counter sums} of one workload, and its matvecs per solve."""
+    """{method: counter sums and peak_mb} of one workload, and its matvecs per solve."""
     from recykl import bench, problems
+    from recykl.threestage import build_preconditioners, run_sequence
 
     seq = problems.gen_diffusion_sequence(
         wl.grid, wl.systems, wl.delta, seed=seed, tol=wl.tol, load_scale=wl.load_scale
@@ -38,18 +48,30 @@ def method_counters(wl, seed: int) -> tuple[dict, float]:
         seq = problems.load_sequence_manifest(problems.write_sequence(seq, tmp))
     methods = bench.default_methods(storage_cap=wl.storage_cap, precond=wl.precond,
                                     mode=wl.mode, include_output_metric=wl.output_error)
+    preconds = {kind: build_preconditioners(seq, kind)
+                for kind in dict.fromkeys(m.config.precond for m in methods)}
     sums = {}
     solves = 0
-    for run in bench.run_methods(seq, methods):
-        reports = run.reports
-        sums[run.method.name] = dict(zip(COLUMNS, (
-            sum(r.matvecs for r in reports),
-            sum(r.precond_applies for r in reports),
-            sum(r.stage2_iters for r in reports),
-            sum(r.stage3_iters for r in reports),
-            sum(r.reorth_sweeps for r in reports),
-        )))
-        solves += len(reports)
+    tracemalloc.start()
+    try:
+        for method in methods:
+            gc.collect()  # the last method's cyclic garbage is not this one's
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _, reports, _ = run_sequence(seq, method.config,
+                                         preconds=preconds[method.config.precond],
+                                         stop_on_failure=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            sums[method.name] = dict(zip(COLUMNS, (
+                sum(r.matvecs for r in reports),
+                sum(r.precond_applies for r in reports),
+                sum(r.stage2_iters for r in reports),
+                sum(r.stage3_iters for r in reports),
+                sum(r.reorth_sweeps for r in reports),
+            )), peak_mb=peak / 1e6)
+            solves += len(reports)
+    finally:
+        tracemalloc.stop()
     return sums, sum(c["matvecs"] for c in sums.values()) / solves
 
 
@@ -71,9 +93,10 @@ def main(argv: list[str]) -> int:
         sums, per_solve = method_counters(wl, args.seed)
         print(f"{name} ({wl.grid[0]}x{wl.grid[1]}, {wl.systems} systems, {wl.precond}, "
               f"tol {wl.tol:g}, seed {args.seed})")
-        print(f"  {'method':<18}" + "".join(f"{c:>9}" for c in COLUMNS))
+        print(f"  {'method':<18}" + "".join(f"{c:>9}" for c in COLUMNS) + f"{'peak_mb':>9}")
         for method, counts in sums.items():
-            print(f"  {method:<18}" + "".join(f"{counts[c]:>9}" for c in COLUMNS))
+            print(f"  {method:<18}" + "".join(f"{counts[c]:>9}" for c in COLUMNS)
+                  + f"{counts['peak_mb']:>9.2f}")
         print(f"  roster matvecs/solve {per_solve:.3f}")
     return 0
 
