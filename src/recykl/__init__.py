@@ -17,7 +17,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     RankDeficient,
-    RankTruncatedWarning,
     RecyklError,
     RegimeInapplicable,
 )

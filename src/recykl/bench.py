@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import RecyklError
-from .pod import pod_evd
+from .pod import pod_evd_from_gram
 from .problems import SystemSequence
 from .threestage import (
     RecycleState,
@@ -436,9 +436,11 @@ def weight_study(
         else:
             weight_vectors[scheme] = weights_rbf(state.history, len(state.history))
 
+    # Z'AZ does not depend on the weights: formed once for every scheme
+    gram = Z.T @ (A_last.to_scipy() @ Z)
     rows = []
     for scheme, gamma in weight_vectors.items():
-        pod = pod_evd(Z, gamma, A_last, eps=1.0)
+        pod = pod_evd_from_gram(gram, Z, gamma, eps=1.0)
         for k in dims:
             k_eff = min(k, pod.columns.shape[1])
             basis = pod.columns[:, :k_eff]

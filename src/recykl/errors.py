@@ -70,7 +70,3 @@ class RegimeInapplicable(RecyklError):
 
 class ManifestError(RecyklError):
     pass
-
-
-class RankTruncatedWarning(UserWarning):
-    """Basis columns below the rank tolerance were dropped."""

@@ -43,7 +43,7 @@ products live in one preallocated, Fortran-ordered store, in both modes:
 directions reuses them instead of multiplying by A again.  Each block is a
 contiguous prefix BLAS reads without copying; the result gets both in the
 same layout, and a run told to keep no directions (plain PCG, whose caller
-recycles nothing) stores neither.
+recycles nothing) stores neither and runs the two-term recurrence.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Breakdown, DimensionMismatch, NotConverged
+from .errors import Breakdown, DimensionMismatch, NotConverged, RecyklError
 from .linalg import (
     DenseLowerTriangular,
     InstrumentationSink,
@@ -278,11 +278,16 @@ def augmented_pcg(
         x_k is the solver's own array, rebound (never mutated) afterwards.
     keep_directions : bool
         False for a caller that reads no direction block: the run then
-        stores no directions or products and returns none.  Only
-        ``mode="cg"`` can run without them.
+        stores no directions or products, returns none, and takes the
+        two-term recurrence whatever ``mode`` says.
+
+    The run never writes ``b``, ``r0`` or ``aug_basis`` in place, so it
+    copies none of them.
 
     Raises
     ------
+    RecyklError
+        Unknown ``mode``.
     NotConverged
         Iteration budget exhausted; carries the partial result.
     Breakdown
@@ -302,9 +307,8 @@ def augmented_pcg(
     if b.shape[0] != n:
         raise DimensionMismatch("augmented_pcg: rhs length mismatch")
     if mode not in ("cg", "fom"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "fom" and not keep_directions:
-        raise ValueError("mode 'fom' re-orthogonalizes against its stored directions")
+        raise RecyklError(f"unknown mode {mode!r}")
+    two_term = mode == "cg" or not keep_directions
 
     Y = None
     if aug_basis is not None:
@@ -329,11 +333,11 @@ def augmented_pcg(
         x = np.zeros(n)
 
     if r0 is not None:
-        r = np.array(r0, dtype=np.float64)
+        r = np.asarray(r0, dtype=np.float64)
     elif Y is not None and np.any(x):
         r = b - apply(x)
     else:
-        r = b.copy()
+        r = b
 
     history = [float(np.linalg.norm(r))]
     if monitor is not None:
@@ -364,8 +368,8 @@ def augmented_pcg(
     if history[0] <= tol:
         return result(True)
 
-    z = precond.apply(r, sink) if precond is not None else r.copy()
-    p = z - Y @ reduced_solver(z) if Y is not None else z.copy()
+    z = precond.apply(r, sink) if precond is not None else r
+    p = z - Y @ reduced_solver(z) if Y is not None else z
     rz = float(r @ z)
 
     for k in range(max_iter):
@@ -385,10 +389,10 @@ def augmented_pcg(
         if history[-1] <= tol:
             return result(True)
 
-        z = precond.apply(r, sink) if precond is not None else r.copy()
+        z = precond.apply(r, sink) if precond is not None else r
         rz_next = float(r @ z)
         mu = reduced_solver(z) if Y is not None else None
-        if mode == "cg":
+        if two_term:
             p = z + (rz_next / rz) * p
             if Y is not None:
                 p -= Y @ mu

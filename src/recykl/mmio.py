@@ -187,12 +187,11 @@ def read_matrix(path) -> SparseSpdMatrix:
     elif symmetry != "general":
         raise ManifestError(f"{path}:1: unsupported symmetry {symmetry!r}")
     full = scipy.sparse.coo_matrix((v, (i, j)), shape=(rows, cols)).tocsr()
-    if symmetry == "general":
-        gap = full - full.T
-        scale = np.max(np.abs(full.data)) if full.nnz else 0.0
-        if gap.nnz and scale > 0 and np.max(np.abs(gap.data)) > 1e-12 * scale:
-            raise NotSymmetric(f"{path}: general matrix is not numerically symmetric")
-    return SparseSpdMatrix.from_scipy(full)
+    try:
+        return SparseSpdMatrix.from_scipy(full)
+    except NotSymmetric as exc:
+        # only a general file can be asymmetric; the matrix checks it
+        raise NotSymmetric(f"{path}: {exc}") from None
 
 
 def read_array(path) -> np.ndarray:

@@ -19,12 +19,11 @@ C'C with factor F = C.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBasis, RankTruncatedWarning
+from .errors import DimensionMismatch, EmptyBasis
 from .linalg import SparseSpdMatrix, symmetric_evd, thin_svd
 
 _RANK_RTOL = 1e-12  # on sigma^2, relative to the largest
@@ -48,23 +47,16 @@ def energy_truncation_dim(sigma_sq, eps: float) -> int:
     ``sigma_sq`` must be nonincreasing and nonnegative.  Modes below the rank
     tolerance 1e-12 * sigma_sq[0] are never selected; if the criterion cannot
     be met within the numerical rank (possible only through roundoff-level
-    trailing energy), the rank is returned with a RankTruncatedWarning.
-    The POD routines report that case as ``rank_truncated`` instead.
+    trailing energy), the rank is returned.
     """
-    dim, rank_truncated = energy_dim(sigma_sq, eps)
-    if rank_truncated:
-        warnings.warn(
-            "energy criterion unreachable within the numerical rank; truncating at the rank",
-            RankTruncatedWarning,
-        )
-    return dim
+    return energy_dim(sigma_sq, eps)[0]
 
 
 def energy_dim(sigma_sq, eps: float) -> tuple[int, bool]:
-    """:func:`energy_truncation_dim` without the warning.
+    """:func:`energy_truncation_dim`'s dimension, and whether it was cut at the rank.
 
-    Returns the dimension and whether it was cut at the numerical rank
-    because the criterion was unreachable.
+    The flag is the one report of an unreachable criterion; the POD
+    routines pass it on as ``rank_truncated``.
     """
     sigma_sq = np.asarray(sigma_sq, dtype=np.float64)
     if sigma_sq.size == 0:

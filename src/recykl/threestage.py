@@ -26,10 +26,10 @@ stage-1 fallback, stages 1 and 2 are skipped and stage 3 is plain PCG over
 an empty basis.  A fallback is a stage-1 Gram matrix that fails its
 Cholesky factorization, or a stage-1 block with more columns than A has
 rows, whose Gram matrix is singular and is not assembled; its report sets
-``stage1_fallback``.  Without recycling that PCG runs the two-term
-recurrence whatever ``mode`` says, because nothing keeps its directions;
-every run of a recycling method stores its directions with their
-A-products, in either mode, and pays for ``fom``'s re-orthogonalization.
+``stage1_fallback``.  Every run of a recycling method stores its
+directions with their A-products, in either mode, and pays for ``fom``'s
+re-orthogonalization; without recycling that PCG keeps none, and so runs
+the two-term recurrence (see :class:`SolverConfig`).
 A nested run that breaks down contributes nothing: stage 3 runs from the
 stage-1 solution over W alone, and the report leaves ``stage2_converged``
 false.  A stage 3 that runs out of iterations or breaks down ends in a
@@ -56,7 +56,10 @@ belongs to the matrix, not to the method: :func:`build_preconditioners`
 builds one per system before any solve, so a roster of methods can share
 them, and :func:`solve_system` is handed the built ``M`` and never builds
 one, so its clock leaves the build out.  It updates the
-:class:`RecycleState` it is given in place.
+:class:`RecycleState` it is given in place, and each field has one writer:
+:func:`solve_system` counts ``systems_seen``, and :func:`update_basis`,
+which runs only for a recycling method whose stage 3 returned a run,
+replaces Y and writes ``stage1_start`` and the weight history.
 
 Blocks pass between the stages without copies where the layout allows: a
 single C-ordered block (such as the stage-1 products A W when stage 2 adds
@@ -178,7 +181,7 @@ class SolveReport:
     truncated: bool = False
     stage2_converged: bool = True
     stage1_fallback: bool = False  # stage-1 factor failed or was skipped; solved without basis
-    failure: str | None = None  # why a solve did not converge: "budget" or "breakdown"
+    failure: str | None = None  # why a solve did not converge: "budget", "breakdown", "nonfinite"
     rank_truncated: bool = False  # truncation stopped at the numerical rank of the block
     reduced_condition: float | None = None
     checkpoints: list[Checkpoint] | None = None
@@ -200,7 +203,8 @@ class SystemTrace:
     """Per-system record of the internal bases, for verification harnesses.
 
     ``Y_entry`` and ``stage1_start`` are the state's on entry, also after a
-    stage-1 fallback, when ``stage3_basis`` is empty.
+    stage-1 fallback, when ``stage3_basis`` is empty.  The arrays are the
+    solver's own, shared, not copied, and read-only by contract.
     """
 
     j: int
@@ -348,10 +352,8 @@ def _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, moni
     """
     r3 = r0 if AY is None else r0 - AY @ yhat
     try:
-        # a run that keeps no directions has nothing to orthogonalize them
-        # for: plain PCG runs the two-term recurrence
         run = augmented_pcg(A, r0, start, basis, proj, M, eps,
-                            mode=cfg.mode if cfg.recycle else "cg", keep_directions=cfg.recycle,
+                            mode=cfg.mode, keep_directions=cfg.recycle,
                             sink=sink, max_iter=cfg.max_iter, r0=r3, monitor=monitor)
     except NotConverged as exc:
         run = exc.partial
@@ -403,7 +405,12 @@ def solve_system(
     cause (never an exception): a run out of budget returns its partial
     solution and keeps its directions, a broken one returns its start and
     leaves Y and the weight history as they were; either way the state
-    stays usable for the next system.
+    stays usable for the next system.  A ``b`` or ``xbar`` holding a NaN or
+    an infinity is not solved: it returns the initial guess with
+    ``failure="nonfinite"``, spends no matvec and leaves
+    ``residual_history`` None and Y and the weight history as they were.
+    No stage writes b, xbar or a basis in place (a new basis replaces the
+    old one), so ``trace_out`` shares them, read-only by contract.
     """
     if track_iterates and chalf is None:
         raise RecyklError("tracking iterates needs the output matrix")
@@ -414,7 +421,6 @@ def solve_system(
     report = SolveReport(j=state.systems_seen + 1)
     b = np.asarray(b, dtype=np.float64)
     xbar = None if xbar is None or not np.any(xbar) else np.asarray(xbar, dtype=np.float64)
-    r0 = b.copy() if xbar is None else b - spmv(A, xbar, sink)
     eps = float(eps)
 
     def add_center(x):
@@ -430,23 +436,27 @@ def solve_system(
 
     if track_iterates:
         record("start", 0, np.zeros(A.n))
-    # without recycling the basis counts as empty
-    Y = state.Y if cfg.recycle else state.Y[:, :0]
+    Y = state.Y if cfg.recycle else state.Y[:, :0]  # empty without recycling
     s = state.stage1_start  # the stage-1 block is Y[:, s:]
-    start, basis, proj, AY, yhat = _stages12(A, r0, Y, s, cfg, eps, report, sink,
-                                             record if track_iterates else None)
-    monitor = (lambda k, x: record("stage3", k, x)) if track_iterates else None
-    x, run = _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, monitor)
+    if np.isfinite(b).all() and (xbar is None or np.isfinite(xbar).all()):
+        r0 = b if xbar is None else b - spmv(A, xbar, sink)
+        start, basis, proj, AY, yhat = _stages12(A, r0, Y, s, cfg, eps, report, sink,
+                                                 record if track_iterates else None)
+        monitor = (lambda k, x: record("stage3", k, x)) if track_iterates else None
+        x, run = _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, monitor)
+    else:
+        report.failure = "nonfinite"
+        x, run, start, basis, proj, AY = np.zeros(A.n), None, None, Y[:, :0], None, None
     if trace_out is not None:
-        Y_entry, stage3_basis = Y.copy(), basis.copy()
+        Y_entry, stage3_basis = Y, basis
     # only a truncation reads AY again; every other block is done with, so
     # the old Y is freed once the grown one is written
     if not cfg.truncation.truncates(Y.shape[1] + (0 if run is None else run.V.shape[1])):
         AY = None
     del start, basis, proj, Y
-    # a broken run adds neither directions nor a weight snapshot
-    outcome = None if run is None else update_basis(state, yhat, run, cfg, A, chalf=chalf,
-                                                    sink=sink, products=AY)
+    # a broken or unsolved system adds neither directions nor a weight snapshot
+    outcome = (update_basis(state, yhat, run, cfg, A, chalf=chalf, sink=sink, products=AY)
+               if cfg.recycle and run is not None else None)
     del AY
     state.systems_seen = report.j
     report.truncated = outcome is not None
@@ -460,7 +470,7 @@ def solve_system(
     if trace_out is not None:
         trace_out.append(SystemTrace(
             j=report.j, A=A, b=b, xbar=xbar, eps=eps, Y_entry=Y_entry, stage1_start=s,
-            stage3_basis=stage3_basis, Y_exit=state.Y.copy(), truncated=report.truncated))
+            stage3_basis=stage3_basis, Y_exit=state.Y, truncated=report.truncated))
     return add_center(x), report
 
 
@@ -471,9 +481,9 @@ def update_basis(
     cfg: SolverConfig,
     A: SparseSpdMatrix,
     *,
-    chalf: np.ndarray | None = None,
-    sink: InstrumentationSink | None = None,
-    products: np.ndarray | None = None,
+    chalf: np.ndarray | None,
+    sink: InstrumentationSink | None,
+    products: np.ndarray | None,
 ) -> TruncationOutcome | None:
     """Fold the new directions into the recycled basis, truncating at the cap.
 
@@ -497,9 +507,6 @@ def update_basis(
     ``stage1_start`` marks it; appended directions leave ``stage1_start`` as
     it is.
     """
-    state.systems_seen += 1
-    if not cfg.recycle:
-        return None
     tcfg = cfg.truncation
     V, AV = stage3_res.V, stage3_res.AV
     y_old, k = state.Y.shape[1], V.shape[1]

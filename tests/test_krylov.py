@@ -10,7 +10,7 @@ from helpers import (
     random_basis,
 )
 from recykl import preconditioners as pc
-from recykl.errors import Breakdown, DimensionMismatch, NotConverged
+from recykl.errors import Breakdown, DimensionMismatch, NotConverged, RecyklError
 from recykl.krylov import (
     _STORE_INITIAL_COLS,
     DirectReducedProjection,
@@ -153,7 +153,7 @@ class TestAugmentedPcgBasics:
 
     def test_unknown_mode_rejected(self):
         # checked up front, even when the start already meets the tolerance
-        with pytest.raises(ValueError, match="unknown mode"):
+        with pytest.raises(RecyklError, match="unknown mode"):
             augmented_pcg(SparseSpdMatrix.identity(3), np.zeros(3), mode="gmres")
 
     def test_dense_operator_rejected(self):
@@ -237,9 +237,12 @@ class TestDirectionStore:
         assert bare.vhat.shape == (0,)
 
     def test_fom_needs_its_directions(self):
+        # without stored directions there is nothing to re-orthogonalize
+        # against: the run takes the two-term recurrence
         A = laplacian_2d(5)
-        with pytest.raises(ValueError):
-            augmented_pcg(A, np.ones(A.n), tol=1e-8, mode="fom", keep_directions=False)
+        fom = augmented_pcg(A, np.ones(A.n), tol=1e-8, mode="fom", keep_directions=False)
+        cg = augmented_pcg(A, np.ones(A.n), tol=1e-8, mode="cg", keep_directions=False)
+        assert fom.k == cg.k and np.array_equal(fom.x, cg.x)
 
     @staticmethod
     def filled_store(op, k, seed, sink=None):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import make_spd_dense
-from recykl.errors import DimensionMismatch, EmptyBasis, RankTruncatedWarning
+from recykl.errors import DimensionMismatch, EmptyBasis
 from recykl.linalg import principal_angle_distance
-from recykl.pod import energy_truncation_dim, pod_evd, pod_svd
+from recykl.pod import energy_dim, energy_truncation_dim, pod_evd, pod_svd
 
 
 def pod_objective_oracle(basis, S, gamma, theta):
@@ -47,9 +47,10 @@ class TestEnergyTruncationDim:
             energy_truncation_dim([1.0, 2.0], 0.5)
 
     def test_unreachable_energy_warns_and_truncates(self):
+        # reported by energy_dim's flag, not by a warning
         spectrum = [1.0, 1e-14]
-        with pytest.warns(RankTruncatedWarning):
-            assert energy_truncation_dim(spectrum, 1.0) == 1
+        assert energy_truncation_dim(spectrum, 1.0) == 1
+        assert energy_dim(spectrum, 1.0) == (1, True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force_scan(self, seed):

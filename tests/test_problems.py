@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse
 
-from recykl.errors import ManifestError
+from recykl.errors import ManifestError, NotSymmetric
 from recykl.linalg import SparseSpdMatrix
 from recykl.mmio import read_array, read_matrix, write_array, write_symmetric_matrix
 from recykl.problems import (
@@ -169,6 +169,26 @@ class TestMatrixMarketIO:
         scipy.io.mmwrite(tmp_path / "A.mtx", scipy.sparse.tril(A.to_scipy()), symmetry="symmetric")
         back = read_matrix(tmp_path / "A.mtx")
         assert np.allclose(back.to_dense(), A.to_dense())
+
+    def test_general_file_reads_as_its_symmetric_twin(self, tmp_path):
+        A = gen_diffusion_sequence((4, 3), p=1, delta=0.1, seed=13)[0].A
+        write_symmetric_matrix(tmp_path / "sym.mtx", A)
+        coo = A.to_scipy().tocoo()
+        entries = "".join(f"{i + 1} {j + 1} {float(v)!r}\n"
+                          for i, j, v in zip(coo.row, coo.col, coo.data))
+        general = tmp_path / "general.mtx"
+        general.write_text(f"%%MatrixMarket matrix coordinate real general\n"
+                           f"{A.n} {A.n} {coo.nnz}\n{entries}")
+        sym, gen = read_matrix(tmp_path / "sym.mtx"), read_matrix(general)
+        for attr in ("row_offsets", "col_indices", "values"):
+            assert np.array_equal(getattr(gen, attr), getattr(sym, attr)), attr
+
+    def test_asymmetric_general_file_names_file(self, tmp_path):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "2 2 4\n1 1 4.0\n1 2 -1.0\n2 1 -0.5\n2 2 4.0\n")
+        with pytest.raises(NotSymmetric, match=re.escape(f"{bad}: ")):
+            read_matrix(bad)
 
     def test_malformed_header_names_file(self, tmp_path):
         bad = tmp_path / "bad.mtx"

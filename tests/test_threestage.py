@@ -475,7 +475,7 @@ class TestNoCopies:
             del Q
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = update_basis(state, np.ones(y_old), run, cfg, A, chalf=chalf,
+            out = update_basis(state, np.ones(y_old), run, cfg, A, chalf=chalf, sink=None,
                                products=products)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
@@ -493,7 +493,8 @@ class TestNoCopies:
         # does not move
         state = RecycleState(Y=Y.copy(), stage1_start=width // 2)
         res = augmented_pcg(A, b, tol=1e-8, mode=mode)
-        update_basis(state, np.zeros(width), res, solver_cfg(strategy="none", mode=mode), A)
+        update_basis(state, np.zeros(width), res, solver_cfg(strategy="none", mode=mode), A,
+                     chalf=None, sink=None, products=None)
         # the run hands its directions out at unit A-norm; they are copied as
         # they come
         assert np.array_equal(state.Y, np.hstack([Y, res.V]))
@@ -503,16 +504,45 @@ class TestNoCopies:
     def test_no_recycle_keeps_no_directions(self, monkeypatch):
         results = []
 
-        def spy(state, yhat_comb, stage3_res, *args, **kw):
-            results.append(stage3_res)
-            return update_basis(state, yhat_comb, stage3_res, *args, **kw)
+        def spy(*args, **kw):
+            results.append(augmented_pcg(*args, **kw))
+            return results[-1]
 
-        monkeypatch.setattr(threestage, "update_basis", spy)
+        monkeypatch.setattr(threestage, "augmented_pcg", spy)
         seq = gen_diffusion_sequence((8, 8), p=3, delta=0.05, seed=37, tol=1e-8)
         _, reports, _ = run_sequence(seq, solver_cfg(recycle=False, precond="jacobi"))
         assert [r.stage3_iters for r in reports] == [res.k for res in results]
         for res in results:
             assert res.k > 0 and res.V.shape == (seq.n, 0)
+
+    @pytest.mark.parametrize("precond", ["identity", "ssor:1.7"])
+    @pytest.mark.parametrize("mode", ["cg", "fom"])
+    def test_read_only_inputs_and_shared_traces(self, mode, precond):
+        # the solver writes neither b, xbar nor a basis, so it copies none:
+        # read-only inputs pass through every method, and each trace holds
+        # the state's own basis, the one the next system enters with
+        seq = gen_diffusion_sequence((10, 10), p=5, delta=0.05, seed=38, tol=1e-8)
+        seq.C = gen_output_matrix(5, seq.n, seed=39)
+        rng = np.random.default_rng(40)
+        for j, spec in enumerate(seq.systems):
+            xbar = 1e-3 * rng.standard_normal(seq.n) if j % 2 else None
+            for v in (spec.b, xbar):
+                if v is not None:
+                    v.setflags(write=False)
+            seq.systems[j] = LinearSystemSpec(spec.A, spec.b, xbar, spec.tol)
+        methods = default_methods(storage_cap=12, precond=precond, mode=mode,
+                                  include_output_metric=True)
+        assert len(methods) == 9
+        truncations = 0
+        for method in methods:
+            _, reports, traces = run_sequence(seq, method.config, track_iterates=True,
+                                              keep_trace=True)
+            assert len(reports) == seq.p and all(r.converged for r in reports), method.name
+            truncations += sum(r.truncated for r in reports)
+            if method.config.recycle:
+                for before, after in zip(traces, traces[1:]):
+                    assert before.Y_exit is after.Y_entry, method.name
+        assert truncations >= 6 * 2
 
 
 class TestDirectSumOptimality:
@@ -1070,6 +1100,37 @@ class TestStage3Breakdown:
         assert state.basis_dim == 0 and state.systems_seen == 1
         residual = np.linalg.norm(spec.b - spmv(spec.A, xbar))
         assert report.final_residual == pytest.approx(residual, rel=1e-12)
+
+    @pytest.mark.parametrize("at", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("where", ["b", "xbar"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_input_is_reported_and_spends_nothing(self, value, where, at):
+        # a NaN or an infinity in b or xbar, on the first system or after a
+        # clean one, is reported before any work; the state is kept, and
+        # the next clean system solves from it
+        seq = gen_diffusion_sequence((10, 10), p=3, delta=0.05, seed=5, tol=1e-8)
+        cfg = solver_cfg(strategy="deflate", deflate_dim=5, storage_cap=10, precond="jacobi")
+        state = RecycleState.empty(seq.n)
+        for spec in seq.systems[:at]:
+            _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg,
+                                     built(cfg, spec.A))
+            assert report.converged and report.truncated
+        spec = seq[at]
+        b, xbar = spec.b.copy(), np.zeros(seq.n)
+        (b if where == "b" else xbar)[7] = value
+        Y, s, snapshots = state.Y, state.stage1_start, len(state.history)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, report = solve_system(spec.A, b, xbar, state, spec.tol, cfg, built(cfg, spec.A))
+        assert not report.converged and report.failure == "nonfinite"
+        assert report.matvecs == report.precond_applies == 0
+        assert report.residual_history is None
+        assert np.array_equal(x, xbar, equal_nan=True)
+        assert state.Y is Y and state.stage1_start == s and len(state.history) == snapshots
+        assert state.systems_seen == report.j == at + 1
+        nxt = seq[at + 1]
+        _, report = solve_system(nxt.A, nxt.b, nxt.xbar, state, nxt.tol, cfg, built(cfg, nxt.A))
+        assert report.converged
 
     def test_exhausted_budget_reports_its_cause(self):
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=5, tol=1e-12)
