@@ -7,13 +7,11 @@ hybrid direct/iterative three-stage algorithm.
 """
 
 from .errors import (
-    Breakdown,
     DimensionMismatch,
     EmptyBasis,
     IterationLimit,
     ManifestError,
     NoHistory,
-    NotConverged,
     NotPositiveDefinite,
     NotSymmetric,
     RankDeficient,

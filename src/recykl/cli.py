@@ -8,9 +8,8 @@ Subcommands:
 - ``weight-study``  weight-scheme comparison after a warmup stretch
 - ``verify-bounds`` randomized verification of the supporting inequalities
 
-Exit codes: 0 on success, 2 when any solve failed to converge or a
-numerical failure (breakdown, non-convergence) escaped, 3 on configuration
-errors.
+Exit codes: 0 on success, 2 when any solve or bound check failed, 3 on
+configuration errors.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .analysis import (
     make_distance_instance,
     make_weights_instance,
 )
-from .errors import Breakdown, NotConverged, RecyklError
+from .errors import RecyklError
 from .problems import (
     gen_diffusion_sequence,
     gen_output_matrix,
@@ -58,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument; anything else is a usage error (exit 3)."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="recykl", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -69,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--delta", type=float, default=0.05)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--tol", type=float, default=1e-8)
-    gen.add_argument("--outputs", type=int, default=0,
+    gen.add_argument("--outputs", type=_count, default=0,
                      help="rows of a random output matrix (0 = none)")
     gen.add_argument("--out-dir", default="sequence")
 
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     ws.add_argument("--out-dir", default="results")
 
     vb = sub.add_parser("verify-bounds", help="randomized bound verification")
-    vb.add_argument("--instances", type=int, default=100)
+    vb.add_argument("--instances", type=_count, default=100)
     vb.add_argument("--seed", type=int, default=0)
     vb.add_argument("--out-dir", default="results")
 
@@ -258,9 +264,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (Breakdown, NotConverged) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except RecyklError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

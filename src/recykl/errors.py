@@ -33,29 +33,6 @@ class IterationLimit(RecyklError):
     pass
 
 
-class Breakdown(RecyklError):
-    """Conjugate-gradient breakdown: a direction with p'Ap <= 0 or a non-finite residual.
-
-    ``iterations`` counts the iterations the run spent, the broken one
-    included, when known, else None.
-    """
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
-
-class NotConverged(RecyklError):
-    """Iteration budget exhausted before the tolerance was met.
-
-    Carries the partial result so callers can inspect or continue.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class EmptyBasis(RecyklError):
     pass
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Breakdown, DimensionMismatch, NotConverged, RecyklError
+from .errors import DimensionMismatch, RecyklError
 from .linalg import (
     DenseLowerTriangular,
     InstrumentationSink,
@@ -210,7 +210,8 @@ class AugmentedPcgResult:
     to round-off, ``cg`` loses that in finite precision, and no caller
     relies on it.  ``AV`` holds the operator's products with V, both
     Fortran-ordered.  A run that kept no directions returns V, AV and vhat
-    with no columns; ``k`` still counts its iterations.
+    with no columns; ``k`` still counts its iterations.  ``failure`` says
+    how the run ended (see :func:`augmented_pcg`).
     """
 
     k: int
@@ -219,7 +220,11 @@ class AugmentedPcgResult:
     AV: np.ndarray
     residual_history: np.ndarray
     x: np.ndarray
-    converged: bool = True
+    failure: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
     @property
     def final_residual(self) -> float:
@@ -284,15 +289,14 @@ def augmented_pcg(
     The run never writes ``b``, ``r0`` or ``aug_basis`` in place, so it
     copies none of them.
 
-    Raises
-    ------
-    RecyklError
-        Unknown ``mode``.
-    NotConverged
-        Iteration budget exhausted; carries the partial result.
-    Breakdown
-        Nonpositive direction curvature p'Ap, or a residual norm that is
-        not finite.
+    Every run is returned, and its ``failure`` says how it ended, in the
+    words of ``SolveReport.failure``: None once ||r|| <= ``tol``; "budget"
+    when ``max_iter`` iterations did not get there, with the partial
+    result; "breakdown" at a nonpositive or non-finite curvature p'Ap or a
+    non-finite residual norm, with the start Y @ yhat0, no directions, ``k``
+    counting the broken iteration and the entry residual norm as the whole
+    history.  Only bad input raises: a shape mismatch
+    (``DimensionMismatch``) or an unknown ``mode`` (``RecyklError``).
     """
     if isinstance(op, SparseSpdMatrix):
         n = op.n
@@ -347,7 +351,7 @@ def augmented_pcg(
         max_iter = n
     store = _DirectionStore(n, max_iter, directions=keep_directions, sink=sink)
 
-    def result(converged):
+    def result(failure):
         kept = store.k if keep_directions else 0
         # each live prefix is contiguous, so each copy is one memcpy; it
         # keeps the layout, and lets the store's spare columns go
@@ -362,11 +366,16 @@ def augmented_pcg(
             AV=AV,
             residual_history=np.asarray(history),
             x=x,
-            converged=converged,
+            failure=failure,
         )
 
+    def broken(k):  # the start is formed again, not held through the run
+        x0, empty = Y @ yhat0 if Y is not None else np.zeros(n), np.zeros((n, 0))
+        return AugmentedPcgResult(k=k, vhat=np.zeros(0), V=empty, AV=empty, x=x0,
+                                  residual_history=np.asarray(history[:1]), failure="breakdown")
+
     if history[0] <= tol:
-        return result(True)
+        return result(None)
 
     z = precond.apply(r, sink) if precond is not None else r
     p = z - Y @ reduced_solver(z) if Y is not None else z
@@ -375,19 +384,18 @@ def augmented_pcg(
     for k in range(max_iter):
         p, Ap, gamma = store.curvature(p, apply(p))
         if not np.isfinite(gamma) or gamma <= _BREAKDOWN_RTOL * float(p @ p):
-            raise Breakdown(f"direction curvature {gamma:.3e} at iteration {k}",
-                            iterations=k + 1)
+            return broken(k + 1)
         alpha = rz / gamma
         x = x + alpha * p
         r = r - alpha * Ap
         store.append(p, Ap, gamma, alpha)
         history.append(float(np.linalg.norm(r)))
         if not np.isfinite(history[-1]):
-            raise Breakdown(f"residual norm {history[-1]} at iteration {k}", iterations=k + 1)
+            return broken(k + 1)
         if monitor is not None:
             monitor(k + 1, x)
         if history[-1] <= tol:
-            return result(True)
+            return result(None)
 
         z = precond.apply(r, sink) if precond is not None else r
         rz_next = float(r @ z)
@@ -403,10 +411,7 @@ def augmented_pcg(
             p = store.a_orthogonalize(z - Y @ mu if Y is not None else z)
         rz = rz_next
 
-    raise NotConverged(
-        f"no convergence to {tol:.3e} within {max_iter} iterations",
-        partial=result(False),
-    )
+    return result("budget")
 
 
 def direct_reduced_solve(

@@ -34,17 +34,13 @@ class InstrumentationSink:
     def __init__(self):
         self.matvecs = 0
         self.precond_applies = 0
-        self.gram_assemblies = 0
         self.reorth_sweeps = 0
 
-    def add_matvec(self, count: int = 1) -> None:
+    def add_matvec(self, count: int) -> None:
         self.matvecs += count
 
     def add_precond(self) -> None:
         self.precond_applies += 1
-
-    def add_gram(self) -> None:
-        self.gram_assemblies += 1
 
     def add_reorth_sweep(self) -> None:
         self.reorth_sweeps += 1
@@ -158,14 +154,12 @@ def assemble_gram(A: SparseSpdMatrix, B: np.ndarray, sink: InstrumentationSink |
 
     The staged solver calls it for the stage-1 block; it forms the reduced
     matrix Y'AY of the whole basis itself, reusing these products.  Every
-    call is audited on the sink (one gram assembly plus one matvec per
-    column of B).
+    call charges one matvec per column of B to the sink.
     """
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if B.shape[0] != A.n:
         raise DimensionMismatch("assemble_gram: basis rows must match matrix dimension")
     if sink is not None:
-        sink.add_gram()
         sink.add_matvec(B.shape[1])
     AB = A.to_scipy() @ B
     return B.T @ AB, AB

@@ -221,6 +221,11 @@ def load_sequence_manifest(path) -> SystemSequence:
             tol = float(entry.get("tol", 1e-8))
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{path}: system {idx} entry malformed") from exc
+        bad = [key for key in ("matrix", "rhs", "guess") if not isinstance(entry.get(key, ""), str)]
+        if bad or isinstance(entry.get("tol"), bool):  # float() reads true as 1.0
+            key, kind = (bad[0], "a file name") if bad else ("tol", "a number")
+            raise ManifestError(f"{path}: system {idx} {key!r} must be {kind}, "
+                                f"got {json.dumps(entry[key])}")
         if not (math.isfinite(tol) and tol > 0.0):
             raise ManifestError(f"{path}: system {idx} tolerance {tol} is not finite and positive")
         A = mmio.read_matrix(os.path.join(base, mat_file))
@@ -235,9 +240,11 @@ def load_sequence_manifest(path) -> SystemSequence:
             if xbar.shape[0] != n:
                 raise ManifestError(f"{path}: system {idx} guess has wrong length")
         systems.append(LinearSystemSpec(A=A, b=np.asarray(b), xbar=xbar, tol=tol))
-    C = None
-    if manifest.get("output_matrix"):
-        C = np.atleast_2d(mmio.read_array(os.path.join(base, manifest["output_matrix"])))
+    C, out_file = None, manifest.get("output_matrix")
+    if out_file is not None and not isinstance(out_file, str):
+        raise ManifestError(f"{path}: 'output_matrix' must be a file name, got {json.dumps(out_file)}")
+    if out_file:
+        C = np.atleast_2d(mmio.read_array(os.path.join(base, out_file)))
         if C.shape[1] != n:
             raise ManifestError(f"{path}: output matrix has {C.shape[1]} columns, expected {n}")
     return SystemSequence(

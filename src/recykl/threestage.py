@@ -30,12 +30,11 @@ rows, whose Gram matrix is singular and is not assembled; its report sets
 directions with their A-products, in either mode, and pays for ``fom``'s
 re-orthogonalization; without recycling that PCG keeps none, and so runs
 the two-term recurrence (see :class:`SolverConfig`).
-A nested run that breaks down contributes nothing: stage 3 runs from the
-stage-1 solution over W alone, and the report leaves ``stage2_converged``
-false.  A stage 3 that runs out of iterations or breaks down ends in a
-report with ``converged`` false and its ``failure`` cause, never an
-exception; a broken run returns its start iterate and adds no direction to
-Y and no weight snapshot.
+Every Krylov run says how it ended on its result's ``failure``, never by
+an exception.  A nested run that broke down contributes nothing: stage 3
+runs from the stage-1 solution over W alone, and ``stage2_converged`` is
+false.  Stage 3's ``failure`` ("budget" or "breakdown") is the report's; a
+broken run returns its start and adds no direction to Y and no snapshot.
 
 After the solve, :func:`update_basis` appends the new search directions to
 Y at unit A-norm, and they join the stage-1 block; once the block exceeds
@@ -81,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import preconditioners
-from .errors import Breakdown, NotConverged, NotPositiveDefinite, RecyklError
+from .errors import NotPositiveDefinite, RecyklError
 from .krylov import (
     AugmentedPcgResult,
     DirectReducedProjection,
@@ -235,22 +234,19 @@ def _nested_run(G, bhat, what, s, factor, tol, mode):
 
     Augmented with the stage-1 selection E = I[:, s:], whose Gram factor is
     ``factor``; at most 3y + 10 iterations, to ``tol`` floored at
-    1e-13 ||bhat|| (the attainable accuracy), a run out of budget returning
-    its partial result.  Returns the run and, when it took a step, the
-    Cholesky factor of C'GC for C = [E, V]: the Gram matrix of the stage-3
-    block [W, Y V], whatever the mode leaves of V's G-orthogonality; a
-    failing factor raises NotPositiveDefinite.
+    1e-13 ||bhat|| (the attainable accuracy).  Returns the run, whatever
+    its ``failure``, and, when it kept a direction, the Cholesky factor of
+    C'GC for C = [E, V]: the Gram matrix of the stage-3 block [W, Y V],
+    whatever the mode leaves of V's G-orthogonality; a failing factor
+    raises NotPositiveDefinite.
     """
     y = G.shape[0]
     E = np.eye(y)[:, s:]
     proj = DirectReducedProjection(G[:, s:], factor)
     tol = max(tol, 1e-13 * float(np.linalg.norm(bhat)))
-    try:
-        res = augmented_pcg(ReducedSpdOperator(G), bhat, what, E, proj, None,
-                            tol, mode=mode, max_iter=3 * y + 10, r0=bhat - proj.cross @ what)
-    except NotConverged as exc:
-        res = exc.partial
-    if not res.k:
+    res = augmented_pcg(ReducedSpdOperator(G), bhat, what, E, proj, None,
+                        tol, mode=mode, max_iter=3 * y + 10, r0=bhat - proj.cross @ what)
+    if not res.V.shape[1]:  # no step, or a breakdown
         return res, None
     C = np.concatenate([E, res.V], axis=1)
     gram = C.T @ (G @ C)
@@ -294,7 +290,6 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
         # symmetric by construction, as the nested run assumes
         G = Y.T @ AY
         G = 0.5 * (G + G.T)
-        sink.add_gram()
     if cfg.diagnostics:
         eigs, _ = symmetric_evd(G)
         report.reduced_condition = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("inf")
@@ -303,7 +298,9 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
     try:
         run, factor = _nested_run(G, Y.T @ r0, what, s, proj1.factor,
                                   cfg.eps_hat_factor * eps, cfg.mode)
-    except (Breakdown, NotPositiveDefinite):
+    except NotPositiveDefinite:
+        run = None
+    if run is None or run.failure == "breakdown":
         report.stage2_converged = False
         return what, W, proj1, AY, yhat
     report.stage2_iters = run.k
@@ -344,28 +341,19 @@ def _stages12(A, r0, Y, s, cfg, eps, report, sink, record):
 def _stage3(A, r0, start, basis, proj, AY, yhat, M, eps, cfg, report, sink, monitor):
     """Stage 3: augmented PCG from ``start`` over ``basis`` to the tolerance ``eps``.
 
-    The entry residual is r0 - AY yhat (r0 when ``AY`` is None).  Returns
-    the iterate and the run, and sets ``report.failure``: "budget" for a
-    run out of iterations, which returns its partial result; "breakdown"
-    for one whose iterate and directions are not trusted, which returns its
-    start and no run.
+    The entry residual is r0 - AY yhat (r0 when ``AY`` is None).  Copies
+    the run's ``failure``, iterations and residual history into the report.
+    Returns its iterate (a broken run's is its start) and the run, or None
+    for a broken run, whose directions are not trusted.
     """
     r3 = r0 if AY is None else r0 - AY @ yhat
-    try:
-        run = augmented_pcg(A, r0, start, basis, proj, M, eps,
-                            mode=cfg.mode, keep_directions=cfg.recycle,
-                            sink=sink, max_iter=cfg.max_iter, r0=r3, monitor=monitor)
-    except NotConverged as exc:
-        run = exc.partial
-        report.failure = "budget"
-    except Breakdown as exc:
-        report.failure = "breakdown"
-        report.stage3_iters = exc.iterations or 0
-        report.residual_history = np.array([np.linalg.norm(r3)])
-        return basis @ start, None
+    run = augmented_pcg(A, r0, start, basis, proj, M, eps,
+                        mode=cfg.mode, keep_directions=cfg.recycle,
+                        sink=sink, max_iter=cfg.max_iter, r0=r3, monitor=monitor)
+    report.failure = run.failure
     report.stage3_iters = run.k
     report.residual_history = run.residual_history
-    return run.x, run
+    return run.x, None if run.failure == "breakdown" else run
 
 
 def _checkpoints(marks: list[tuple], chalf: np.ndarray) -> list[Checkpoint]:

@@ -6,7 +6,6 @@ import pytest
 
 from recykl import bench, threestage
 from recykl.cli import main
-from recykl.errors import Breakdown
 from recykl.mmio import write_array
 
 
@@ -44,6 +43,14 @@ class TestGenerate:
         assert main(["generate", "--grid", "3", "3", "--out-dir", str(out), *flags]) == 3
         assert flags[1] in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_negative_outputs_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--grid", "3", "3", "--outputs", "-2", "--out-dir", str(out)])
+        assert exc.value.code == 3
+        assert "--outputs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -140,14 +147,16 @@ class TestRun:
             main(["run"])  # missing --manifest
         assert exc.value.code == 3
 
-    def test_breakdown_exit_2(self, sequence_dir, tmp_path, monkeypatch):
-        def broken(*args, **kwargs):
-            raise Breakdown("direction curvature -1.0e+00 at iteration 3")
-
-        monkeypatch.setattr(bench, "run_methods", broken)
-        code = main(["run", "--manifest", str(sequence_dir / "manifest.json"),
-                     "--out-dir", str(tmp_path / "res")])
-        assert code == 2
+    def test_mistyped_manifest_value_exit_3(self, sequence_dir, tmp_path, capsys):
+        # a non-string file name once escaped os.path.join as a TypeError
+        path = sequence_dir / "manifest.json"
+        data = json.loads(path.read_text())
+        data["systems"][1]["matrix"] = 5
+        path.write_text(json.dumps(data))
+        out = tmp_path / "res"
+        assert main(["run", "--manifest", str(path), "--out-dir", str(out)]) == 3
+        assert "system 2 'matrix' must be a file name, got 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNonFiniteInput:
@@ -242,6 +251,14 @@ class TestVerifyBounds:
         kinds = {r["check"] for r in reports}
         assert "weight-gap" in kinds and "reduced-conditioning" in kinds
         assert any(k.startswith("subspace-distance-") for k in kinds)
+
+    def test_negative_instances_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "vb"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-bounds", "--instances", "-3", "--out-dir", str(out)])
+        assert exc.value.code == 3
+        assert "--instances" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPrecondOverride:

@@ -10,7 +10,7 @@ from helpers import (
     random_basis,
 )
 from recykl import preconditioners as pc
-from recykl.errors import Breakdown, DimensionMismatch, NotConverged, RecyklError
+from recykl.errors import DimensionMismatch, RecyklError
 from recykl.krylov import (
     _STORE_INITIAL_COLS,
     DirectReducedProjection,
@@ -127,17 +127,33 @@ class TestAugmentedPcgBasics:
         assert np.allclose(galerkin, a_orth_projection(A, B, b), atol=1e-10)
 
     def test_breakdown_on_indefinite_operator(self):
+        # p'Ap = -2 on the first step: the run returns its start and no
+        # directions, counting the broken iteration
         A = SparseSpdMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(Breakdown):
-            augmented_pcg(A, np.array([1.0, -1.0]), tol=1e-12)
+        b = np.array([1.0, -1.0])
+        res = augmented_pcg(A, b, tol=1e-12)
+        assert res.failure == "breakdown" and not res.converged
+        assert res.k == 1
+        assert np.array_equal(res.x, np.zeros(2))
+        assert res.V.shape == res.AV.shape == (2, 0) and res.vhat.shape == (0,)
+        assert np.array_equal(res.residual_history, [np.linalg.norm(b)])
+
+    def test_breakdown_returns_the_augmented_start(self):
+        # over a basis, the start is Y yhat0, formed again at the breakdown
+        A = SparseSpdMatrix.from_dense(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                                 [0.0, 0.0, 2.0]]))
+        Y, yhat0 = np.eye(3)[:, 2:], np.array([0.25])
+        res = augmented_pcg(A, np.array([1.0, -1.0, 0.5]), yhat0, Y, tol=1e-12)
+        assert res.failure == "breakdown" and res.k == 1
+        assert np.array_equal(res.x, Y @ yhat0)
+        assert np.array_equal(res.residual_history, [np.sqrt(2.0)])
 
     def test_not_converged_carries_partial(self):
         A = make_spd(30, seed=17, cond=1e5)
         b = np.random.default_rng(18).standard_normal(30)
-        with pytest.raises(NotConverged) as exc:
-            augmented_pcg(A, b, tol=1e-14, max_iter=2)
-        partial = exc.value.partial
+        partial = augmented_pcg(A, b, tol=1e-14, max_iter=2)
         assert partial.k == 2 and not partial.converged
+        assert partial.failure == "budget"
         assert partial.V.shape == (30, 2)
 
     def test_relative_tolerance(self):
@@ -215,9 +231,8 @@ class TestDirectionStore:
     def test_budget_caps_the_store(self, mode):
         A = laplacian_2d(30)
         b = np.random.default_rng(36).standard_normal(A.n)
-        with pytest.raises(NotConverged) as info:
-            augmented_pcg(A, b, tol=0.0, mode=mode, max_iter=_STORE_INITIAL_COLS + 5)
-        res = info.value.partial
+        res = augmented_pcg(A, b, tol=0.0, mode=mode, max_iter=_STORE_INITIAL_COLS + 5)
+        assert res.failure == "budget"
         assert res.k == _STORE_INITIAL_COLS + 5
         assert res.V.shape == (A.n, res.k)
         assert np.allclose(res.x, res.V @ res.vhat, rtol=0.0,
@@ -249,9 +264,8 @@ class TestDirectionStore:
         """A store holding the k directions of a fom run over ``op``, and the run's rng."""
         rng = np.random.default_rng(seed)
         n = op.n if isinstance(op, SparseSpdMatrix) else op.dim
-        with pytest.raises(NotConverged) as info:
-            augmented_pcg(op, rng.standard_normal(n), tol=0.0, mode="fom", max_iter=k)
-        res = info.value.partial
+        res = augmented_pcg(op, rng.standard_normal(n), tol=0.0, mode="fom", max_iter=k)
+        assert res.failure == "budget"
         # the run's directions are already at unit A-norm: each is stored
         # with its own curvature, which leaves it at unit A-norm
         store = _DirectionStore(n, k, sink=sink)
@@ -392,7 +406,6 @@ class TestReducedOperator:
         res = augmented_pcg(op, np.ones(4), tol=1e-12, sink=sink)
         assert res.k > 0
         assert sink.matvecs == 0
-        assert sink.gram_assemblies == 0
 
     def test_augmented_pcg_on_reduced_operator(self):
         # solving the reduced system iteratively reproduces the dense solve

@@ -12,7 +12,7 @@ WORKLOADS = ("roster-ssor", "krylov-unprec", "output-error")
 
 
 def parse(stdout: str) -> tuple[dict, dict]:
-    """{workload: ({method: [matvecs, precond, stage2, stage3, sweeps]}, per_solve)},
+    """{workload: ({method: [matvecs, precond, stage2, stage3, sweeps, failed]}, per_solve)},
     and {workload: {method: peak_mb}}."""
     tables, peaks, name = {}, {}, None
     for line in stdout.splitlines():
@@ -23,7 +23,7 @@ def parse(stdout: str) -> tuple[dict, dict]:
             tables[name] = (tables[name][0], float(line.split()[-1]))
         elif line.strip().startswith("method"):
             assert line.split()[1:] == ["matvecs", "precond", "stage2", "stage3", "sweeps",
-                                        "peak_mb"]
+                                        "failed", "peak_mb"]
         else:
             method, *counts, peak = line.split()
             tables[name][0][method] = [int(c) for c in counts]
@@ -58,5 +58,6 @@ def test_tiny_workloads_match_an_in_process_roster(tmp_path):
                               sum(r.precond_applies for r in run.reports),
                               sum(r.stage2_iters for r in run.reports),
                               sum(r.stage3_iters for r in run.reports),
-                              sum(r.reorth_sweeps for r in run.reports)] for run in runs}
+                              sum(r.reorth_sweeps for r in run.reports),
+                              sum(r.failure is not None for r in run.reports)] for run in runs}
     assert tables["krylov-unprec"][0] == want

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -344,6 +345,20 @@ class TestManifest:
         data["systems"][1]["tol"] = tol
         open(manifest, "w").write(json.dumps(data))
         with pytest.raises(ManifestError, match="system 2 tolerance"):
+            load_sequence_manifest(manifest)
+
+    @pytest.mark.parametrize("key, value", [("matrix", 5), ("rhs", None), ("guess", ["x"]),
+                                            ("tol", True), ("output_matrix", 7)])
+    def test_mistyped_value_names_the_system(self, tmp_path, key, value):
+        # a file name that is not a string once reached os.path.join, and a
+        # boolean tolerance was read as 1.0
+        seq = gen_diffusion_sequence((3, 3), p=2, delta=0.1, seed=16)
+        manifest = write_sequence(seq, tmp_path)
+        data = json.loads(open(manifest).read())
+        (data if key == "output_matrix" else data["systems"][1])[key] = value
+        open(manifest, "w").write(json.dumps(data))
+        where = "" if key == "output_matrix" else "system 2 "
+        with pytest.raises(ManifestError, match=f"{where}'{key}' must be"):
             load_sequence_manifest(manifest)
 
     def test_invalid_json_reports_line(self, tmp_path):

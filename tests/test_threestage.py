@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from helpers import make_spd, random_basis
+from recykl import krylov, threestage
 from recykl import preconditioners as pc
-from recykl import threestage
 from recykl.analysis import check_conditioning_bound
 from recykl.bench import default_methods, run_methods
-from recykl.errors import Breakdown, NotPositiveDefinite, RecyklError
+from recykl.errors import NotPositiveDefinite, RecyklError
 from recykl.krylov import AugmentedPcgResult, ReducedSpdOperator, augmented_pcg
 from recykl.linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
+    assemble_gram,
     dense_cholesky,
     spmv,
 )
@@ -51,6 +52,18 @@ def solver_cfg(**kw):
 def built(cfg, A):
     """The preconditioner ``solve_system`` takes for ``cfg`` on A: None under identity."""
     return None if cfg.precond == "identity" else pc.build(cfg.precond, A)
+
+
+def broken_run(op, b, yhat0, basis, *args, k, **kwargs):
+    """What ``augmented_pcg`` returns for a run that broke down at iteration k.
+
+    Its start iterate ``basis @ yhat0``, no directions, and the entry
+    residual norm alone as its history.
+    """
+    n, r0 = len(b), kwargs.get("r0", b)
+    return AugmentedPcgResult(k=k, vhat=np.zeros(0), V=np.zeros((n, 0)), AV=np.zeros((n, 0)),
+                              residual_history=np.array([np.linalg.norm(r0)]),
+                              x=basis @ yhat0, failure="breakdown")
 
 
 class TestSolverConfig:
@@ -202,19 +215,26 @@ class TestResidualsAndCounters:
         for r in reports:
             assert r.precond_applies == r.stage3_iters
 
-    def test_stage2_never_assembles_reduced_matrix(self):
+    def test_stage2_never_assembles_reduced_matrix(self, monkeypatch):
+        assemblies = []
+
+        def counting(A, B, sink=None):
+            assemblies.append(B.shape[1])
+            return assemble_gram(A, B, sink)
+
+        monkeypatch.setattr(krylov, "assemble_gram", counting)
         seq = gen_diffusion_sequence((8, 8), p=3, delta=0.05, seed=26, tol=1e-8)
         cfg = solver_cfg(nu_w=0.5, stage1_dim=2)
         state = RecycleState.empty(seq.n)
         for j, spec in enumerate(seq, start=1):
-            sink = InstrumentationSink()
-            _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg, sink=sink)
+            assemblies.clear()
+            _, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol, cfg)
             if j == 1:
-                assert sink.gram_assemblies == 0  # plain PCG, nothing reduced
+                assert len(assemblies) == 0  # plain PCG, nothing reduced
             else:
                 assert report.stage2_iters >= 0
                 # only the stage-1 assembly; stages 2 and 3 use cached parts
-                assert sink.gram_assemblies == 1
+                assert len(assemblies) == 1
 
     def test_matvec_accounting_no_recycle(self):
         seq = gen_diffusion_sequence((7, 7), p=2, delta=0.0, seed=27, tol=1e-8)
@@ -941,7 +961,7 @@ class TestStage2Breakdown:
 
         def break_run(op, *args, **kwargs):
             if isinstance(op, ReducedSpdOperator):
-                raise Breakdown("injected")
+                return broken_run(op, *args, k=1, **kwargs)
             return real_pcg(op, *args, **kwargs)
 
         def spy_run(op, *args, **kwargs):
@@ -1026,7 +1046,7 @@ class TestStage3Breakdown:
         def breaking(op, *args, **kwargs):
             if isinstance(op, SparseSpdMatrix) and state.systems_seen == 1:
                 kwargs["sink"].add_matvec(3)
-                raise Breakdown("injected", iterations=3)
+                return broken_run(op, *args, k=3, **kwargs)
             return real(op, *args, **kwargs)
 
         monkeypatch.setattr(threestage, "augmented_pcg", breaking)
@@ -1063,7 +1083,7 @@ class TestStage3Breakdown:
 
         def breaking(op, *args, **kwargs):
             if isinstance(op, SparseSpdMatrix) and state.systems_seen == 2:
-                raise Breakdown("injected", iterations=2)
+                return broken_run(op, *args, k=2, **kwargs)
             res = real(op, *args, **kwargs)
             if isinstance(op, ReducedSpdOperator):
                 stage2.append(res)
@@ -1087,7 +1107,7 @@ class TestStage3Breakdown:
 
     def test_first_system_breakdown_returns_initial_guess(self, monkeypatch):
         def breaking(op, *args, **kwargs):
-            raise Breakdown("injected", iterations=1)
+            return broken_run(op, *args, k=1, **kwargs)
 
         monkeypatch.setattr(threestage, "augmented_pcg", breaking)
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=5, tol=1e-8)
@@ -1100,6 +1120,22 @@ class TestStage3Breakdown:
         assert state.basis_dim == 0 and state.systems_seen == 1
         residual = np.linalg.norm(spec.b - spmv(spec.A, xbar))
         assert report.final_residual == pytest.approx(residual, rel=1e-12)
+
+    def test_indefinite_matrix_breaks_down_end_to_end(self):
+        # no injection: the symmetric, positive-diagonal, indefinite matrix
+        # [[1, 2], [2, 1]] passes the matrix checks, and the entry residual
+        # (1, -1) has curvature -2
+        A = SparseSpdMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        xbar = np.array([1.0, 0.5])
+        b = spmv(A, xbar) + np.array([1.0, -1.0])
+        state = RecycleState.empty(2)
+        x, report = solve_system(A, b, xbar, state, 1e-10, solver_cfg())
+        assert report.failure == "breakdown" and not report.converged
+        assert report.stage3_iters == 1 and report.matvecs == 2
+        assert np.array_equal(report.residual_history, [np.sqrt(2.0)])
+        assert np.array_equal(x, xbar)
+        assert state.basis_dim == 0 and len(state.history) == 0
+        assert state.systems_seen == 1
 
     @pytest.mark.parametrize("at", [0, 1], ids=["first", "second"])
     @pytest.mark.parametrize("where", ["b", "xbar"])

@@ -8,9 +8,11 @@ back, and runs the workload's roster as ``bench.run_methods`` does (each
 preconditioner built once per system, then one method after another) on
 one BLAS thread.  It prints, per method, the sums over the sequence of
 matvecs, preconditioner applications, stage-2 iterations, stage-3
-iterations and ``fom``'s block Gram-Schmidt sweeps in full-space runs
-(``sweeps``), and the method's ``tracemalloc`` peak over its sequence
-above the level it started from (``peak_mb``, in MB of 10^6 bytes: the
+iterations, ``fom``'s block Gram-Schmidt sweeps in full-space runs
+(``sweeps``) and the solves whose report has a ``failure`` (``failed``, so
+that a change in outcomes shows beside the counters), and the method's
+``tracemalloc`` peak over its sequence above the level it started from
+(``peak_mb``, in MB of 10^6 bytes: the
 memory Python and numpy allocate, with the shared preconditioners and the
 sequence left out), then the roster's matvecs per solve (the benchmark's
 ``matvecs_per_solve``).  Allocation sizes do not depend on timing, so the
@@ -31,7 +33,7 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-COLUMNS = ("matvecs", "precond", "stage2", "stage3", "sweeps")
+COLUMNS = ("matvecs", "precond", "stage2", "stage3", "sweeps", "failed")
 
 
 def method_counters(wl, seed: int) -> tuple[dict, float]:
@@ -68,6 +70,7 @@ def method_counters(wl, seed: int) -> tuple[dict, float]:
                 sum(r.stage2_iters for r in reports),
                 sum(r.stage3_iters for r in reports),
                 sum(r.reorth_sweeps for r in reports),
+                sum(r.failure is not None for r in reports),
             )), peak_mb=peak / 1e6)
             solves += len(reports)
     finally:
