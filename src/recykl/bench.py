@@ -442,8 +442,8 @@ def weight_study(
     for scheme, gamma in weight_vectors.items():
         pod = pod_evd_from_gram(gram, Z, gamma, eps=1.0)
         for k in dims:
-            k_eff = min(k, pod.columns.shape[1])
-            basis = pod.columns[:, :k_eff]
+            k_eff = min(k, pod.y)
+            basis = Z @ pod.coef[:, :k_eff]
             trial = RecycleState(Y=basis, systems_seen=warmup)
             _, report = solve_system(target.A, target.b, target.xbar, trial, target.tol, cfg,
                                      preconds[warmup])

@@ -31,14 +31,20 @@ _RANK_RTOL = 1e-12  # on sigma^2, relative to the largest
 
 @dataclass
 class PodBasisResult:
-    columns: np.ndarray  # Theta-orthonormal basis, n x y
+    """A POD basis as snapshot coefficients; a caller keeping k columns forms S @ coef[:, :k]."""
+
+    snapshots: np.ndarray  # the snapshots S, n x s, shared with the caller
     singular_values: np.ndarray  # full spectrum, descending, length = snapshot count
-    coef: np.ndarray  # snapshot coefficients, s x y: columns = S @ coef
+    coef: np.ndarray  # snapshot coefficients, s x y
     rank_truncated: bool = False  # the energy criterion was unreachable within the rank
 
     @property
     def y(self) -> int:
-        return self.columns.shape[1]
+        return self.coef.shape[1]
+
+    @property
+    def columns(self) -> np.ndarray:  # the Theta-orthonormal basis, n x y, formed on each read
+        return self.snapshots @ self.coef
 
 
 def energy_truncation_dim(sigma_sq, eps: float) -> int:
@@ -80,7 +86,7 @@ def _finalize(S, gamma, sigma, V, eps):
     sigma_sq = np.maximum(sigma, 0.0) ** 2
     y, rank_truncated = energy_dim(sigma_sq, eps)
     coef = (V[:, :y] / sigma[:y]) * gamma[:, None]
-    return PodBasisResult(columns=S @ coef, singular_values=np.maximum(sigma, 0.0), coef=coef,
+    return PodBasisResult(snapshots=S, singular_values=np.maximum(sigma, 0.0), coef=coef,
                           rank_truncated=rank_truncated)
 
 
@@ -132,7 +138,7 @@ def pod_svd(S, gamma, chalf, eps: float) -> PodBasisResult:
         raise DimensionMismatch("one weight per snapshot required")
     if chalf.shape[1] != S.shape[0]:
         raise DimensionMismatch("metric factor columns must match snapshot length")
-    factored = chalf @ (S * gamma)
+    factored = (chalf @ S) * gamma  # q x s: no weighted n x s copy of S
     _, sigma, V = thin_svd(factored)
     s = S.shape[1]
     if sigma.shape[0] < s:

@@ -13,8 +13,9 @@ File-based sequences are described by a JSON manifest:
     {"n": 9, "systems": [{"matrix": "A_001.mtx", "rhs": "b_001.mtx",
      "tol": 1e-08}], "output_matrix": "C.mtx"}
 
-with Matrix Market files next to it (see :mod:`recykl.mmio`).  A system's
-``tol`` (default 1e-8) must be finite and positive.
+with Matrix Market files next to it (see :mod:`recykl.mmio`).  ``n`` must
+be a JSON integer of at least 1, and a system's ``tol`` (default 1e-8)
+finite and positive.
 """
 
 from __future__ import annotations
@@ -207,10 +208,13 @@ def load_sequence_manifest(path) -> SystemSequence:
         raise ManifestError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     base = os.path.dirname(os.path.abspath(path))
     try:
-        n = int(manifest["n"])
+        n = manifest["n"]
         raw_systems = manifest["systems"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ManifestError(f"{path}: manifest must carry 'n' and 'systems'") from exc
+    # int() would read 9.9 and "9" as 9; JSON true is a Python int
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ManifestError(f"{path}: 'n' must be a positive integer, got {json.dumps(n)}")
     if not raw_systems:
         raise ManifestError(f"{path}: manifest lists no systems")
     systems = []

@@ -12,9 +12,9 @@ runs in turn:
    wider than W, one nested run of unpreconditioned augmented CG over all
    of Y on G (:func:`_nested_run`), from the stage-1 solution and augmented
    with W.  It picks the block stage 3 keeps new directions A-orthogonal
-   to: W, or [W, Y V] after a nested run that took a step, or, under
-   ``full_orth``, all of Y (:class:`InnerIterativeProjection`, with G's
-   factor; if G fails to factor, the stage blocks serve).  Stage 2,
+   to: W, or Y C = [W, Y V] for the run's coefficients C = [E, V], or,
+   under ``full_orth``, all of Y (:class:`InnerIterativeProjection`, with
+   G's factor; if G fails to factor, the stage blocks serve).  Stage 2,
    ``full_orth`` and truncation read A only from AY and G;
 3. :func:`_stage3`: one full-space augmented PCG run to the forcing
    tolerance, handed the start, block and projection stage 2 picked.  Each
@@ -60,15 +60,16 @@ one, so its clock leaves the build out.  It updates the
 which runs only for a recycling method whose stage 3 returned a run,
 replaces Y and writes ``stage1_start`` and the weight history.
 
-Blocks pass between the stages without copies where the layout allows: a
-single C-ordered block (such as the stage-1 products A W when stage 2 adds
-none) goes to stage 3 as it is, and the grown Y is allocated once with the
-new directions written into its tail.  A run without recycling keeps no
-direction block at all.  Each dense block lives only as long as a stage
-reads it: once stage 3 ends, the solve drops its stage blocks and entry
-basis, and keeps AY only for a truncation that will read it, so the old Y
-is freed as soon as the grown one is written.  Checkpoint outputs C x are
-formed after the clock stops, by one product over the stacked iterates.
+Blocks pass between the stages without copies where the layout allows:
+the stage-1 products A W go to stage 3 as they are when Y is W or the
+nested run fails, the split block Y C and its products AY C are one
+product each, and the grown Y is allocated once with the new directions
+written into its tail.  A run without recycling keeps no direction block
+at all.  Each dense block lives only as long as a stage reads it: once
+stage 3 ends, the solve drops its stage blocks and entry basis, and keeps
+AY only for a truncation that will read it, so the old Y is freed as soon
+as the grown one is written.  Checkpoint outputs C x are formed after the
+clock stops, by one product over the stacked iterates.
 """
 
 from __future__ import annotations
@@ -235,10 +236,10 @@ def _nested_run(G, bhat, what, s, factor, tol, mode):
     Augmented with the stage-1 selection E = I[:, s:], whose Gram factor is
     ``factor``; at most 3y + 10 iterations, to ``tol`` floored at
     1e-13 ||bhat|| (the attainable accuracy).  Returns the run, whatever
-    its ``failure``, and, when it kept a direction, the Cholesky factor of
-    C'GC for C = [E, V]: the Gram matrix of the stage-3 block [W, Y V],
-    whatever the mode leaves of V's G-orthogonality; a failing factor
-    raises NotPositiveDefinite.
+    its ``failure``, the coefficients C = [E, V] of the stage-3 block
+    Y C = [W, Y V] and the Cholesky factor of C'GC, whatever the mode
+    leaves of V's G-orthogonality (C = E and the stage-1 factor for a run
+    that kept no direction); a failing factor raises NotPositiveDefinite.
     """
     y = G.shape[0]
     E = np.eye(y)[:, s:]
@@ -247,10 +248,10 @@ def _nested_run(G, bhat, what, s, factor, tol, mode):
     res = augmented_pcg(ReducedSpdOperator(G), bhat, what, E, proj, None,
                         tol, mode=mode, max_iter=3 * y + 10, r0=bhat - proj.cross @ what)
     if not res.V.shape[1]:  # no step, or a breakdown
-        return res, None
+        return res, E, factor
     C = np.concatenate([E, res.V], axis=1)
     gram = C.T @ (G @ C)
-    return res, dense_cholesky(0.5 * (gram + gram.T))
+    return res, C, dense_cholesky(0.5 * (gram + gram.T))
 
 
 def _stage1(A, r0, W, sink):
@@ -274,8 +275,8 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
     The columns in front of W = Y[:, s:] take one block product beside
     stage 1's A W.  When Y is wider than W, :func:`_nested_run` iterates
     to eps_hat = ``cfg.eps_hat_factor`` * eps.  Returns stage 3's start,
-    block and projection (W, [W, Y V2] or, under ``full_orth``, all of Y),
-    the products AY and the start's coefficients yhat over Y.  A nested run
+    block and projection (W, Y C = [W, Y V2] from the run's C, or, under
+    ``full_orth``, all of Y), AY and the start's coefficients over Y.  A run
     that breaks down, or whose block fails to factor, contributes nothing:
     the stage-1 solution is Galerkin over W only, so stage 3 starts from it
     over W alone, even under ``full_orth``.  Fills the report's stage-1
@@ -296,8 +297,8 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
     if not s:
         return what, W, proj1, AY, yhat
     try:
-        run, factor = _nested_run(G, Y.T @ r0, what, s, proj1.factor,
-                                  cfg.eps_hat_factor * eps, cfg.mode)
+        run, C, factor = _nested_run(G, Y.T @ r0, what, s, proj1.factor,
+                                     cfg.eps_hat_factor * eps, cfg.mode)
     except NotPositiveDefinite:
         run = None
     if run is None or run.failure == "breakdown":
@@ -311,11 +312,9 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
             return run.x, Y, InnerIterativeProjection(AY, dense_cholesky(G)), AY, run.x
         except NotPositiveDefinite:
             pass  # G lost definiteness: project over the stage blocks
-    if factor is None:
-        return what, W, proj1, AY, run.x
-    # the Gram factor of [W, Y V2] came with the run
-    proj = DirectReducedProjection(stack_blocks([proj1.cross, AY @ run.V]), factor)
-    return np.concatenate([what, run.vhat]), stack_blocks([W, Y @ run.V]), proj, AY, run.x
+    # the block Y C = [W, Y V2], its products AY C and their Gram factor share one C
+    proj = DirectReducedProjection(AY @ C, factor)
+    return np.concatenate([what, run.vhat]), Y @ C, proj, AY, run.x
 
 
 def _stages12(A, r0, Y, s, cfg, eps, report, sink, record):

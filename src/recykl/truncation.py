@@ -242,7 +242,7 @@ def compress(
     # nu_w <= nu_y, so a rank-cut stage-1 width implies a rank-cut res.y
     w, _ = energy_dim(res.singular_values**2, cfg.nu_w)
     w = _cap(w, cfg.stage1_dim, y)
-    Y = res.columns[:, :y]
+    Y = Z @ res.coef[:, :y]  # only the kept columns are formed
     if output_metric:
         Y, _ = enforce_a_orthogonality(Y, A, products=_times(blocks, res.coef[:, :y]))
     return TruncationOutcome(Y_new=Y, stage1_width=w, spectrum=res.singular_values,

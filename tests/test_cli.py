@@ -158,6 +158,17 @@ class TestRun:
         assert "system 2 'matrix' must be a file name, got 5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_dimension_exit_3(self, sequence_dir, tmp_path, capsys):
+        # int() once read an n of 36.5 as 36 and loaded the sequence
+        path = sequence_dir / "manifest.json"
+        data = json.loads(path.read_text())
+        data["n"] += 0.5
+        path.write_text(json.dumps(data))
+        out = tmp_path / "res"
+        assert main(["run", "--manifest", str(path), "--out-dir", str(out)]) == 3
+        assert f"'n' must be a positive integer, got {data['n']}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNonFiniteInput:
     FILES = {"matrix": "A_002.mtx", "rhs": "b_002.mtx", "guess": "x_002.mtx",

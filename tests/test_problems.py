@@ -348,16 +348,19 @@ class TestManifest:
             load_sequence_manifest(manifest)
 
     @pytest.mark.parametrize("key, value", [("matrix", 5), ("rhs", None), ("guess", ["x"]),
-                                            ("tol", True), ("output_matrix", 7)])
+                                            ("tol", True), ("output_matrix", 7), ("n", 9.9),
+                                            ("n", "9"), ("n", True), ("n", 0)])
     def test_mistyped_value_names_the_system(self, tmp_path, key, value):
-        # a file name that is not a string once reached os.path.join, and a
-        # boolean tolerance was read as 1.0
+        # a file name that is not a string once reached os.path.join, a
+        # boolean tolerance was read as 1.0, and int() read an n of 9.9 or
+        # "9" as 9 and true as 1, which failed later on a dimension mismatch
         seq = gen_diffusion_sequence((3, 3), p=2, delta=0.1, seed=16)
         manifest = write_sequence(seq, tmp_path)
         data = json.loads(open(manifest).read())
-        (data if key == "output_matrix" else data["systems"][1])[key] = value
+        top_level = key in ("output_matrix", "n")
+        (data if top_level else data["systems"][1])[key] = value
         open(manifest, "w").write(json.dumps(data))
-        where = "" if key == "output_matrix" else "system 2 "
+        where = "" if top_level else "system 2 "
         with pytest.raises(ManifestError, match=f"{where}'{key}' must be"):
             load_sequence_manifest(manifest)
 

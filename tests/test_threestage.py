@@ -504,6 +504,32 @@ class TestNoCopies:
         assert state.basis_dim == y_new == 10 and state.stage1_start == 6
         assert peak < 8 * n * (z + y_new + z)
 
+    def test_stage2_forms_the_split_block_once(self):
+        # stage 2 allocates AY and the stage-3 block Y C = [W, Y V2] with its
+        # products AY C, each once, plus the nested run's y-row arrays, less
+        # than one n-row column: neither Y V2 nor AY V2 is formed apart
+        n, y, s = 2500, 12, 6
+        spec = gen_diffusion_sequence((50, 50), p=1, delta=0.0, seed=42, tol=1e-8)[0]
+        A = spec.A
+        Y = np.ascontiguousarray(random_basis(n, y, seed=45))
+        cfg = solver_cfg(stage1_dim=y - s)
+        stage1 = threestage._stage1(A, spec.b, Y[:, s:], None)
+        report = threestage.SolveReport(j=2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = threestage._stage2(A, spec.b, Y, s, stage1, cfg, spec.tol, report, None)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        _, basis, proj, AY, _ = out
+        w, k = y - s, report.stage2_iters
+        assert report.stage2_converged and k >= 2 and basis.shape == (n, w + k)
+        assert np.array_equal(basis[:, :w], Y[:, s:])
+        assert np.array_equal(proj.cross[:, :w], stage1[1].cross)
+        assert peak < 8 * n * (y + 2 * (w + k) + 1)
+
     @pytest.mark.parametrize("mode, width", [("fom", 3), ("cg", 0)])
     def test_update_basis_appends_scaled_directions(self, mode, width):
         seq = gen_diffusion_sequence((8, 8), p=1, delta=0.0, seed=35, tol=1e-8)
@@ -844,6 +870,39 @@ class TestReducedProjections:
             assert np.linalg.norm(handle(z) - expected) <= 1e-10 * np.linalg.norm(expected)
             checked += 1
         assert checked == 3
+
+    def test_nested_run_without_a_step_hands_over_w(self, monkeypatch):
+        # when b lies in range(A W), the stage-1 solution already meets the
+        # nested tolerance: the run takes no step, its C is E, and stage 3
+        # runs over W's own columns with the stage-1 products and factor
+        real_pcg, real_direct = threestage.augmented_pcg, threestage.direct_reduced_solve
+        stage1, stage3 = [], []
+
+        def spy_direct(*args, **kwargs):
+            stage1.append(real_direct(*args, **kwargs))
+            return stage1[-1]
+
+        def spy_pcg(op, *args, **kwargs):
+            if isinstance(op, SparseSpdMatrix):
+                stage3.append(args)
+            return real_pcg(op, *args, **kwargs)
+
+        monkeypatch.setattr(threestage, "direct_reduced_solve", spy_direct)
+        monkeypatch.setattr(threestage, "augmented_pcg", spy_pcg)
+        A = gen_diffusion_sequence((10, 10), p=1, delta=0.0, seed=70, tol=1e-8)[0].A
+        Y = random_basis(A.n, 6, seed=71)
+        W = Y[:, 3:]
+        b = spmv(A, W @ np.array([1.0, -2.0, 0.5]))
+        state = RecycleState(Y=Y, stage1_start=3)
+        x, report = solve_system(A, b, None, state, 1e-6 * np.linalg.norm(b),
+                                 solver_cfg(strategy="none"))
+        assert report.converged and report.stage1_dim == 3
+        assert report.stage2_iters == 0 and report.stage2_converged
+        assert len(report.stage2_residual_history) == 1
+        ((what, proj1),), ((start, basis, proj),) = stage1, [a[1:4] for a in stage3]
+        assert np.array_equal(start, what) and np.array_equal(basis, W)
+        assert np.array_equal(proj.cross, proj1.cross) and proj.factor is proj1.factor
+        assert np.linalg.norm(b - spmv(A, x)) <= 1e-6 * np.linalg.norm(b)
 
     def test_stage3_handle_factors_a_block_that_is_not_g_orthonormal(self, monkeypatch):
         # on this input the cg stage-2 block of system 7 is off G-orthonormal

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,10 @@ from recykl.linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
     principal_angle_distance,
+    spmv,
 )
 from recykl.pod import pod_evd
+from recykl.problems import gen_diffusion_sequence, gen_output_matrix
 from recykl.truncation import (
     TruncationConfig,
     compress,
@@ -92,6 +95,30 @@ class TestPodCompress:
         assert np.array_equal(W, out.Y_new[:, : out.stage1_width])
         assert 1 <= out.stage1_width <= out.Y_new.shape[1]
 
+
+    @pytest.mark.parametrize("strategy, blocks", [("pod-a-rbf", 1), ("pod-ctc-rbf", 3)])
+    def test_forms_only_the_kept_columns(self, strategy, blocks):
+        # a 32-column block cut to max_dim 10 allocates n-row arrays of the
+        # kept width only: the basis (and, for the output metric, its
+        # products and A-orthonormalized copy), never all 32 POD columns nor
+        # a weighted copy of the snapshots
+        n, z, kept = 2500, 32, 10
+        A = gen_diffusion_sequence((50, 50), p=1, delta=0.0, seed=42, tol=1e-8)[0].A
+        Z = np.ascontiguousarray(enforce_a_orthogonality(random_basis(n, z, seed=43), A)[0])
+        AZ, chalf = spmv(A, Z), gen_output_matrix(10, n, seed=44)
+        rng = np.random.default_rng(45)
+        history = history_of(*rng.standard_normal((3, z)))
+        config = cfg(strategy=strategy, nu_w=1.0, max_dim=kept, stage1_dim=4)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = compress(Z, config, A, history, chalf=chalf, products=[AZ])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert out.Y_new.shape == (n, kept)
+        assert peak < 8 * n * (blocks * kept + 1)
 
     def test_unreachable_energy_is_flagged_not_warned(self):
         # a block of numerical rank 2 whose third mode holds about 1e-14 of

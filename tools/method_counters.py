@@ -1,6 +1,6 @@
 """Per-method counters of the benchmark workloads' inputs.
 
-Usage: python3 tools/method_counters.py [--seed N] [--tiny]
+Usage: python3 tools/method_counters.py [--seed N] [--tiny] [--mode {fom,cg}]
 
 For each workload of ``perfbench/workloads.py`` this generates the sequence
 from the seed as the benchmark does, writes it as a manifest and reads it
@@ -18,13 +18,15 @@ sequence left out), then the roster's matvecs per solve (the benchmark's
 ``matvecs_per_solve``).  Allocation sizes do not depend on timing, so the
 peak repeats from run to run to about 0.01 MB, unlike the resident set
 size the benchmark reports.  ``--tiny`` runs each workload at its
-smoke-test size.  Nothing is timed, and nothing under ``perfbench/`` is
-written.
+smoke-test size, and ``--mode`` runs every roster in that recurrence mode
+instead of the workload's own (``fom``).  Nothing is timed, and nothing
+under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import os
 import sys
@@ -82,6 +84,8 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--tiny", action="store_true", help="smoke-test size of each workload")
+    parser.add_argument("--mode", choices=("fom", "cg"),
+                        help="recurrence mode of every roster (default: the workload's)")
     args = parser.parse_args(argv)
     if "numpy" in sys.modules:
         raise SystemExit("error: numpy was imported before BLAS threads could be pinned")
@@ -93,9 +97,11 @@ def main(argv: list[str]) -> int:
     for name, wl in WORKLOADS.items():
         if args.tiny:
             wl = tiny(wl)
+        if args.mode:
+            wl = dataclasses.replace(wl, mode=args.mode)
         sums, per_solve = method_counters(wl, args.seed)
         print(f"{name} ({wl.grid[0]}x{wl.grid[1]}, {wl.systems} systems, {wl.precond}, "
-              f"tol {wl.tol:g}, seed {args.seed})")
+              f"{wl.mode}, tol {wl.tol:g}, seed {args.seed})")
         print(f"  {'method':<18}" + "".join(f"{c:>9}" for c in COLUMNS) + f"{'peak_mb':>9}")
         for method, counts in sums.items():
             print(f"  {method:<18}" + "".join(f"{counts[c]:>9}" for c in COLUMNS)
