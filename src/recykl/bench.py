@@ -20,9 +20,11 @@ averages.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,38 +76,40 @@ class MethodSpec:
         _check_values(tr_raw, _TRUNCATION_KEYS, f"{name}: truncation")
         tols = raw.get("tolerances", {})
         _check_values(tols, _TOLERANCE_KEYS, f"{name}: tolerances")
-        kw = {k: raw[k] for k in _SOLVER_KEYS if k in raw}
-        kw.update(tols)
-        return cls(name=name, config=SolverConfig(truncation=TruncationConfig(**tr_raw), **kw))
+        kw = {k: v for k, v in raw.items() if k not in ("name", "truncation", "tolerances")}
+        return cls(name=name, config=SolverConfig(truncation=TruncationConfig(**tr_raw),
+                                                  **kw, **tols))
 
 
-# the JSON type each methods-file key takes, by the Python types json.load
-# gives it; a boolean is an int to Python but only "true or false" here
-_JSON_TYPES = {
-    "a string": (str,),
-    "true or false": (bool,),
-    "a number": (int, float),
-    "an integer or null": (int, type(None)),
-    "an object": (dict,),
-}
-_SOLVER_KEYS = {"mode": "a string", "precond": "a string", "recycle": "true or false",
-                "diagnostics": "true or false", "max_iter": "an integer or null"}
-_ENTRY_KEYS = {"name": "a string", "truncation": "an object", "tolerances": "an object",
-               **_SOLVER_KEYS}
-_TOLERANCE_KEYS = {"eps_hat_factor": "a number"}
-_TRUNCATION_KEYS = {"strategy": "a string", "nu_y": "a number", "nu_w": "a number",
-                    "storage_cap": "a number", "full_orth": "true or false",
-                    "deflate_dim": "an integer or null", "max_dim": "an integer or null",
-                    "stage1_dim": "an integer or null"}
+# a config field's annotation gives its methods-file kind: the text that
+# names it and the Python types json.load gives such a value (a boolean is
+# an int to Python, but only "true or false" here)
+_OBJECT = ("an object", (dict,))
+_KINDS = {str: ("a string", (str,)), bool: ("true or false", (bool,)),
+          float: ("a number", (int, float)),
+          int | None: ("an integer or null", (int, type(None))), TruncationConfig: _OBJECT}
+
+
+def _field_kinds(config: type) -> dict:
+    """{field name: kind} of a config dataclass, read off its annotations."""
+    hints = typing.get_type_hints(config)
+    return {f.name: _KINDS[hints[f.name]] for f in dataclasses.fields(config)}
+
+
+# the methods-file keys are the config fields: an entry holds SolverConfig's
+# but eps_hat_factor, which sits in its "tolerances" object, and its
+# "truncation" object holds TruncationConfig's
+_ENTRY_KEYS = {"name": _KINDS[str], "tolerances": _OBJECT, **_field_kinds(SolverConfig)}
+_TOLERANCE_KEYS = {"eps_hat_factor": _ENTRY_KEYS.pop("eps_hat_factor")}
+_TRUNCATION_KEYS = _field_kinds(TruncationConfig)
 
 
 def _check_values(raw: dict, known: dict, where: str) -> None:
     for key, value in raw.items():
         if key not in known:
             raise RecyklError(f"method spec {where}: unknown key {key!r}")
-        kind = known[key]
-        if not isinstance(value, _JSON_TYPES[kind]) or (
-                isinstance(value, bool) and kind != "true or false"):
+        kind, types = known[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             raise RecyklError(f"method spec {where}: {key!r} must be {kind}, "
                               f"got {json.dumps(value)}")
 
@@ -207,37 +211,27 @@ def run_methods(
     threads: int = 1,
     keep_solutions: bool = False,
     track_iterates: bool = False,
-    tol_override: float | None = None,
 ) -> list[MethodRun]:
     """Run every method over the shared sequence, one method after another.
 
-    Serial, so each report's ``wall_time`` measures its solve alone.  Each
-    preconditioner kind the methods name is built once per system before
-    the first method runs, and every method of that kind is handed the
-    same list; no solve's clock holds a build.
+    Each system is solved to its own ``tol``; a sweep over tolerances hands
+    in a copy of the sequence with them replaced.  Serial, so each report's
+    ``wall_time`` measures its solve alone.  Each preconditioner kind the
+    methods name is built once per system before the first method runs,
+    and every method of that kind is handed the same list; no solve's
+    clock holds a build.
     ``threads`` must be 1; any other value raises :class:`RecyklError`.  The
     keyword remains only because perfbench still passes ``threads=1``.
     ``track_iterates`` records output checkpoints (C @ x), which needs the
     sequence's output matrix; ``keep_solutions`` keeps the solution vectors.
     """
     _check_serial(threads)
-    seq_used = seq
-    if tol_override is not None:
-        from .problems import LinearSystemSpec
-
-        seq_used = SystemSequence(
-            systems=[
-                LinearSystemSpec(s.A, s.b, s.xbar, tol_override) for s in seq.systems
-            ],
-            C=seq.C,
-            metadata=seq.metadata,
-        )
-    preconds = {kind: build_preconditioners(seq_used, kind)
+    preconds = {kind: build_preconditioners(seq, kind)
                 for kind in dict.fromkeys(m.config.precond for m in methods)}
     runs = []
     for method in methods:
         sols, reports, _ = run_sequence(
-            seq_used,
+            seq,
             method.config,
             preconds=preconds[method.config.precond],
             stop_on_failure=False,

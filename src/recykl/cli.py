@@ -163,7 +163,9 @@ def cmd_run(args) -> int:
     if args.tol_sweep:
         sweep_summary = {}
         for tol in bench.TOL_SWEEP:
-            runs = bench.run_methods(seq, methods, tol_override=tol)
+            swept = dataclasses.replace(
+                seq, systems=[dataclasses.replace(s, tol=tol) for s in seq.systems])
+            runs = bench.run_methods(swept, methods)
             label = f"tol{tol:.0e}"
             bench.write_run_outputs(runs, args.out_dir, label=label)
             sweep_summary[label] = {r.method.name: r.summary for r in runs}

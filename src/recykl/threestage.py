@@ -37,7 +37,8 @@ false.  Stage 3's ``failure`` ("budget" or "breakdown") is the report's; a
 broken run returns its start and adds no direction to Y and no snapshot.
 
 After the solve, :func:`update_basis` appends the new search directions to
-Y at unit A-norm, and they join the stage-1 block; once the block exceeds
+Y at unit A-norm (a ``cg`` run's without those past the numerical rank of
+V'AV), and they join the stage-1 block; once the block exceeds
 the storage cap it is compressed by :func:`~recykl.truncation.compress`,
 which alone reads the truncation strategy.  The stage-1 block is always the trailing
 columns ``Y[:, stage1_start:]``, read as a view: truncation stores the
@@ -79,6 +80,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import preconditioners
 from .errors import NotPositiveDefinite, RecyklError
@@ -478,8 +480,12 @@ def update_basis(
     when it fired, else None.  New directions enter as the stage-3 run
     hands them out, at unit A-norm, and all join the stage-1 block: the
     grown block Z = [Y, V] replaces the old Y as soon as it is written, so
-    the old one is freed unless the caller holds it.  The solution's
-    coefficients in Z join the weight history.  When the config says Z is
+    the old one is freed unless the caller holds it.  A ``cg`` run's
+    directions lose A-independence in finite precision, so first the
+    columns past the numerical rank of V'AV are dropped, at pivot threshold
+    1e-6 (see :func:`_independent_directions`); ``fom`` keeps V'AV = I to
+    round-off and drops none.  The solution's coefficients in Z join the
+    weight history.  When the config says Z is
     to be truncated, :func:`~recykl.truncation.compress` gets the block,
     the just-solved matrix, the history and the products AZ; it picks the
     weights, metric and method, and reads A only from those products.
@@ -495,13 +501,16 @@ def update_basis(
     it is.
     """
     tcfg = cfg.truncation
-    V, AV = stage3_res.V, stage3_res.AV
+    V, AV, vhat = stage3_res.V, stage3_res.AV, stage3_res.vhat
+    if cfg.mode == "cg" and V.shape[1]:
+        # fom's sweeps keep V'AV = I to round-off; the two-term recurrence does not
+        V, AV, vhat = _independent_directions(V, AV, vhat)
     y_old, k = state.Y.shape[1], V.shape[1]
     truncates = tcfg.truncates(y_old + k)
     if truncates and products is None and y_old:
         # after a stage-1 fallback the solve holds no product of the old columns
         products = spmv(A, state.Y, sink)
-    eta = np.concatenate([yhat_comb, stage3_res.vhat])
+    eta = np.concatenate([yhat_comb, vhat])
     if eta.size:
         state.history.push(eta)
     if k:
@@ -518,6 +527,32 @@ def update_basis(
         state.Y = np.concatenate([out.Y_new[:, w:], out.Y_new[:, :w]], axis=1)
     state.stage1_start = y_new - w
     return out
+
+
+# the pivot threshold of a cg run's new directions: each has unit A-norm,
+# so the absolute threshold is relative too
+_RANK_TOL = 1e-6
+
+
+def _independent_directions(V, AV, vhat):
+    """The A-independent columns of V, their products AV, and vhat over them.
+
+    The pivoted Cholesky factorization of V'AV (LAPACK ``dpstrf``) stops at
+    the first pivot at or below :data:`_RANK_TOL`.  The columns past that
+    rank are dropped and the kept ones stay in their order, so a V without
+    a small pivot comes back as it is.  V vhat is replaced by its
+    A-projection onto the kept columns, with coefficients G_kk^{-1} G_k: vhat
+    for G = V'AV, backsolved on the pivoted factor.
+    """
+    gram = V.T @ AV
+    gram = 0.5 * (gram + gram.T)
+    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram, tol=_RANK_TOL, lower=1)
+    if rank == V.shape[1]:
+        return V, AV, vhat
+    order = piv[:rank] - 1  # the kept columns in pivot order: G[order][:, order] = L L'
+    coef = scipy.linalg.cho_solve((factor[:rank, :rank], True), gram[order] @ vhat)
+    sort = np.argsort(order)
+    return V[:, order[sort]], AV[:, order[sort]], coef[sort]
 
 
 def build_preconditioners(systems, kind: str) -> list:

@@ -73,8 +73,13 @@ class TestMethodSpec:
             MethodSpec.from_dict({"name": "plain", "unknown": 1})
 
     def test_every_truncation_field_is_a_key(self):
-        fields = {f.name for f in dataclasses.fields(TruncationConfig)}
-        assert set(bench._TRUNCATION_KEYS) == fields
+        # the keys are read off the dataclass: each field, set to a value
+        # other than its default, reaches the config
+        values = {"strategy": "deflate", "nu_y": 0.9, "nu_w": 0.25, "storage_cap": 12,
+                  "full_orth": True, "deflate_dim": 4, "max_dim": 6, "stage1_dim": 2}
+        assert set(values) == {f.name for f in dataclasses.fields(TruncationConfig)}
+        config = MethodSpec.from_dict({"name": "all", "truncation": values}).config
+        assert config.truncation == TruncationConfig(**values) != TruncationConfig()
 
     def test_deflate_strategy_string(self):
         # the count has one spelling, deflate_dim; "deflate:<m>" is no strategy
@@ -132,9 +137,15 @@ class TestRunMethods:
             run_methods(small_seq, default_methods(storage_cap=16)[:2], threads=2)
 
     def test_tol_override(self, small_seq):
+        # the tolerance run_methods solves to is each system's own
         methods = [default_methods(storage_cap=16)[0]]  # plain pcg
-        loose = run_methods(small_seq, methods, tol_override=1e-2)[0]
-        tight = run_methods(small_seq, methods, tol_override=1e-10)[0]
+
+        def with_tol(tol):
+            return dataclasses.replace(
+                small_seq, systems=[dataclasses.replace(s, tol=tol) for s in small_seq.systems])
+
+        loose = run_methods(with_tol(1e-2), methods)[0]
+        tight = run_methods(with_tol(1e-10), methods)[0]
         assert sum(r.stage3_iters for r in loose.reports) < sum(
             r.stage3_iters for r in tight.reports
         )

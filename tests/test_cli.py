@@ -106,6 +106,9 @@ class TestRun:
         assert code == 0
         sweep = json.loads((out / "sweep_summary.json").read_text())
         assert len(sweep) == 6  # tolerances 1e-1 .. 1e-6
+        # each tolerance reaches every system: the tight one iterates longer
+        loose, tight = sweep["tol1e-01"]["plain"], sweep["tol1e-06"]["plain"]
+        assert loose["total_stage3_iters"] < tight["total_stage3_iters"]
 
     def test_bad_manifest_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -733,16 +733,22 @@ class TestPartialFailure:
 
 class TestStage1Fallback:
     def test_failed_stage1_factor_solves_without_basis(self):
-        # the untruncated cg-mode basis loses A-orthogonality on this sequence,
-        # so from system 3 on the stage-1 Cholesky of W'AW fails; those
-        # systems fall back to plain PCG and keep the weight history aligned
-        # with the grown basis (system 2 diverges in stage 3 and is not pinned)
+        # system 3 enters with a caller-built basis of one column repeated
+        # five times, which the untruncated basis keeps, so from system 3 on
+        # W'AW is singular and its stage-1 Cholesky fails (a column repeated
+        # once leaves a last pivot of rounding size, which is positive on
+        # some systems); those systems fall back to plain PCG and keep the
+        # weight history aligned with the grown basis
         seq = gen_diffusion_sequence((25, 35), 12, 0.5, seed=3, tol=1e-8)
         (no_trunc,) = [m for m in default_methods(storage_cap=30, mode="cg")
                        if m.name == "no-trunc"]
         state = RecycleState.empty(seq.n)
         reports = []
         for spec in seq:
+            if state.systems_seen == 2:
+                Y = random_basis(seq.n, 5, seed=42)
+                Y[:, 1:] = Y[:, :1]
+                state = RecycleState(Y=Y, systems_seen=2)
             x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol,
                                      no_trunc.config)
             reports.append(report)
@@ -755,15 +761,18 @@ class TestStage1Fallback:
         assert not any(r.stage1_fallback for r in reports[:2])
 
     def test_basis_wider_than_matrix_skips_gram_assembly(self):
-        # system 2 runs stage 3 to its cap of n = 400 iterations and leaves an
-        # untruncated basis of 483 columns; from system 3 on W'AW is singular,
-        # so the fallback is taken without assembling it (one matvec a column)
+        # system 3 enters with a caller-built basis of n + 1 = 401 columns,
+        # which the untruncated basis only grows; from system 3 on W'AW is
+        # singular, so the fallback is taken without assembling it (one
+        # matvec a column)
         seq = gen_diffusion_sequence((20, 20), 12, 0.5, seed=3, tol=1e-8)
         (no_trunc,) = [m for m in default_methods(storage_cap=30, mode="cg")
                        if m.name == "no-trunc"]
         state = RecycleState.empty(seq.n)
         wide = 0
         for spec in seq:
+            if state.systems_seen == 2:
+                state = RecycleState(Y=random_basis(seq.n, seq.n + 1, seed=42), systems_seen=2)
             entry_width = state.basis_dim
             x, report = solve_system(spec.A, spec.b, spec.xbar, state, spec.tol,
                                      no_trunc.config)
@@ -1092,6 +1101,44 @@ class TestTwoTermRecurrence:
         for spec, x, report in zip(seq, xs, reports):
             assert report.converged, report.j
             assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol, report.j
+
+    @pytest.mark.parametrize("grid, delta, seed", [((25, 35), 0.5, 3), ((45, 45), 0.1, 4),
+                                                   ((40, 40), 0.2, 2)])
+    def test_untruncated_basis_converges(self, grid, delta, seed):
+        # a cg run's new directions lose A-independence (V'AV had eigenvalues
+        # down to 1.6e-15), and no-trunc put them all into the next stage-1
+        # block: on systems 2, 2 and 3 of these inputs stage 3 ran to its
+        # budget while its residual grew.  Now the columns past V'AV's
+        # numerical rank are dropped
+        seq = gen_diffusion_sequence(grid, 12, delta, seed=seed, tol=1e-8)
+        (no_trunc,) = [m for m in default_methods(storage_cap=30, mode="cg")
+                       if m.name == "no-trunc"]
+        xs, reports, _ = run_sequence(seq, no_trunc.config, stop_on_failure=False)
+        assert len(reports) == seq.p
+        for spec, x, report in zip(seq, xs, reports):
+            assert report.converged, (report.j, report.failure)
+            assert np.linalg.norm(spec.b - spmv(spec.A, x)) <= spec.tol, report.j
+
+    def test_dependent_directions_are_dropped_in_order(self):
+        # V's last column repeats an earlier one and its fourth is nearly a
+        # combination of two others: both are dropped, the kept columns keep
+        # their order, and V vhat becomes its A-projection onto them
+        A = make_spd(40, seed=70)
+        Ad = A.to_dense()
+        V = enforce_a_orthogonality(random_basis(40, 6, seed=71), A)[0]
+        V[:, 3] = (V[:, 0] + V[:, 2]) / np.sqrt(2) + 1e-9 * V[:, 1]
+        V[:, 5] = V[:, 1]
+        AV = Ad @ V
+        vhat = np.random.default_rng(72).standard_normal(6)
+        kept_V, kept_AV, kept_vhat = threestage._independent_directions(V, AV, vhat)
+        keep = [0, 1, 2, 4]
+        assert np.array_equal(kept_V, V[:, keep]) and np.array_equal(kept_AV, AV[:, keep])
+        Vk = V[:, keep]
+        projected = np.linalg.solve(Vk.T @ Ad @ Vk, Vk.T @ Ad @ (V @ vhat))
+        assert np.allclose(kept_vhat, projected, rtol=1e-10, atol=1e-12)
+        # independent columns come back as they are
+        W = V[:, keep]
+        assert threestage._independent_directions(W, Ad @ W, vhat[:4])[0] is W
 
 
 class TestStage3Breakdown:

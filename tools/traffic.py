@@ -8,6 +8,9 @@ Traces, with the standard library's ``sys.settrace``, the lines of
 - one pass of each workload of ``perfbench/workloads.py`` at its
   smoke-test size, through the calls ``perfbench/passes.py`` makes
   (manifest read, roster, roster call, report files);
+- an untruncated ``cg`` sequence (25x35, 12 systems) whose first run's
+  new directions lose A-independence, so their columns past the numerical
+  rank are dropped;
 - the replay of every case in ``tests/fixtures``;
 - the five CLI subcommands (``generate``, ``run``, ``output-error``,
   ``weight-study`` and ``verify-bounds``) on a 12x12 sequence in a
@@ -62,7 +65,7 @@ def run_all(tmp: str) -> list[str]:
     import passes
     from workloads import WORKLOADS, tiny
 
-    from recykl import cli, problems
+    from recykl import bench, cli, problems, threestage
     from recykl.fixtures import verify_fixture
 
     failures = []
@@ -76,6 +79,14 @@ def run_all(tmp: str) -> list[str]:
         out = passes.run_pass(wl, manifest, os.path.join(tmp, name + "-out"))
         if out["error"] is not None:
             failures.append(f"workload {name}: {out['error']}")
+
+    # an untruncated cg sequence whose first run's new directions lose
+    # A-independence, so update_basis drops the columns past their rank
+    seq = problems.gen_diffusion_sequence((25, 35), 12, 0.5, seed=3, tol=1e-8)
+    (no_trunc,) = [m for m in bench.default_methods(storage_cap=30, mode="cg")
+                   if m.name == "no-trunc"]
+    if not all(r.converged for r in threestage.run_sequence(seq, no_trunc.config)[1]):
+        failures.append("the untruncated cg sequence did not converge")
 
     for path in sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.json"))):
         if os.path.basename(path) != "acceptance_calibration.json" and verify_fixture(path):
