@@ -245,7 +245,7 @@ def run_methods(
 CSV_FIELDS = (
     "method", "j", "matvecs", "precond_apps", "stage1_dim", "stage2_iters",
     "stage3_iters", "wall_ms", "final_residual", "converged", "failure", "stage2_converged",
-    "stage1_fallback", "rank_truncated", "reduced_condition",
+    "rank_truncated", "reduced_condition",
 )
 
 
@@ -271,7 +271,6 @@ def write_run_outputs(runs: list[MethodRun], out_dir, label: str = "run") -> dic
                     "converged": r.converged,
                     "failure": r.failure or "",
                     "stage2_converged": r.stage2_converged,
-                    "stage1_fallback": r.stage1_fallback,
                     "rank_truncated": r.rank_truncated,
                     # computed only under diagnostics: blank otherwise
                     "reduced_condition": "" if r.reduced_condition is None

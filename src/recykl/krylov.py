@@ -58,7 +58,7 @@ from .linalg import (
     InstrumentationSink,
     SparseSpdMatrix,
     assemble_gram,
-    dense_cholesky,
+    gram_cholesky,
     spmv,
 )
 
@@ -106,7 +106,8 @@ class DirectReducedProjection:
     ``cross`` holds A*B (in whatever space the operator acts), C-ordered, so
     B'Az is the dense product cross' z and no operator application is
     needed.  ``factor`` is the dense Cholesky factor of the whole Gram
-    matrix B'AB, whatever the block: each solve is one backsolve.
+    matrix B'AB, whatever the block (over its independent columns, for a
+    singular one): each solve is one backsolve.
     """
 
     def __init__(self, cross: np.ndarray, factor: DenseLowerTriangular):
@@ -268,8 +269,8 @@ def augmented_pcg(
         Augmenting basis Y.  New directions are kept A-orthogonal to it.
     reduced_solver : callable or None
         Handle solving Y'AY mu = Y'Az given z.  Defaults to a direct
-        factorization of Y'AY formed from one block product A*Y, charged as
-        m operator applications.
+        factorization of Y'AY (:func:`~recykl.linalg.gram_cholesky`) formed
+        from one block product A*Y, charged as m operator applications.
     precond : Preconditioner or None
         Applied as z = M^{-1} r; None means unpreconditioned (and charges no
         preconditioner applications).
@@ -331,8 +332,7 @@ def augmented_pcg(
         if reduced_solver is None:
             # one block product A*Y, one operator application per column
             cross = apply(Y)
-            gram = Y.T @ cross
-            reduced_solver = DirectReducedProjection(cross, dense_cholesky(0.5 * (gram + gram.T)))
+            reduced_solver = DirectReducedProjection(cross, gram_cholesky(Y.T @ cross))
     else:
         x = np.zeros(n)
 
@@ -421,10 +421,11 @@ def direct_reduced_solve(
 
     Returns the reduced solution (W'AW)^{-1} W'b and the projection over
     W that holds the product A*W (one matvec per column, charged to the
-    sink) and the factor, so later solves over W apply A no more.
+    sink) and the factor, so later solves over W apply A no more.  Dependent
+    columns of W get zero coefficients (:func:`~recykl.linalg.gram_cholesky`).
     """
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
     gram, AW = assemble_gram(A, W, sink)
-    factor = dense_cholesky(0.5 * (gram + gram.T))
+    factor = gram_cholesky(gram)
     return factor.solve_spd(W.T @ b), DirectReducedProjection(AW, factor)

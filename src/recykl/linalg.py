@@ -166,9 +166,13 @@ def assemble_gram(A: SparseSpdMatrix, B: np.ndarray, sink: InstrumentationSink |
 
 
 class DenseLowerTriangular:
-    """Lower-triangular Cholesky factor L with G = L L'."""
+    """Lower-triangular Cholesky factor L with G = L L'.
 
-    def __init__(self, L: np.ndarray):
+    A factor from :func:`pivoted_cholesky` has L L' = G[kept][:, kept] for
+    the columns ``kept`` of G in pivot order (None: all of G, in order).
+    """
+
+    def __init__(self, L: np.ndarray, kept: np.ndarray | None = None):
         # C order pins which LAPACK call solve_triangular makes, and with it
         # the rounding of every reduced solve
         self._full = np.ascontiguousarray(L, dtype=np.float64)
@@ -177,6 +181,7 @@ class DenseLowerTriangular:
             raise DimensionMismatch("triangular factor must be square")
         if self.m and np.any(np.diag(self._full) <= 0.0):
             raise NotPositiveDefinite("lower-triangular factor must have positive diagonal")
+        self.kept = kept
 
     def full(self) -> np.ndarray:
         return self._full.copy()
@@ -208,8 +213,16 @@ class DenseLowerTriangular:
         return x
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (L L') x = rhs by one forward and one back substitution."""
-        return self.solve_upper(self.solve_lower(rhs))
+        """Solve (L L') x = rhs by one forward and one back substitution.
+
+        A factor over the columns ``kept`` reads those rows of the full-length
+        rhs, and its solution is zero on the others.
+        """
+        if self.kept is None:
+            return self.solve_upper(self.solve_lower(rhs))
+        out = np.zeros(np.shape(rhs))
+        out[self.kept] = self.solve_upper(self.solve_lower(np.asarray(rhs)[self.kept]))
+        return out
 
 
 def dense_cholesky(G: np.ndarray) -> DenseLowerTriangular:
@@ -230,6 +243,37 @@ def dense_cholesky(G: np.ndarray) -> DenseLowerTriangular:
     if info < 0:
         raise DimensionMismatch(f"dpotrf: illegal argument {-info}")
     return DenseLowerTriangular(L)
+
+
+_RANK_TOL = 1e-6  # pivoted Cholesky stops at a pivot this far below the largest diagonal
+
+
+def pivoted_cholesky(G: np.ndarray) -> DenseLowerTriangular:
+    """Cholesky factor of the symmetrized Gram matrix G over its independent columns.
+
+    The pivoted factorization (LAPACK ``dpstrf``; Hammarling, Higham & Lucas,
+    "LAPACK-style codes for pivoted Cholesky and QR updating", PARA 2006)
+    stops at the first pivot at or below :data:`_RANK_TOL` times G's largest
+    diagonal entry; the factor covers the columns before it, ``kept``.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    G = 0.5 * (G + G.T)
+    L, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, tol=_RANK_TOL * np.max(np.diag(G)), lower=1)
+    return DenseLowerTriangular(np.tril(L[:rank, :rank]), kept=piv[:rank] - 1)
+
+
+def gram_cholesky(G: np.ndarray) -> DenseLowerTriangular:
+    """Cholesky factor of the symmetrized Gram matrix G, singular or not.
+
+    :func:`dense_cholesky`'s factor, or where that fails
+    :func:`pivoted_cholesky`'s, whose solves give the dropped columns zero.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    G = 0.5 * (G + G.T)
+    try:
+        return dense_cholesky(G)
+    except NotPositiveDefinite:
+        return pivoted_cholesky(G)
 
 
 def symmetric_evd(G: np.ndarray):

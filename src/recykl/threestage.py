@@ -1,76 +1,51 @@
 """Hybrid direct/iterative solver for sequences of SPD systems.
 
 Each system is attacked in three stages over the recycled basis Y carried
-across the sequence, one function per stage, which :func:`solve_system`
-runs in turn:
+across the sequence, which :func:`solve_system` runs in turn:
 
-1. :func:`_stage1`: a direct Galerkin solve over the stage-1 block W (a few
-   columns of Y expected to capture most of the solution), factored once
-   and reused;
+1. a direct Galerkin solve over the stage-1 block W (a few columns of Y
+   expected to capture most of the solution), factored once and reused
+   (:func:`~recykl.krylov.direct_reduced_solve`);
 2. :func:`_stage2`: the products AY and G = Y'AY, formed once (A W is
    reused; the other columns of Y take one matvec each), and, when Y is
-   wider than W, one nested run of unpreconditioned augmented CG over all
-   of Y on G (:func:`_nested_run`), from the stage-1 solution and augmented
-   with W.  It picks the block stage 3 keeps new directions A-orthogonal
-   to: W, or Y C = [W, Y V] for the run's coefficients C = [E, V], or,
-   under ``full_orth``, all of Y (:class:`InnerIterativeProjection`, with
-   G's factor; if G fails to factor, the stage blocks serve).  Stage 2,
-   ``full_orth`` and truncation read A only from AY and G;
+   wider than W, one nested run of unpreconditioned augmented CG on G
+   (:func:`_nested_run`) from the stage-1 solution, augmented with W.  It
+   picks the block stage 3 keeps new directions A-orthogonal to: W, or
+   Y C = [W, Y V] for the run's coefficients C = [E, V], or, under
+   ``full_orth``, all of Y (:class:`InnerIterativeProjection`);
 3. :func:`_stage3`: one full-space augmented PCG run to the forcing
-   tolerance, handed the start, block and projection stage 2 picked.  Each
-   projection backsolves the Cholesky factor of its block's whole Gram
-   matrix, read off G, so no block need be A-orthonormal.
+   tolerance from the start, block and projection stage 2 picked.
 
-Without a basis (the first system, or ``recycle=False``) and after a
-stage-1 fallback, stages 1 and 2 are skipped and stage 3 is plain PCG over
-an empty basis.  A fallback is a stage-1 Gram matrix that fails its
-Cholesky factorization, or a stage-1 block with more columns than A has
-rows, whose Gram matrix is singular and is not assembled; its report sets
-``stage1_fallback``.  Every run of a recycling method stores its
-directions with their A-products, in either mode, and pays for ``fom``'s
-re-orthogonalization; without recycling that PCG keeps none, and so runs
-the two-term recurrence (see :class:`SolverConfig`).
-Every Krylov run says how it ended on its result's ``failure``, never by
-an exception.  A nested run that broke down contributes nothing: stage 3
-runs from the stage-1 solution over W alone, and ``stage2_converged`` is
-false.  Stage 3's ``failure`` ("budget" or "breakdown") is the report's; a
-broken run returns its start and adds no direction to Y and no snapshot.
+Without a basis (the first system, or ``recycle=False``) stages 1 and 2
+are skipped and stage 3 is plain PCG.  Each projection backsolves the
+Cholesky factor of its block's whole Gram matrix (W'AW, G or C'GC, read
+off G), so no block need be A-orthonormal.  Every one of them is
+:func:`~recykl.linalg.gram_cholesky`'s: a basis with dependent columns (a
+repeated column, or more columns than A has rows) is factored over its
+independent columns and the others get zero coefficients, so Y and the
+weight history keep their widths.  Every Krylov run says how it ended on
+its result's ``failure``, never by an exception.  A nested run that broke
+down contributes nothing: stage 3 runs from the stage-1 solution over W
+alone.  A broken stage 3 returns its start and adds nothing to the state.
 
 After the solve, :func:`update_basis` appends the new search directions to
 Y at unit A-norm (a ``cg`` run's without those past the numerical rank of
-V'AV), and they join the stage-1 block; once the block exceeds
-the storage cap it is compressed by :func:`~recykl.truncation.compress`,
-which alone reads the truncation strategy.  The stage-1 block is always the trailing
-columns ``Y[:, stage1_start:]``, read as a view: truncation stores the
-retained basis with its stage-1 prefix moved to the tail, and appended
-directions land behind it.  Every truncation is handed the products AZ of
-the grown block, whatever the strategy and mode, as the two column blocks
-the solve holds: its products AY of the old basis and the stage-3 products
-of the new directions.  Truncation reads them block by block, with no
-stacked copy, and costs no matvec; only after a stage-1 fallback, when the
-solve holds no product of the old basis, does A multiply every old column.
+V'AV), and they join the stage-1 block, always the trailing columns
+``Y[:, stage1_start:]``; past the storage cap the block is compressed by
+:func:`~recykl.truncation.compress`, the one reader of the strategy,
+which is handed the products AZ as the two column blocks the solve holds
+(AY and the stage-3 products), so truncation costs no matvec.  The
+retained basis is stored with its stage-1 prefix moved to the tail.
 
-A method is one :class:`SolverConfig`: truncation shape, recurrence mode,
-preconditioner kind and the stage-2 tolerance factor.  The preconditioner
-belongs to the matrix, not to the method: :func:`build_preconditioners`
-builds one per system before any solve, so a roster of methods can share
-them, and :func:`solve_system` is handed the built ``M`` and never builds
-one, so its clock leaves the build out.  It updates the
-:class:`RecycleState` it is given in place, and each field has one writer:
-:func:`solve_system` counts ``systems_seen``, and :func:`update_basis`,
-which runs only for a recycling method whose stage 3 returned a run,
-replaces Y and writes ``stage1_start`` and the weight history.
+A method is one :class:`SolverConfig`.  The preconditioner belongs to the
+matrix: :func:`build_preconditioners` builds one per system, so a roster
+of methods can share them, and :func:`solve_system` is handed the built
+``M``.  :func:`solve_system` counts the state's ``systems_seen``, and
+:func:`update_basis` alone writes its Y, ``stage1_start`` and history.
 
-Blocks pass between the stages without copies where the layout allows:
-the stage-1 products A W go to stage 3 as they are when Y is W or the
-nested run fails, the split block Y C and its products AY C are one
-product each, and the grown Y is allocated once with the new directions
-written into its tail.  A run without recycling keeps no direction block
-at all.  Each dense block lives only as long as a stage reads it: once
-stage 3 ends, the solve drops its stage blocks and entry basis, and keeps
-AY only for a truncation that will read it, so the old Y is freed as soon
-as the grown one is written.  Checkpoint outputs C x are formed after the
-clock stops, by one product over the stacked iterates.
+Blocks pass between the stages without copies where the layout allows,
+and each lives only as long as a stage reads it: AY outlives stage 3 only
+for a truncation.  Checkpoint outputs C x are formed after the clock stops.
 """
 
 from __future__ import annotations
@@ -80,10 +55,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import preconditioners
-from .errors import NotPositiveDefinite, RecyklError
+from .errors import DimensionMismatch, RecyklError
 from .krylov import (
     AugmentedPcgResult,
     DirectReducedProjection,
@@ -92,7 +66,14 @@ from .krylov import (
     direct_reduced_solve,
     stack_blocks,
 )
-from .linalg import InstrumentationSink, SparseSpdMatrix, dense_cholesky, spmv, symmetric_evd
+from .linalg import (
+    InstrumentationSink,
+    SparseSpdMatrix,
+    gram_cholesky,
+    pivoted_cholesky,
+    spmv,
+    symmetric_evd,
+)
 from .truncation import TruncationConfig, TruncationOutcome, compress
 from .weights import WeightHistory
 
@@ -138,12 +119,22 @@ class SolverConfig:
 
 @dataclass
 class RecycleState:
-    """Durable solver state carried from one system to the next."""
+    """Durable solver state carried from one system to the next.
+
+    A Y that is not a finite 2-D array, or a ``stage1_start`` outside 0 .. its
+    width, raises ``DimensionMismatch``; the solver replaces Y unchecked.
+    """
 
     Y: np.ndarray
     stage1_start: int = 0  # the stage-1 block is Y[:, stage1_start:]
     systems_seen: int = 0
     history: WeightHistory = field(default_factory=WeightHistory)
+
+    def __post_init__(self):
+        if not (isinstance(self.Y, np.ndarray) and self.Y.ndim == 2 and np.isfinite(self.Y).all()):
+            raise DimensionMismatch("the recycled basis must be a finite 2-D array")
+        if not 0 <= self.stage1_start <= self.basis_dim:
+            raise DimensionMismatch(f"stage1_start {self.stage1_start} not in 0..{self.basis_dim}")
 
     @classmethod
     def empty(cls, n: int) -> "RecycleState":
@@ -182,7 +173,6 @@ class SolveReport:
     stage2_residual_history: np.ndarray | None = None
     truncated: bool = False
     stage2_converged: bool = True
-    stage1_fallback: bool = False  # stage-1 factor failed or was skipped; solved without basis
     failure: str | None = None  # why a solve did not converge: "budget", "breakdown", "nonfinite"
     rank_truncated: bool = False  # truncation stopped at the numerical rank of the block
     reduced_condition: float | None = None
@@ -204,8 +194,8 @@ class SolveReport:
 class SystemTrace:
     """Per-system record of the internal bases, for verification harnesses.
 
-    ``Y_entry`` and ``stage1_start`` are the state's on entry, also after a
-    stage-1 fallback, when ``stage3_basis`` is empty.  The arrays are the
+    ``Y_entry`` and ``stage1_start`` are the state's on entry, and
+    ``stage3_basis`` stage 3's augmenting block.  The arrays are the
     solver's own, shared, not copied, and read-only by contract.
     """
 
@@ -241,7 +231,7 @@ def _nested_run(G, bhat, what, s, factor, tol, mode):
     its ``failure``, the coefficients C = [E, V] of the stage-3 block
     Y C = [W, Y V] and the Cholesky factor of C'GC, whatever the mode
     leaves of V's G-orthogonality (C = E and the stage-1 factor for a run
-    that kept no direction); a failing factor raises NotPositiveDefinite.
+    that kept no direction).
     """
     y = G.shape[0]
     E = np.eye(y)[:, s:]
@@ -252,23 +242,7 @@ def _nested_run(G, bhat, what, s, factor, tol, mode):
     if not res.V.shape[1]:  # no step, or a breakdown
         return res, E, factor
     C = np.concatenate([E, res.V], axis=1)
-    gram = C.T @ (G @ C)
-    return res, C, dense_cholesky(0.5 * (gram + gram.T))
-
-
-def _stage1(A, r0, W, sink):
-    """Stage 1: the Galerkin solve over the stage-1 block W.
-
-    Returns the coefficients over W and the projection over W (A W and the
-    factor of W'AW); None when W is empty, or has more columns than A has
-    rows (W'AW is singular and is not assembled), or W'AW fails to factor.
-    """
-    if not 0 < W.shape[1] <= A.n:
-        return None
-    try:
-        return direct_reduced_solve(A, r0, W, sink)
-    except NotPositiveDefinite:
-        return None
+    return res, C, gram_cholesky(C.T @ (G @ C))
 
 
 def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
@@ -279,10 +253,10 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
     to eps_hat = ``cfg.eps_hat_factor`` * eps.  Returns stage 3's start,
     block and projection (W, Y C = [W, Y V2] from the run's C, or, under
     ``full_orth``, all of Y), AY and the start's coefficients over Y.  A run
-    that breaks down, or whose block fails to factor, contributes nothing:
-    the stage-1 solution is Galerkin over W only, so stage 3 starts from it
-    over W alone, even under ``full_orth``.  Fills the report's stage-1
-    width, stage-2 fields and, under ``diagnostics``, ``reduced_condition``.
+    that breaks down contributes nothing: the stage-1 solution is Galerkin
+    over W only, so stage 3 starts from it over W alone, even under
+    ``full_orth``.  Fills the report's stage-1 width, stage-2 fields and,
+    under ``diagnostics``, ``reduced_condition``.
     """
     what, proj1 = stage1
     W = Y[:, s:]
@@ -298,22 +272,16 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
         report.reduced_condition = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("inf")
     if not s:
         return what, W, proj1, AY, yhat
-    try:
-        run, C, factor = _nested_run(G, Y.T @ r0, what, s, proj1.factor,
-                                     cfg.eps_hat_factor * eps, cfg.mode)
-    except NotPositiveDefinite:
-        run = None
-    if run is None or run.failure == "breakdown":
+    run, C, factor = _nested_run(G, Y.T @ r0, what, s, proj1.factor,
+                                 cfg.eps_hat_factor * eps, cfg.mode)
+    if run.failure == "breakdown":
         report.stage2_converged = False
         return what, W, proj1, AY, yhat
     report.stage2_iters = run.k
     report.stage2_converged = run.converged
     report.stage2_residual_history = run.residual_history
     if cfg.truncation.full_orth:
-        try:
-            return run.x, Y, InnerIterativeProjection(AY, dense_cholesky(G)), AY, run.x
-        except NotPositiveDefinite:
-            pass  # G lost definiteness: project over the stage blocks
+        return run.x, Y, InnerIterativeProjection(AY, gram_cholesky(G)), AY, run.x
     # the block Y C = [W, Y V2], its products AY C and their Gram factor share one C
     proj = DirectReducedProjection(AY @ C, factor)
     return np.concatenate([what, run.vhat]), Y @ C, proj, AY, run.x
@@ -322,15 +290,13 @@ def _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink):
 def _stages12(A, r0, Y, s, cfg, eps, report, sink, record):
     """Stages 1 and 2 over the entry basis Y, whose stage-1 block is Y[:, s:].
 
-    Returns what :func:`_stage2` returns for stage 3.  Without a basis, or
-    after a stage-1 fallback, that is an empty block and yhat = 0 with no
-    AY, so stage 3 is plain PCG.  ``record``, when given, takes the stage-1
-    and stage-2 checkpoints.
+    Returns what :func:`_stage2` returns for stage 3: without a basis an
+    empty block and yhat = 0 with no AY, so stage 3 is plain PCG.
+    ``record``, when given, takes the stage-1 and stage-2 checkpoints.
     """
-    stage1 = _stage1(A, r0, Y[:, s:], sink)
-    if stage1 is None:
-        report.stage1_fallback = Y.shape[1] > 0
-        return np.zeros(0), Y[:, :0], None, None, np.zeros(Y.shape[1])
+    if not Y.shape[1]:
+        return np.zeros(0), Y, None, None, np.zeros(0)
+    stage1 = direct_reduced_solve(A, r0, Y[:, s:], sink)
     if record is not None:
         record("stage1", 0, Y[:, s:] @ stage1[0])
     start, basis, proj, AY, yhat = _stage2(A, r0, Y, s, stage1, cfg, eps, report, sink)
@@ -482,23 +448,19 @@ def update_basis(
     grown block Z = [Y, V] replaces the old Y as soon as it is written, so
     the old one is freed unless the caller holds it.  A ``cg`` run's
     directions lose A-independence in finite precision, so first the
-    columns past the numerical rank of V'AV are dropped, at pivot threshold
-    1e-6 (see :func:`_independent_directions`); ``fom`` keeps V'AV = I to
-    round-off and drops none.  The solution's coefficients in Z join the
-    weight history.  When the config says Z is
-    to be truncated, :func:`~recykl.truncation.compress` gets the block,
-    the just-solved matrix, the history and the products AZ; it picks the
-    weights, metric and method, and reads A only from those products.
+    columns past the numerical rank of V'AV are dropped (see
+    :func:`_independent_directions`); ``fom`` keeps V'AV = I to round-off
+    and drops none.  The solution's coefficients in Z join the weight
+    history.  When the config says Z is to be truncated,
+    :func:`~recykl.truncation.compress` gets the block, the just-solved
+    matrix, the history and the products AZ; it picks the weights, metric
+    and method, and reads A only from those products.
 
-    ``products`` is A times the old basis, as the solve formed it; only a
-    truncation reads it.  It and the stage-3 products AV go to ``compress``
-    as two column blocks, with no stacked copy.  Without it (after a
-    stage-1 fallback, when the solve held no product of the old basis) A
-    multiplies every old column, one matvec each on ``sink``.  The weight
-    history is then reset, and the retained basis is stored with the
-    stage-1 prefix ``compress`` derived moved to its tail, where
-    ``stage1_start`` marks it; appended directions leave ``stage1_start`` as
-    it is.
+    ``products`` is A times the old basis as the solve formed it (None for
+    an empty one); it and AV go to ``compress`` as two column blocks, so no
+    matvec is spent.  The history is then reset, and the retained basis is
+    stored with ``compress``'s stage-1 prefix moved to its tail, where
+    ``stage1_start`` marks it; appended directions leave it as it is.
     """
     tcfg = cfg.truncation
     V, AV, vhat = stage3_res.V, stage3_res.AV, stage3_res.vhat
@@ -507,9 +469,6 @@ def update_basis(
         V, AV, vhat = _independent_directions(V, AV, vhat)
     y_old, k = state.Y.shape[1], V.shape[1]
     truncates = tcfg.truncates(y_old + k)
-    if truncates and products is None and y_old:
-        # after a stage-1 fallback the solve holds no product of the old columns
-        products = spmv(A, state.Y, sink)
     eta = np.concatenate([yhat_comb, vhat])
     if eta.size:
         state.history.push(eta)
@@ -529,30 +488,21 @@ def update_basis(
     return out
 
 
-# the pivot threshold of a cg run's new directions: each has unit A-norm,
-# so the absolute threshold is relative too
-_RANK_TOL = 1e-6
-
-
 def _independent_directions(V, AV, vhat):
     """The A-independent columns of V, their products AV, and vhat over them.
 
-    The pivoted Cholesky factorization of V'AV (LAPACK ``dpstrf``) stops at
-    the first pivot at or below :data:`_RANK_TOL`.  The columns past that
-    rank are dropped and the kept ones stay in their order, so a V without
-    a small pivot comes back as it is.  V vhat is replaced by its
-    A-projection onto the kept columns, with coefficients G_kk^{-1} G_k: vhat
-    for G = V'AV, backsolved on the pivoted factor.
+    The columns :func:`~recykl.linalg.pivoted_cholesky` of G = V'AV drops
+    go, and the kept ones stay in their order, so a V without a small pivot
+    comes back as it is.  V vhat becomes its A-projection onto the kept
+    columns, G_kk^{-1} G_k: vhat, backsolved on the pivoted factor.
     """
     gram = V.T @ AV
-    gram = 0.5 * (gram + gram.T)
-    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram, tol=_RANK_TOL, lower=1)
-    if rank == V.shape[1]:
+    factor = pivoted_cholesky(gram)
+    if factor.m == V.shape[1]:
         return V, AV, vhat
-    order = piv[:rank] - 1  # the kept columns in pivot order: G[order][:, order] = L L'
-    coef = scipy.linalg.cho_solve((factor[:rank, :rank], True), gram[order] @ vhat)
-    sort = np.argsort(order)
-    return V[:, order[sort]], AV[:, order[sort]], coef[sort]
+    kept = np.sort(factor.kept)
+    coef = factor.solve_spd(gram @ vhat)
+    return V[:, kept], AV[:, kept], coef[kept]
 
 
 def build_preconditioners(systems, kind: str) -> list:

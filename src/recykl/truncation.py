@@ -44,6 +44,7 @@ from .linalg import (
     SparseSpdMatrix,
     dense_cholesky,
     generalized_symmetric_evd,
+    gram_cholesky,
     spmv,
 )
 from .pod import energy_dim, pod_evd_from_gram, pod_svd
@@ -156,16 +157,21 @@ def deflation_compress(
     Solves the generalized eigenproblem (AZ)'(AZ) g = mu Z'AZ g whose
     eigenvalues approximate the spectrum of A restricted to range(Z), keeps
     the m pairs with smallest values, and A-orthonormalizes the result.
+    A singular Z'AZ restricts the problem to the columns that
+    :func:`~recykl.linalg.gram_cholesky` keeps, in their order.
     ``products``, when given, is AZ, one array or its column blocks: both
     matrices are then dense products of it, block by block, and A is not
     applied.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    z = Z.shape[1]
-    m = min(int(m), z)
     blocks = _products(A_prev, Z, products)
     gram_az = _cross(Z, blocks)
     K = np.concatenate([_cross(block, blocks) for block in blocks], axis=0)
+    kept = gram_cholesky(gram_az).kept
+    if kept is not None:
+        kept = np.sort(kept)
+        Z, K, gram_az = Z[:, kept], K[np.ix_(kept, kept)], gram_az[np.ix_(kept, kept)]
+    m = min(int(m), Z.shape[1])
     mu_desc, G = generalized_symmetric_evd(0.5 * (K + K.T), 0.5 * (gram_az + gram_az.T))
     # retain the m smallest harmonic Ritz values, ascending
     keep = G[:, ::-1][:, :m]

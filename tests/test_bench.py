@@ -198,8 +198,8 @@ class TestRunMethods:
         header = open(paths["systems"]).readline().strip().split(",")
         assert header == ["method", "j", "matvecs", "precond_apps", "stage1_dim",
                           "stage2_iters", "stage3_iters", "wall_ms", "final_residual",
-                          "converged", "failure", "stage2_converged", "stage1_fallback",
-                          "rank_truncated", "reduced_condition"]
+                          "converged", "failure", "stage2_converged", "rank_truncated",
+                          "reduced_condition"]
         summary = json.loads(open(paths["summary"]).read())
         assert set(summary) == {m.name for m in methods}
 

@@ -15,6 +15,8 @@ from recykl.linalg import (
     assemble_gram,
     dense_cholesky,
     generalized_symmetric_evd,
+    gram_cholesky,
+    pivoted_cholesky,
     principal_angle_distance,
     spmv,
     symmetric_evd,
@@ -118,6 +120,48 @@ class TestDenseCholesky:
         L = dense_cholesky(G)
         rhs = np.arange(1.0, 7.0)
         assert np.allclose(G @ L.solve_spd(rhs), rhs, atol=1e-10)
+
+
+class TestGramCholesky:
+    def test_definite_gram_gets_the_plain_factor(self):
+        G = make_spd_dense(12, seed=5, cond=1e6)
+        G[0, 1] += 1e-13  # symmetrized before it is factored
+        L = gram_cholesky(G)
+        assert L.kept is None
+        assert np.array_equal(L.full(), dense_cholesky(0.5 * (G + G.T)).full())
+
+    @pytest.mark.parametrize("width", [6, 30])
+    def test_dependent_columns_get_zero_coefficients(self, width):
+        # a repeated column, or more columns than rows: the factor covers
+        # the independent columns and the solve is Galerkin over them
+        A = make_spd_dense(20, seed=6)
+        B = random_basis(20, width, seed=7)
+        B[:, 4] = B[:, 1]
+        G = B.T @ A @ B
+        with pytest.raises(NotPositiveDefinite):
+            dense_cholesky(0.5 * (G + G.T))
+        L = gram_cholesky(G)
+        assert L.m == min(width - 1, 20) == len(L.kept)
+        rhs = B.T @ np.ones(20)
+        eta = L.solve_spd(rhs)
+        dropped = np.setdiff1d(np.arange(width), L.kept)
+        assert np.all(eta[dropped] == 0.0)
+        assert np.linalg.norm(G @ eta - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        block = L.solve_spd(np.column_stack([rhs, 2 * rhs]))
+        assert block.shape == (width, 2) and np.allclose(block[:, 1], 2 * eta)
+
+    def test_pivoted_factor_stops_at_the_relative_threshold(self):
+        # a column whose part outside the others has relative A-norm 1e-4
+        # (pivot 1e-8 of the largest) is dropped; 1e-2 (pivot 1e-4) is kept
+        B = np.eye(5)[:, :3] * 10.0
+        for scale, kept in ((1e-4, 3), (1e-2, 4)):
+            extra = (B[:, 0] + B[:, 1]) / np.sqrt(2) + scale * 10.0 * np.eye(5)[:, 4]
+            L = pivoted_cholesky(np.column_stack([B, extra]).T @ np.column_stack([B, extra]))
+            assert L.m == kept and 2 in L.kept
+
+    def test_zero_gram_keeps_nothing(self):
+        L = gram_cholesky(np.zeros((3, 3)))
+        assert L.m == 0 and np.array_equal(L.solve_spd(np.ones(3)), np.zeros(3))
 
 
 class TestTriangularSolve:

@@ -8,12 +8,15 @@ from recykl import bench, problems
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "method_counters.py")
+BASELINES = os.path.join(ROOT, "tools", "counter_baselines")
 WORKLOADS = ("roster-ssor", "krylov-unprec", "output-error")
 
 
-def run(*args: str) -> str:
-    proc = subprocess.run([sys.executable, SCRIPT, "--tiny", "--seed", "2", *args], cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+def run(baseline: str, *args: str) -> str:
+    """The ``--tiny --seed 2`` tables, checked against a committed baseline."""
+    proc = subprocess.run([sys.executable, SCRIPT, "--tiny", "--seed", "2", *args, "--check",
+                           os.path.join(BASELINES, baseline)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -55,7 +58,7 @@ def in_process_krylov_unprec(tmp_path, mode: str) -> dict:
 
 
 def test_tiny_workloads_match_an_in_process_roster(tmp_path):
-    tables, peaks, modes = parse(run())
+    tables, peaks, modes = parse(run("tiny-seed2-fom.json"))
     assert tuple(tables) == WORKLOADS
     assert set(modes.values()) == {"fom"}
     for name, (sums, _) in tables.items():
@@ -72,7 +75,7 @@ def test_tiny_workloads_match_an_in_process_roster(tmp_path):
 
 
 def test_cg_mode_table(tmp_path):
-    tables, _, modes = parse(run("--mode", "cg"))
+    tables, _, modes = parse(run("tiny-seed2-cg.json", "--mode", "cg"))
     assert tuple(tables) == WORKLOADS and set(modes.values()) == {"cg"}
     for name, (sums, _) in tables.items():
         # the two-term recurrence makes no Gram-Schmidt sweep

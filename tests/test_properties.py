@@ -31,6 +31,9 @@ TYPED_FAILURES = ("budget", "breakdown", "nonfinite")
     stage1_dim=st.one_of(st.none(), st.integers(1, 5)),
     precond=st.sampled_from(["identity", "jacobi", "ssor:1.7"]),
 )
+# deflation of a 29-column block for n = 28, whose Z'AZ is singular
+@hypothesis.example(grid=(2, 14), delta=0.0, tol_exponent=-10.0, seed=11, storage_cap=18,
+                    strategy="deflate", stage1_dim=1, precond="jacobi")
 def test_cg_and_fom_converge_on_every_system(grid, delta, tol_exponent, seed, storage_cap,
                                               strategy, stage1_dim, precond):
     seq = gen_diffusion_sequence(grid, 8, delta, seed=seed, tol=10.0**tol_exponent)

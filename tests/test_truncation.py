@@ -183,6 +183,23 @@ class TestDeflationCompress:
             assert np.linalg.norm((Ad @ Z).T @ resid) <= 1e-8 * np.linalg.norm(Ad @ y)
 
 
+    @pytest.mark.parametrize("width", [7, 20])
+    def test_dependent_columns_solve_over_the_independent_ones(self, width):
+        # a repeated column, or more columns than A has rows, makes Z'AZ
+        # singular: the harmonic Ritz pairs are those of Z's independent
+        # columns, which span the same space
+        A = make_spd(15, seed=111)
+        Z = random_basis(15, width, seed=112)
+        Z[:, 5] = Z[:, 2]
+        out = deflation_compress(Z, A, 3)
+        independent = np.delete(Z, 5, axis=1)[:, :15]
+        oracle = deflation_compress(independent, A, 3)
+        np.testing.assert_allclose(out.spectrum, oracle.spectrum, rtol=1e-8)
+        G = out.Y_new.T @ A.to_dense() @ out.Y_new
+        assert np.max(np.abs(G - np.eye(3))) <= 1e-8
+        assert principal_angle_distance(out.Y_new, oracle.Y_new) <= 1e-6
+
+
 class TestEnforceOrthogonality:
     def test_already_orthonormal_identity_factor(self):
         A = make_spd(12, seed=111)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_spd, make_spd_dense, random_basis
-from recykl.errors import NoHistory, NotPositiveDefinite
+from recykl.errors import NoHistory
 from recykl.weights import (
     WeightHistory,
     idw_weight,
@@ -63,10 +63,16 @@ class TestWeightsIdeal:
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(b)
 
     def test_rank_deficient(self):
+        # a repeated column gets a zero coefficient; the Galerkin condition
+        # Z'(A(xbar + Z eta) - b) = 0 still holds
         A = make_spd(8, seed=81)
         Z = np.ones((8, 2))
-        with pytest.raises(NotPositiveDefinite):
-            weights_ideal(Z, A, np.ones(8))
+        b = np.ones(8)
+        xbar = np.random.default_rng(82).standard_normal(8)
+        eta = weights_ideal(Z, A, b, xbar)
+        assert np.count_nonzero(eta) == 1
+        resid = Z.T @ (A.to_dense() @ (xbar + Z @ eta) - b)
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(Z.T @ b)
 
 
 class TestHistorySchemes:

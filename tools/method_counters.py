@@ -1,6 +1,7 @@
 """Per-method counters of the benchmark workloads' inputs.
 
 Usage: python3 tools/method_counters.py [--seed N] [--tiny] [--mode {fom,cg}]
+                                       [--json FILE] [--check FILE]
 
 For each workload of ``perfbench/workloads.py`` this generates the sequence
 from the seed as the benchmark does, writes it as a manifest and reads it
@@ -21,6 +22,17 @@ size the benchmark reports.  ``--tiny`` runs each workload at its
 smoke-test size, and ``--mode`` runs every roster in that recurrence mode
 instead of the workload's own (``fom``).  Nothing is timed, and nothing
 under ``perfbench/`` is written.
+
+``--json FILE`` writes the counter columns (all but ``peak_mb``) per
+workload and method, with the seed, the size and each workload's mode, as
+a baseline.  ``--check FILE`` compares this run with such a baseline,
+names every value that moved on stderr, and exits 1 if any did.  The
+baselines of ``tools/counter_baselines/`` are kept this way:
+``seed1-fom.json`` and ``seed1-cg.json`` (``--seed 1 --mode fom`` and
+``--mode cg``), and ``tiny-seed2-fom.json`` and ``tiny-seed2-cg.json``
+(``--tiny --seed 2``, with and without ``--mode cg``), which
+``tests/test_method_counters.py`` checks.  A change that moves a counter
+writes the baseline again, and its diff says what moved.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import json
 import os
 import sys
 import tempfile
@@ -80,12 +93,32 @@ def method_counters(wl, seed: int) -> tuple[dict, float]:
     return sums, sum(c["matvecs"] for c in sums.values()) / solves
 
 
+def flatten(table: dict) -> dict:
+    """{"<workload> <method> <column>": count, ...} plus the run's settings."""
+    flat = {"seed": table["seed"], "tiny": table["tiny"]}
+    for name, workload in table["workloads"].items():
+        flat[f"{name} mode"] = workload["mode"]
+        for method, counts in workload["methods"].items():
+            flat.update({f"{name} {method} {c}": v for c, v in counts.items()})
+    return flat
+
+
+def moved(baseline: dict, table: dict) -> list[str]:
+    """Each value of ``table`` that differs from ``baseline``'s, as text; "-" is a missing one."""
+    old, new = flatten(baseline), flatten(table)
+    return [f"{key}: {old.get(key, '-')} -> {new.get(key, '-')}"
+            for key in dict.fromkeys([*old, *new]) if old.get(key) != new.get(key)]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--tiny", action="store_true", help="smoke-test size of each workload")
     parser.add_argument("--mode", choices=("fom", "cg"),
                         help="recurrence mode of every roster (default: the workload's)")
+    parser.add_argument("--json", metavar="FILE", help="write the counters as a baseline")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with a baseline; exit 1 naming every counter that moved")
     args = parser.parse_args(argv)
     if "numpy" in sys.modules:
         raise SystemExit("error: numpy was imported before BLAS threads could be pinned")
@@ -94,12 +127,15 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     from workloads import WORKLOADS, tiny
 
+    table = {"seed": args.seed, "tiny": args.tiny, "workloads": {}}
     for name, wl in WORKLOADS.items():
         if args.tiny:
             wl = tiny(wl)
         if args.mode:
             wl = dataclasses.replace(wl, mode=args.mode)
         sums, per_solve = method_counters(wl, args.seed)
+        table["workloads"][name] = {"mode": wl.mode, "methods": {
+            method: {c: counts[c] for c in COLUMNS} for method, counts in sums.items()}}
         print(f"{name} ({wl.grid[0]}x{wl.grid[1]}, {wl.systems} systems, {wl.precond}, "
               f"{wl.mode}, tol {wl.tol:g}, seed {args.seed})")
         print(f"  {'method':<18}" + "".join(f"{c:>9}" for c in COLUMNS) + f"{'peak_mb':>9}")
@@ -107,6 +143,16 @@ def main(argv: list[str]) -> int:
             print(f"  {method:<18}" + "".join(f"{counts[c]:>9}" for c in COLUMNS)
                   + f"{counts['peak_mb']:>9.2f}")
         print(f"  roster matvecs/solve {per_solve:.3f}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(table, fh, indent=1)
+            fh.write("\n")
+    if args.check:
+        with open(args.check) as fh:
+            changes = moved(json.load(fh), table)
+        for change in changes:
+            print(f"moved: {change}", file=sys.stderr)
+        return 1 if changes else 0
     return 0
 
 

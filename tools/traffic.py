@@ -11,6 +11,10 @@ Traces, with the standard library's ``sys.settrace``, the lines of
 - an untruncated ``cg`` sequence (25x35, 12 systems) whose first run's
   new directions lose A-independence, so their columns past the numerical
   rank are dropped;
+- a deflation sequence (2x14, 8 systems) that compresses a 29-column
+  block for n = 28, whose Z'AZ is singular;
+- one solve (8x8) over a caller-built basis with a repeated column, whose
+  stage-1 Gram matrix is singular;
 - the replay of every case in ``tests/fixtures``;
 - the five CLI subcommands (``generate``, ``run``, ``output-error``,
   ``weight-study`` and ``verify-bounds``) on a 12x12 sequence in a
@@ -65,8 +69,11 @@ def run_all(tmp: str) -> list[str]:
     import passes
     from workloads import WORKLOADS, tiny
 
+    import numpy as np
+
     from recykl import bench, cli, problems, threestage
     from recykl.fixtures import verify_fixture
+    from recykl.truncation import TruncationConfig
 
     failures = []
     for name, wl in WORKLOADS.items():
@@ -87,6 +94,22 @@ def run_all(tmp: str) -> list[str]:
                    if m.name == "no-trunc"]
     if not all(r.converged for r in threestage.run_sequence(seq, no_trunc.config)[1]):
         failures.append("the untruncated cg sequence did not converge")
+
+    # singular Gram matrices: a deflated block wider than A, and a caller-built
+    # basis with a repeated column
+    seq = problems.gen_diffusion_sequence((2, 14), 8, 0.0, seed=11, tol=1e-10)
+    truncation = TruncationConfig(strategy="deflate", nu_w=1.0, storage_cap=18, max_dim=9,
+                                  stage1_dim=1, deflate_dim=9)
+    cfg = threestage.SolverConfig(truncation=truncation, precond="jacobi")
+    if not all(r.converged for r in threestage.run_sequence(seq, cfg)[1]):
+        failures.append("the deflation sequence wider than A did not converge")
+    spec = problems.gen_diffusion_sequence((8, 8), 1, 0.0, seed=40, tol=1e-8)[0]
+    Y = np.random.default_rng(42).standard_normal((spec.A.n, 5))
+    Y[:, 4] = Y[:, 3]
+    _, report = threestage.solve_system(spec.A, spec.b, spec.xbar, threestage.RecycleState(Y=Y),
+                                        spec.tol, threestage.SolverConfig())
+    if not report.converged:
+        failures.append("the solve over a repeated column did not converge")
 
     for path in sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.json"))):
         if os.path.basename(path) != "acceptance_calibration.json" and verify_fixture(path):
